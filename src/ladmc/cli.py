@@ -11,11 +11,8 @@ import argparse
 import os
 import sys
 
-import numpy as np
-
 from . import experiments, identifiability, io, pipeline, synth
-from .lrmc import SvpOptions, svp_complete
-from .tensorize import build_index_map
+from .lrmc import SvpOptions
 
 
 def _int_list(text: str) -> list:
@@ -71,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--truth", help="ground-truth CSV for error reporting")
     sp.add_argument("--rank", type=_rank_arg, default="auto")
     sp.add_argument("--order", type=int, default=2)
-    sp.add_argument("--algorithm", choices=experiments.ALGORITHMS,
+    sp.add_argument("--algorithm", choices=pipeline.ALGORITHMS,
                     default="ladmc")
     sp.add_argument("--inner-T", type=int, default=30)
     sp.add_argument("--step-size", type=float, default=1.0)
@@ -105,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--N-per-K", type=int, default=50)
     sp.add_argument("--N-cap", type=int, default=3000)
     sp.add_argument("--trials", type=int, default=10)
-    sp.add_argument("--algorithm", choices=experiments.ALGORITHMS,
+    sp.add_argument("--algorithm", choices=pipeline.ALGORITHMS,
                     default="ladmc")
     sp.add_argument("--inner-T", type=int, default=30)
     sp.add_argument("--success-tol", type=float, default=1e-4)
@@ -158,56 +155,37 @@ def _cmd_complete(args):
     mask = io.read_mask_csv(args.mask) if args.mask else observed
     if mask.shape != X.shape:
         raise SystemExit(f"mask shape {mask.shape} != input shape {X.shape}")
-    X = np.where(mask, X, 0.0)
     X_true = None
     if args.truth:
         X_true, truth_obs = io.read_matrix_csv(args.truth)
         if not truth_obs.all():
             raise SystemExit("truth file has missing cells")
 
+    cfg = pipeline.LadmcConfig(
+        p=args.order, rank_R=args.rank,
+        svp=SvpOptions(rank=1 if args.rank == "auto" else args.rank,
+                       step_size=args.step_size,
+                       max_iters=args.max_iters, rel_tol=args.rel_tol,
+                       accel=args.accel,
+                       accel_restart=args.accel_restart),
+        iladmc_inner_T=args.inner_T,
+        augment_ones=args.augment_ones,
+    )
+    rep = pipeline.completer(args.algorithm)(X, mask, cfg, X_true=X_true)
     report_items = {"algorithm": args.algorithm, "order": args.order,
-                    "seed": args.seed}
-    if args.algorithm == "lrmc":
-        rank = args.rank if args.rank != "auto" else pipeline.auto_rank(X)
-        opts = SvpOptions(rank=rank, step_size=args.step_size,
-                          max_iters=args.max_iters, rel_tol=args.rel_tol,
-                          accel=args.accel, accel_restart=args.accel_restart)
-        Z, diag = svp_complete(X, mask, opts)
-        X_hat = np.where(mask, X, Z)
-        report_items.update(rank_used=rank, iterations=diag.iterations_run,
-                            residual=diag.final_residual,
-                            converged=diag.converged)
-    else:
-        cfg = pipeline.LadmcConfig(
-            p=args.order, rank_R=args.rank,
-            svp=SvpOptions(rank=1 if args.rank == "auto" else args.rank,
-                           step_size=args.step_size,
-                           max_iters=args.max_iters, rel_tol=args.rel_tol,
-                           accel=args.accel,
-                           accel_restart=args.accel_restart),
-            iladmc_inner_T=args.inner_T,
-            augment_ones=args.augment_ones,
-        )
-        algo = pipeline.iladmc if args.algorithm == "iladmc" else pipeline.ladmc
-        rep = algo(X, mask, cfg, X_true=X_true)
-        X_hat = rep.X_hat
-        report_items.update(
-            rank_used=rep.rank_used,
-            iterations=rep.solver.iterations_run if rep.solver else 0,
-            outer_iterations=rep.outer_iterations,
-            residual=rep.solver.final_residual if rep.solver else 0.0,
-            inner_T=args.inner_T,
-        )
-        if rep.nrmse is not None:
-            report_items.update(nrmse=rep.nrmse,
-                                success=rep.nrmse < args.success_tol)
-    if X_true is not None and "nrmse" not in report_items:
-        err = pipeline.nrmse(X_hat, X_true)
-        report_items.update(nrmse=err, success=err < args.success_tol)
+                    "seed": args.seed, "rank_used": rep.rank_used,
+                    "iterations": rep.solver.iterations_run,
+                    "outer_iterations": rep.outer_iterations,
+                    "residual": rep.solver.final_residual,
+                    "converged": rep.solver.converged,
+                    "inner_T": args.inner_T}
+    if rep.nrmse is not None:
+        report_items.update(nrmse=rep.nrmse,
+                            success=rep.nrmse < args.success_tol)
 
     os.makedirs(args.out_dir, exist_ok=True)
     out_csv = os.path.join(args.out_dir, "X_hat.csv")
-    io.write_matrix_csv(out_csv, X_hat)
+    io.write_matrix_csv(out_csv, rep.X_hat)
     io.write_report(os.path.join(args.out_dir, "report.txt"), report_items)
     for k, v in report_items.items():
         print(f"{k}={v}")

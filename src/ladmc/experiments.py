@@ -12,14 +12,12 @@ import numpy as np
 
 from .identifiability import minimal_samples, uos_tensor_rank
 from .io import write_pgm, write_report
-from .lrmc import SvpOptions, svp_complete
-from .pipeline import LadmcConfig, iladmc, ladmc, nrmse
+from .lrmc import SvpOptions
+from .pipeline import ALGORITHMS, LadmcConfig, completer
 from .synth import gen_mask_uniform, gen_uos
 from .tensorize import build_index_map, tensorize_matrix
 
 WORKERS_ENV = "LADMC_WORKERS"
-
-ALGORITHMS = ("ladmc", "iladmc", "lrmc")
 
 
 def default_workers() -> int:
@@ -85,16 +83,14 @@ def run_phase_trial(cfg: PhaseGridConfig, K: int, m: int, trial: int) -> float:
     """One seeded completion instance; returns its reconstruction error."""
     data_seed, mask_seed = _trial_seeds(cfg.seed, K, m, trial)
     N = cfg.columns_for(K)
+    if cfg.algorithm == "lrmc":
+        R = min(K * cfg.r, cfg.d)
+    else:
+        R = uos_tensor_rank(K, cfg.r, cfg.d, cfg.p)
+    if R > N:
+        return float("inf")  # fewer columns than the rank: no completion
     X, _ = gen_uos(cfg.d, K, cfg.r, N, seed=data_seed)
     mask = gen_mask_uniform(cfg.d, N, m, seed=mask_seed)
-    if cfg.algorithm == "lrmc":
-        opts = SvpOptions(rank=min(K * cfg.r, cfg.d), step_size=cfg.step_size,
-                          max_iters=cfg.max_iters, rel_tol=cfg.rel_tol,
-                          accel=cfg.accel, accel_restart=cfg.accel_restart)
-        X_hat, _ = svp_complete(np.where(mask, X, 0.0), mask, opts)
-        X_hat = np.where(mask, X, X_hat)
-        return nrmse(X_hat, X)
-    R = uos_tensor_rank(K, cfg.r, cfg.d, cfg.p)
     pipe_cfg = LadmcConfig(
         p=cfg.p, rank_R=R,
         svp=SvpOptions(rank=R, step_size=cfg.step_size,
@@ -102,9 +98,8 @@ def run_phase_trial(cfg: PhaseGridConfig, K: int, m: int, trial: int) -> float:
                        accel=cfg.accel, accel_restart=cfg.accel_restart),
         iladmc_inner_T=cfg.inner_T,
     )
-    algo = iladmc if cfg.algorithm == "iladmc" else ladmc
-    report = algo(np.where(mask, X, 0.0), mask, pipe_cfg, X_true=X)
-    return report.nrmse
+    algo = completer(cfg.algorithm)
+    return algo(np.where(mask, X, 0.0), mask, pipe_cfg, X_true=X).nrmse
 
 
 def _phase_task(args):
@@ -112,8 +107,9 @@ def _phase_task(args):
     t0 = time.perf_counter()
     try:
         err = run_phase_trial(cfg, K, m, trial)
-    except Exception:
-        # a failed cell is a failed trial, never an aborted grid
+    except np.linalg.LinAlgError:
+        # a numerical breakdown is a failed trial, never an aborted grid;
+        # any other exception is a bug and propagates
         err = float("inf")
     return K, m, trial, err, time.perf_counter() - t0
 
@@ -278,17 +274,9 @@ def run_real_experiment(
                 best = (R, v, X_hat)
         return best
 
-    def lrmc_run(R):
-        opts = SvpOptions(rank=R, max_iters=max_iters, rel_tol=rel_tol)
-        Z, _ = svp_complete(np.where(train, X, 0.0), train, opts)
-        return np.where(train, X, Z)
-
-    best = pick_best(lrmc_run, [R for R in ranks if R <= min(d, N)])
-    results["lrmc"] = {"rank": best[0], "val_rmse": best[1],
-                       "test_rmse": _rmse(best[2], X, test)}
-
-    for name, algo in (("ladmc", ladmc), ("iladmc", iladmc)):
-        def run(R, algo=algo):
+    lifted_D = build_index_map(d, p).D
+    for name, top in (("lrmc", d), ("ladmc", lifted_D), ("iladmc", lifted_D)):
+        def run(R, algo=completer(name)):
             cfg = LadmcConfig(
                 p=p, rank_R=R,
                 svp=SvpOptions(rank=R, max_iters=max_iters, rel_tol=rel_tol),
@@ -296,8 +284,7 @@ def run_real_experiment(
             )
             return algo(np.where(train, X, 0.0), train, cfg).X_hat
 
-        imap_D = build_index_map(d, p).D
-        best = pick_best(run, [R for R in ranks if R <= min(imap_D, N)])
+        best = pick_best(run, [R for R in ranks if R <= min(top, N)])
         results[name] = {"rank": best[0], "val_rmse": best[1],
                          "test_rmse": _rmse(best[2], X, test)}
 

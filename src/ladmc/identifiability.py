@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensorize import TensorIndexMap, tensor_dimension, tensorize_column, tensorize_mask
+from .tensorize import (TensorIndexMap, build_index_map, tensor_dimension,
+                        tensorize_column, tensorize_mask)
 
 RANK_REL_TOL = 1e-8
 COMBINATORIAL_MAX = 22  # exhaustive subset check is 2^(D-R)
@@ -212,7 +213,7 @@ def check_identifiable_algebraic(
     """
     Omega = dedupe_patterns(np.asarray(Omega, dtype=bool))
     d = Omega.shape[0]
-    imap = _index_map_cached(d, p)
+    imap = build_index_map(d, p)
     D = imap.D
     if R > D:
         raise ValueError(f"R={R} exceeds lifted dimension D={D}")
@@ -343,14 +344,3 @@ def in_variety(
              * max(np.linalg.norm(x), 1e-300) ** imap.p)
     return bool(np.all(res < MEMBERSHIP_TOL * scale))
 
-
-_MAP_CACHE: dict = {}
-
-
-def _index_map_cached(d: int, p: int) -> TensorIndexMap:
-    from .tensorize import build_index_map
-
-    key = (d, p)
-    if key not in _MAP_CACHE:
-        _MAP_CACHE[key] = build_index_map(d, p)
-    return _MAP_CACHE[key]

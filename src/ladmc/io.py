@@ -8,6 +8,7 @@ integers of the same shape.
 from __future__ import annotations
 
 import csv
+import math
 
 import numpy as np
 
@@ -20,7 +21,7 @@ def read_matrix_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """Read a real matrix; returns (values, observed mask).
 
     Empty fields and NaN mark missing cells; missing values are stored as
-    0.0 with the mask carrying the truth.
+    0.0 with the mask carrying the truth.  Infinite values are rejected.
     """
     rows = []
     with open(path, newline="") as fh:
@@ -34,11 +35,16 @@ def read_matrix_csv(path) -> tuple[np.ndarray, np.ndarray]:
                     row.append(np.nan)
                 else:
                     try:
-                        row.append(float(cell))
+                        value = float(cell)
                     except ValueError:
                         raise CsvFormatError(
                             f"{path}:{lineno}: cannot parse {cell!r} as a number"
                         ) from None
+                    if math.isinf(value):
+                        raise CsvFormatError(
+                            f"{path}:{lineno}: {cell!r} is not a finite number"
+                        )
+                    row.append(value)
             if rows and len(row) != len(rows[0]):
                 raise CsvFormatError(
                     f"{path}:{lineno}: row has {len(row)} fields, "

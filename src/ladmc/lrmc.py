@@ -19,7 +19,6 @@ class SvpOptions:
     step_size: float = 1.0
     max_iters: int = 500
     rel_tol: float = 1e-6
-    seed: int | None = None
     # Nesterov momentum with periodic restart.  Off by default: the plain
     # iteration is the reference behavior; acceleration converges far
     # faster on badly conditioned instances at the same per-step cost.
@@ -125,8 +124,11 @@ def svp_complete(
             Y = Z.copy()
         Yr = Y.ravel()
         Yr[obs] += opts.step_size * (Mv - Yr[obs])
-        if not np.isfinite(Yr @ Yr):
-            break  # diverged (step size too large); report as unconverged
+        # a diverging iterate overflows here first: a stop, not a warning
+        with np.errstate(over="ignore"):
+            diverged = not np.isfinite(Yr @ Yr)
+        if diverged:
+            break  # step size too large; report as unconverged
         Z_new = truncated_svd_project(Y, R)
         change = np.linalg.norm(Z_new - Z) / max(np.linalg.norm(Z), _EPS)
         Z_prev = Z

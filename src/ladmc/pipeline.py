@@ -2,12 +2,14 @@
 
 ``ladmc`` runs the three stages once; ``iladmc`` alternates short bursts
 of hard thresholding in the lifted space with unlifting and known-entry
-refill until the estimate stabilizes.
+refill until the estimate stabilizes.  Both are passes of one driver.
+``lrmc_baseline`` completes the raw matrix without lifting, for
+comparison.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -16,6 +18,11 @@ from .preimage import preimage_column, rank1_gap
 from .tensorize import augment_ones, build_index_map, tensorize_matrix
 
 SUCCESS_TOL = 1e-4
+ALGORITHMS = ("ladmc", "iladmc", "lrmc")
+# iladmc stops after this many passes, or once a pass changes the
+# estimate by less than ILADMC_REL_TOL (relative Frobenius norm)
+ILADMC_MAX_OUTER = 100
+ILADMC_REL_TOL = 1e-7
 
 
 @dataclass
@@ -24,8 +31,6 @@ class LadmcConfig:
     rank_R: int | str = "auto"
     svp: SvpOptions | None = None
     iladmc_inner_T: int = 30
-    iladmc_max_outer: int = 100
-    iladmc_rel_tol: float = 1e-7
     augment_ones: bool = False
 
     def __post_init__(self):
@@ -76,38 +81,32 @@ def _resolve_rank(cfg: LadmcConfig, T_obs: np.ndarray) -> int:
     else:
         R = int(cfg.rank_R)
     if R > D:
-        raise ValueError(f"rank {R} exceeds lifted dimension {D}")
+        raise ValueError(f"rank {R} exceeds the row dimension {D}")
     return R
 
 
-def _svp_options(cfg: LadmcConfig, R: int, max_iters=None, rel_tol=None):
-    base = cfg.svp
-    return SvpOptions(
-        rank=R,
-        step_size=base.step_size if base else 1.0,
-        max_iters=max_iters or (base.max_iters if base else 500),
-        rel_tol=rel_tol or (base.rel_tol if base else 1e-6),
-        seed=base.seed if base else None,
-        accel=base.accel if base else False,
-        accel_restart=base.accel_restart if base else 300,
-    )
+def _checked_input(X_obs, mask):
+    """The observed matrix and its mask as arrays, every observed entry finite."""
+    X_obs = np.asarray(X_obs, dtype=float)
+    mask = np.asarray(mask, dtype=bool)
+    if X_obs.shape != mask.shape:
+        raise ValueError(f"shape mismatch {X_obs.shape} vs {mask.shape}")
+    bad = np.argwhere(mask & ~np.isfinite(X_obs))
+    if bad.size:
+        i, j = map(int, bad[0])
+        raise ValueError(
+            f"observed entry ({i}, {j}) is not finite: {X_obs[i, j]}")
+    return X_obs, mask
 
 
-def _unlift(T_hat, imap, X_obs, mask, augmented):
+def _unlift(T_hat, imap, X_obs, mask):
     """Per-column pre-image with sign resolution from the observed entries."""
     N = T_hat.shape[1]
-    d_out = imap.d - 1 if augmented else imap.d
-    X_hat = np.zeros((d_out, N))
+    X_hat = np.zeros((imap.d, N))
     ratios = np.zeros(N)
     for i in range(N):
-        vals, m = X_obs[:, i], mask[:, i]
-        x = preimage_column(T_hat[:, i], imap, vals, m)
+        X_hat[:, i] = preimage_column(T_hat[:, i], imap, X_obs[:, i], mask[:, i])
         ratios[i] = rank1_gap(T_hat[:, i], imap)
-        if augmented:
-            # true augmented column is [1, x]; rescale when the constant
-            # coordinate came back cleanly
-            x = x[1:] / x[0] if abs(x[0]) > 1e-9 else x[1:]
-        X_hat[:, i] = x
     return X_hat, ratios
 
 
@@ -123,6 +122,45 @@ def _finalize(X_hat, X_obs_orig, mask_orig, report, X_true):
     return report
 
 
+def _complete_lifted(X_obs, mask, cfg, X_true, max_passes, pass_iters):
+    """Up to max_passes rounds of lift / SVP / unlift / refill known entries.
+
+    Each pass runs pass_iters SVP iterations (None: cfg.svp.max_iters).
+    The first pass starts SVP from the zero-filled lift; each later pass
+    starts it from the lift of the previous estimate.  With augment_ones
+    the constant row is refilled to 1 on every pass like any observed
+    entry and dropped from the result.
+    """
+    X_obs, mask = _checked_input(X_obs, mask)
+    X_in, mask_in = (augment_ones(X_obs, mask) if cfg.augment_ones
+                     else (X_obs, mask))
+    imap = build_index_map(X_in.shape[0], cfg.p)
+    T_obs, T_mask = tensorize_matrix(X_in, mask_in, imap)
+    R = _resolve_rank(cfg, T_obs)
+    svp = cfg.svp or SvpOptions(rank=R)
+    opts = replace(svp, rank=R, max_iters=pass_iters or svp.max_iters)
+
+    X_cur = np.where(mask_in, X_in, 0.0)
+    full = np.ones_like(mask_in)
+    Z0 = None
+    for outer in range(1, max_passes + 1):
+        if outer > 1:
+            Z0, _ = tensorize_matrix(X_cur, full, imap)
+        T_hat, diag = svp_complete(T_obs, T_mask, opts, Z0=Z0)
+        X_new, ratios = _unlift(T_hat, imap, X_in, mask_in)
+        X_new[mask_in] = X_in[mask_in]
+        change = np.linalg.norm(X_new - X_cur) / max(np.linalg.norm(X_cur), 1e-30)
+        X_cur = X_new
+        if change < ILADMC_REL_TOL:
+            break
+    X_hat = X_cur[1:] if cfg.augment_ones else X_cur
+    report = CompletionReport(
+        X_hat=X_hat, outer_iterations=outer, per_column_rank1_ratio=ratios,
+        solver=diag, rank_used=R,
+    )
+    return _finalize(X_hat, X_obs, mask, report, X_true)
+
+
 def ladmc(
     X_obs: np.ndarray,
     mask: np.ndarray,
@@ -130,21 +168,8 @@ def ladmc(
     X_true: np.ndarray | None = None,
 ) -> CompletionReport:
     """One pass of lift / low-rank complete / unlift / refill known entries."""
-    cfg = cfg or LadmcConfig()
-    X_obs = np.asarray(X_obs, dtype=float)
-    mask = np.asarray(mask, dtype=bool)
-    X_in, mask_in = (augment_ones(X_obs, mask) if cfg.augment_ones
-                     else (X_obs, mask))
-    imap = build_index_map(X_in.shape[0], cfg.p)
-    T_obs, T_mask = tensorize_matrix(X_in, mask_in, imap)
-    R = _resolve_rank(cfg, T_obs)
-    T_hat, diag = svp_complete(T_obs, T_mask, _svp_options(cfg, R))
-    X_hat, ratios = _unlift(T_hat, imap, X_in, mask_in, cfg.augment_ones)
-    report = CompletionReport(
-        X_hat=X_hat, outer_iterations=1, per_column_rank1_ratio=ratios,
-        solver=diag, rank_used=R,
-    )
-    return _finalize(X_hat, X_obs, mask, report, X_true)
+    return _complete_lifted(X_obs, mask, cfg or LadmcConfig(), X_true,
+                            max_passes=1, pass_iters=None)
 
 
 def iladmc(
@@ -156,35 +181,35 @@ def iladmc(
     """Iterative variant: repeat T lifted hard-thresholding steps, unlift,
     refill the known entries, until the outer estimate stops changing."""
     cfg = cfg or LadmcConfig()
-    X_obs = np.asarray(X_obs, dtype=float)
-    mask = np.asarray(mask, dtype=bool)
-    X_in, mask_in = (augment_ones(X_obs, mask) if cfg.augment_ones
-                     else (X_obs, mask))
-    imap = build_index_map(X_in.shape[0], cfg.p)
-    T_obs, T_mask = tensorize_matrix(X_in, mask_in, imap)
-    R = _resolve_rank(cfg, T_obs)
-    opts = _svp_options(cfg, R, max_iters=cfg.iladmc_inner_T)
+    return _complete_lifted(X_obs, mask, cfg, X_true,
+                            max_passes=ILADMC_MAX_OUTER,
+                            pass_iters=cfg.iladmc_inner_T)
 
-    X_cur = np.where(mask_in, X_in, 0.0)
-    outer = 0
-    diag = None
-    ratios = np.zeros(X_in.shape[1])
-    full = np.ones_like(mask_in)
-    for outer in range(1, cfg.iladmc_max_outer + 1):
-        Z0, _ = tensorize_matrix(X_cur, full, imap)
-        T_hat, diag = svp_complete(T_obs, T_mask, opts, Z0=Z0)
-        X_new, ratios = _unlift(T_hat, imap, X_in, mask_in, False)
-        X_new[mask_in] = X_in[mask_in]
-        change = np.linalg.norm(X_new - X_cur) / max(np.linalg.norm(X_cur), 1e-30)
-        X_cur = X_new
-        if change < cfg.iladmc_rel_tol:
-            break
-    X_hat = X_cur[1:] if cfg.augment_ones else X_cur
-    if cfg.augment_ones:
-        # drop the constant row; observed-entry refill below restores scale
-        ratios = ratios.copy()
+
+def lrmc_baseline(
+    X_obs: np.ndarray,
+    mask: np.ndarray,
+    cfg: LadmcConfig | None = None,
+    X_true: np.ndarray | None = None,
+) -> CompletionReport:
+    """Plain low-rank completion of the raw matrix, without lifting.
+
+    Uses ``cfg.rank_R`` and ``cfg.svp``; ``p``, ``iladmc_inner_T`` and
+    ``augment_ones`` do not apply.  The report has no rank-one ratios.
+    """
+    cfg = cfg or LadmcConfig()
+    X_obs, mask = _checked_input(X_obs, mask)
+    X_zero = np.where(mask, X_obs, 0.0)
+    R = _resolve_rank(cfg, X_zero)
+    opts = replace(cfg.svp or SvpOptions(rank=R), rank=R)
+    Z, diag = svp_complete(X_zero, mask, opts)
     report = CompletionReport(
-        X_hat=X_hat, outer_iterations=outer, per_column_rank1_ratio=ratios,
+        X_hat=Z, outer_iterations=1, per_column_rank1_ratio=np.zeros(0),
         solver=diag, rank_used=R,
     )
-    return _finalize(X_hat, X_obs, mask, report, X_true)
+    return _finalize(Z, X_obs, mask, report, X_true)
+
+
+def completer(algorithm: str):
+    """The completion entry for an algorithm name in ``ALGORITHMS``."""
+    return {"ladmc": ladmc, "iladmc": iladmc, "lrmc": lrmc_baseline}[algorithm]

@@ -9,6 +9,7 @@ observation mask marks a monomial observed iff all of its factors are.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -56,8 +57,12 @@ class TensorIndexMap:
         return self._lookup[tuple(multi)]
 
 
+@functools.lru_cache(maxsize=32)
 def build_index_map(d: int, p: int) -> TensorIndexMap:
-    """Enumerate all sorted multi-indices of {0..d-1}^p lexicographically."""
+    """Enumerate all sorted multi-indices of {0..d-1}^p lexicographically.
+
+    Maps are cached per (d, p) and shared, so ``entries`` is read-only.
+    """
     D = tensor_dimension(d, p)
     entries = np.fromiter(
         itertools.chain.from_iterable(
@@ -66,6 +71,7 @@ def build_index_map(d: int, p: int) -> TensorIndexMap:
         dtype=np.intp,
         count=D * p,
     ).reshape(D, p)
+    entries.flags.writeable = False
     lookup = {tuple(row): q for q, row in enumerate(map(tuple, entries))}
     return TensorIndexMap(d=d, p=p, entries=entries, _lookup=lookup)
 

@@ -92,6 +92,21 @@ def test_complete_lrmc_with_separate_mask(tmp_path):
     assert float(report["nrmse"]) < 1e-6
 
 
+def test_complete_report_fields_same_for_every_algorithm(tmp_path):
+    data = _synth_instance(tmp_path)
+    keys = {}
+    for algo in ("ladmc", "iladmc", "lrmc"):
+        out = tmp_path / algo
+        rc = main(["complete", "--input", str(data / "X.csv"),
+                   "--truth", str(data / "X0.csv"), "--algorithm", algo,
+                   "--rank", "2", "--max-iters", "20", "--out-dir", str(out)])
+        assert rc == 0
+        report = _read_report(out / "report.txt")
+        assert report["converged"] in ("True", "False")
+        keys[algo] = list(report)
+    assert keys["ladmc"] == keys["iladmc"] == keys["lrmc"]
+
+
 def test_complete_shape_mismatch(tmp_path):
     write_matrix_csv(tmp_path / "X.csv", np.ones((2, 2)))
     write_matrix_csv(tmp_path / "mask.csv", np.ones((3, 2)))

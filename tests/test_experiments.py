@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ladmc import experiments
 from ladmc.experiments import (
     PhaseGridConfig,
     rank_verify,
@@ -71,6 +72,25 @@ def test_phase_grid_infeasible_cell_recorded_not_raised():
                           trials=2)
     rec = run_phase_grid(cfg)
     assert rec.success_fraction[0, 0] == 0.0
+
+
+def test_phase_grid_numerical_failure_recorded(monkeypatch):
+    def breaks_down(*args):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(experiments, "run_phase_trial", breaks_down)
+    rec = run_phase_grid(_small_grid(workers=1))
+    np.testing.assert_array_equal(rec.success_fraction, [[0.0], [0.0]])
+
+
+def test_phase_grid_code_error_raised(monkeypatch):
+    # a bug must not pass as a failed trial
+    def buggy(*args):
+        raise TypeError("unsupported operand")
+
+    monkeypatch.setattr(experiments, "run_phase_trial", buggy)
+    with pytest.raises(TypeError, match="unsupported operand"):
+        run_phase_grid(_small_grid(workers=1))
 
 
 def test_phase_grid_outputs_byte_identical(tmp_path):

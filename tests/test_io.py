@@ -56,6 +56,14 @@ def test_read_matrix_errors(tmp_path):
         read_matrix_csv(empty)
 
 
+def test_read_matrix_rejects_infinity(tmp_path):
+    for cell in ("inf", "-Infinity", "1e999"):
+        path = tmp_path / "inf.csv"
+        path.write_text(f"1.0,2.0\n3.0,{cell}\n")
+        with pytest.raises(CsvFormatError, match="inf.csv:2"):
+            read_matrix_csv(path)
+
+
 def test_read_mask(tmp_path):
     path = tmp_path / "mask.csv"
     path.write_text("1,0\n0,1\n")

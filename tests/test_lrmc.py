@@ -131,7 +131,7 @@ def test_svp_determinism():
     rng = np.random.default_rng(7)
     M = rng.standard_normal((8, 30))
     mask = rng.random(M.shape) < 0.6
-    opts = SvpOptions(rank=3, max_iters=40, seed=1)
+    opts = SvpOptions(rank=3, max_iters=40)
     Z1, d1 = svp_complete(M, mask, opts)
     Z2, d2 = svp_complete(M, mask, opts)
     assert np.array_equal(Z1, Z2)
@@ -177,7 +177,9 @@ def test_svp_errors():
         svp_complete(M, np.ones((3, 2), dtype=bool), SvpOptions(rank=1))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_svp_divergent_step_reported_unconverged():
+    # divergence is reported through the diagnostics, not a numpy warning
     rng = np.random.default_rng(8)
     M = rng.standard_normal((6, 6))
     mask = rng.random(M.shape) < 0.8

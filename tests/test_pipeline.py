@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 
 from ladmc.lrmc import SvpOptions
-from ladmc.pipeline import LadmcConfig, auto_rank, iladmc, ladmc, nrmse
+from ladmc.pipeline import (
+    LadmcConfig,
+    auto_rank,
+    iladmc,
+    ladmc,
+    lrmc_baseline,
+    nrmse,
+)
 from ladmc.synth import gen_mask_uniform, gen_uos
 from ladmc.tensorize import build_index_map, tensorize_matrix
 
@@ -11,6 +18,16 @@ def _two_lines_instance(seed=3, N=200, m=4):
     X, _ = gen_uos(6, 2, 1, N, seed=seed)
     mask = gen_mask_uniform(6, N, m, seed=seed + 1)
     return X, mask
+
+
+def _affine_lines_instance(seed=0, d=6, N=400, m=4):
+    # two lines that miss the origin: x = a_k + t b_k
+    rng = np.random.default_rng(seed)
+    a, b = rng.standard_normal((2, 2, d))
+    labels = np.arange(N) % 2
+    t = rng.standard_normal(N)
+    X = (a[labels] + t[:, None] * b[labels]).T
+    return X, gen_mask_uniform(d, N, m, seed=seed + 10)
 
 
 def _cfg(R, step=2.0, iters=3000, tol=1e-9, **kw):
@@ -164,3 +181,37 @@ def test_report_without_truth_has_no_metrics():
     rep = ladmc(np.where(mask, X, 0.0), mask, _cfg(2, iters=20))
     assert rep.nrmse is None
     assert rep.success is None
+
+
+def test_augment_ones_recovers_affine_lines():
+    # [1; x] spans a 2-dim subspace per line, so the lifted rank is 2 * 3
+    X, mask = _affine_lines_instance()
+    svp = SvpOptions(rank=6, accel=True, max_iters=3000, rel_tol=1e-9)
+    for algo in (ladmc, iladmc):
+        cfg = LadmcConfig(p=2, rank_R=6, svp=svp, augment_ones=True)
+        rep = algo(np.where(mask, X, 0.0), mask, cfg, X_true=X)
+        assert rep.X_hat.shape == X.shape
+        assert rep.nrmse < 1e-4, algo.__name__
+
+
+def test_lrmc_baseline_completes_low_rank_matrix():
+    rng = np.random.default_rng(8)
+    X = rng.standard_normal((10, 2)) @ rng.standard_normal((2, 40))
+    mask = rng.random(X.shape) < 0.7
+    cfg = LadmcConfig(rank_R=2, svp=SvpOptions(rank=1, max_iters=2000,
+                                               rel_tol=1e-10))
+    rep = lrmc_baseline(np.where(mask, X, 0.0), mask, cfg, X_true=X)
+    assert rep.rank_used == 2  # cfg.rank_R wins over the svp placeholder
+    assert rep.solver.converged
+    assert rep.nrmse < 1e-6
+    np.testing.assert_array_equal(rep.X_hat[mask], X[mask])
+
+
+@pytest.mark.parametrize("algo", [ladmc, iladmc, lrmc_baseline])
+def test_non_finite_observation_rejected(algo):
+    X, mask = _two_lines_instance(N=20)
+    X = np.where(mask, X, np.nan)  # unobserved cells may hold anything
+    row = int(np.nonzero(mask[:, 5])[0][1])
+    X[row, 5] = np.inf
+    with pytest.raises(ValueError, match=rf"\({row}, 5\) is not finite"):
+        algo(X, mask, _cfg(2, iters=20))

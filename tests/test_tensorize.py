@@ -39,6 +39,13 @@ def test_index_map_entries():
     assert m.entries.tolist() == [[0, 0, 0], [0, 0, 1], [0, 1, 1], [1, 1, 1]]
 
 
+def test_index_map_shared_and_read_only():
+    m = build_index_map(4, 2)
+    assert build_index_map(4, 2) is m
+    with pytest.raises(ValueError):
+        m.entries[0, 0] = 3
+
+
 @pytest.mark.parametrize("d,p", [(3, 2), (5, 2), (4, 3), (2, 4)])
 def test_index_map_roundtrip(d, p):
     m = build_index_map(d, p)
