@@ -24,6 +24,8 @@ RANK_REL_TOL = 1e-8
 COMBINATORIAL_MAX = 22  # exhaustive subset check is 2^(D-R)
 COMBINATORIAL_RETRIES = 50
 MEMBERSHIP_TOL = 1e-10
+# float64 elements per batched work array in build_A (8 MB)
+_CHUNK_FLOATS = 1 << 20
 
 
 @dataclass
@@ -125,19 +127,11 @@ def numerical_rank(M: np.ndarray, rel_tol: float = RANK_REL_TOL) -> int:
 def dedupe_patterns(patterns: np.ndarray) -> np.ndarray:
     """Drop duplicate pattern columns, keeping first occurrences in order."""
     patterns = np.asarray(patterns, dtype=bool)
-    seen = {}
-    keep = []
-    dupes = 0
-    for i in range(patterns.shape[1]):
-        key = patterns[:, i].tobytes()
-        if key in seen:
-            dupes += 1
-        else:
-            seen[key] = i
-            keep.append(i)
+    _, first = np.unique(patterns, axis=1, return_index=True)
+    dupes = patterns.shape[1] - first.size
     if dupes:
         warnings.warn(f"dropped {dupes} duplicate sampling patterns")
-    return patterns[:, keep]
+    return patterns[:, np.sort(first)]
 
 
 def build_constraint_patterns(Upsilon: np.ndarray, R: int) -> ConstraintPatterns:
@@ -145,19 +139,85 @@ def build_constraint_patterns(Upsilon: np.ndarray, R: int) -> ConstraintPatterns
     columns: the first R observed rows plus one extra observed row each."""
     Upsilon = dedupe_patterns(Upsilon)
     D = Upsilon.shape[0]
-    cols = []
-    provenance = []
-    for i in range(Upsilon.shape[1]):
-        k = np.nonzero(Upsilon[:, i])[0]
-        for kappa in range(1, k.size - R + 1):
-            col = np.zeros(D, dtype=bool)
-            col[k[:R]] = True
-            col[k[R + kappa - 1]] = True
-            cols.append(col)
-            provenance.append((i, kappa))
-    columns = (np.column_stack(cols) if cols
-               else np.zeros((D, 0), dtype=bool))
+    # 1-based position of each observed row within its pattern
+    position = np.cumsum(Upsilon, axis=0)
+    head = Upsilon & (position <= R)
+    # one constraint per (pattern, extra row), pattern-major, rows ascending
+    src, extra = np.nonzero((Upsilon & (position > R)).T)
+    columns = head[:, src]
+    columns[extra, np.arange(src.size)] = True
+    kappa = position[extra, src] - R
+    provenance = list(zip(src.tolist(), kappa.tolist()))
     return ConstraintPatterns(D=D, R=R, columns=columns, provenance=provenance)
+
+
+def _kernel_vector_svd(block: np.ndarray) -> np.ndarray | None:
+    """Unit left null vector of an (R+1) x R block by SVD, first nonzero
+    entry positive; None if the block is rank deficient."""
+    R = block.shape[1]
+    U, s, _ = np.linalg.svd(block, full_matrices=True)
+    if s.size < R or s[-1] <= RANK_REL_TOL * s[0]:
+        return None
+    a = U[:, -1]
+    nz = np.nonzero(np.abs(a) > 1e-12)[0]
+    if nz.size and a[nz[0]] < 0:
+        a = -a
+    return a
+
+
+def _kernel_vectors_by_head(basis_B: np.ndarray, rows: np.ndarray):
+    """Left null vectors of the blocks basis_B[rows[j]], one R x R head
+    factorization per distinct head.
+
+    rows is n x (R+1), each row sorted: the first R rows of a block are its
+    head H, the last its extra row e, and the null vector is proportional
+    to [-H^-T e^T; 1].  Returns the unit vectors with the first-nonzero-
+    positive sign rule and a mask of the blocks certified full rank:
+    sigma_min(block) >= 1/|H^-1|_F > RANK_REL_TOL |block|_F >= RANK_REL_TOL
+    sigma_max(block), so the SVD test would keep them too.  Uncertified
+    rows of the result are meaningless.
+    """
+    n, R = rows.shape[0], rows.shape[1] - 1
+    # group by head; a byte-string key sorts far faster than unique(axis=0)
+    head_rows = np.ascontiguousarray(rows[:, :R])
+    key = head_rows.view(np.dtype((np.void, head_rows.itemsize * R))).ravel()
+    _, first, group = np.unique(key, return_index=True, return_inverse=True)
+    heads = head_rows[first]
+    # blocks sorted by head; pos is a block's place within its head group
+    order = np.argsort(group, kind="stable")
+    sorted_group = group[order]
+    bounds = np.searchsorted(sorted_group, np.arange(heads.shape[0] + 1))
+    pos = np.arange(n) - bounds[sorted_group]
+    width = int(np.diff(bounds).max())
+    step = max(1, _CHUNK_FLOATS // (R * max(R, width)))
+
+    a = np.empty((n, R + 1))  # [-e H^-1, 1] for each block
+    a[:, R] = 1.0
+    inv_norm = np.empty(heads.shape[0])
+    for g0 in range(0, heads.shape[0], step):
+        g1 = min(g0 + step, heads.shape[0])
+        try:
+            H_inv = np.linalg.inv(basis_B[heads[g0:g1]])
+        except np.linalg.LinAlgError:  # an exactly singular head
+            H_inv = np.full((g1 - g0, R, R), np.nan)
+        inv_norm[g0:g1] = np.linalg.norm(H_inv, axis=(1, 2))
+        lo, hi = bounds[g0], bounds[g1]
+        g, k = sorted_group[lo:hi] - g0, pos[lo:hi]
+        extra = np.zeros((g1 - g0, width, R))
+        extra[g, k] = basis_B[rows[order[lo:hi], R]]
+        a[order[lo:hi], :R] = -(extra @ H_inv)[g, k]
+
+    a /= np.linalg.norm(a, axis=1, keepdims=True)
+    big = np.abs(a) > 1e-12
+    lead = a[np.arange(n), np.argmax(big, axis=1)]
+    a[big.any(axis=1) & (lead < 0)] *= -1.0
+
+    row_sq = np.einsum("ij,ij->i", basis_B, basis_B)
+    block_norm = np.sqrt(row_sq[rows].sum(axis=1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        certified = 1.0 / inv_norm[group] > RANK_REL_TOL * block_norm
+    certified &= np.isfinite(a).all(axis=1)
+    return a, certified
 
 
 def build_A(basis_B: np.ndarray, patterns: ConstraintPatterns) -> np.ndarray:
@@ -167,6 +227,11 @@ def build_A(basis_B: np.ndarray, patterns: ConstraintPatterns) -> np.ndarray:
     vector of that (R+1) x R block (unit norm, first nonzero positive) is
     placed at the pattern's rows.  Rank-deficient blocks are skipped with
     a warning since they violate genericity.
+
+    The blocks of one source pattern share their first R rows, so each
+    distinct R x R head is factored once and applied to all of its extra
+    rows.  Blocks whose head does not certify full rank, and columns
+    without exactly R+1 rows, go through a per-block SVD instead.
     """
     basis_B = np.asarray(basis_B, dtype=float)
     D, R = patterns.D, patterns.R
@@ -174,25 +239,29 @@ def build_A(basis_B: np.ndarray, patterns: ConstraintPatterns) -> np.ndarray:
         raise ValueError(f"basis shape {basis_B.shape} != ({D}, {R})")
     if numerical_rank(basis_B) < R:
         raise ValueError("basis must have full column rank")
-    cols = []
-    skipped = 0
-    for j in range(patterns.columns.shape[1]):
-        rows = np.nonzero(patterns.columns[:, j])[0]
-        block = basis_B[rows]  # (R+1) x R
-        U, s, _ = np.linalg.svd(block, full_matrices=True)
-        if s.size < R or s[-1] <= RANK_REL_TOL * s[0]:
-            skipped += 1
-            continue
-        a = U[:, -1]
-        nz = np.nonzero(np.abs(a) > 1e-12)[0]
-        if nz.size and a[nz[0]] < 0:
-            a = -a
-        full = np.zeros(D)
-        full[rows] = a
-        cols.append(full)
+    columns = np.ascontiguousarray(patterns.columns.T)  # one block per row
+    n = columns.shape[0]
+    A = np.zeros((D, n))
+    by_svd = columns.sum(axis=1) != R + 1
+    blocks = np.flatnonzero(~by_svd)
+    if blocks.size:
+        rows = np.nonzero(columns[blocks])[1].reshape(-1, R + 1)
+        a, certified = _kernel_vectors_by_head(basis_B, rows)
+        A[rows[certified], blocks[certified, None]] = a[certified]
+        by_svd[blocks[~certified]] = True
+    keep = np.ones(n, dtype=bool)
+    for j in np.flatnonzero(by_svd):
+        rows_j = np.flatnonzero(columns[j])
+        a_j = _kernel_vector_svd(basis_B[rows_j])
+        if a_j is None:
+            keep[j] = False
+        else:
+            A[rows_j, j] = a_j
+    skipped = n - int(keep.sum())
     if skipped:
         warnings.warn(f"skipped {skipped} rank-deficient constraint blocks")
-    return np.column_stack(cols) if cols else np.zeros((D, 0))
+        A = A[:, keep]
+    return A
 
 
 def check_identifiable_algebraic(
@@ -211,12 +280,15 @@ def check_identifiable_algebraic(
     restrictions are full rank almost surely); an explicit lifted basis may
     be supplied instead for subspace-specific audits.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     Omega = dedupe_patterns(np.asarray(Omega, dtype=bool))
     d = Omega.shape[0]
     imap = build_index_map(d, p)
     D = imap.D
-    if R > D:
-        raise ValueError(f"R={R} exceeds lifted dimension D={D}")
+    if not 1 <= R <= D:
+        raise ValueError(
+            f"R={R} must satisfy 1 <= R <= D, the lifted dimension D={D}")
     Upsilon = np.column_stack(
         [tensorize_mask(Omega[:, i], imap) for i in range(Omega.shape[1])]
     ) if Omega.shape[1] else np.zeros((D, 0), dtype=bool)

@@ -143,10 +143,12 @@ def _complete_lifted(X_obs, mask, cfg, X_true, max_passes, pass_iters):
     X_cur = np.where(mask_in, X_in, 0.0)
     full = np.ones_like(mask_in)
     Z0 = None
+    total_iters = 0
     for outer in range(1, max_passes + 1):
         if outer > 1:
             Z0, _ = tensorize_matrix(X_cur, full, imap)
         T_hat, diag = svp_complete(T_obs, T_mask, opts, Z0=Z0)
+        total_iters += diag.iterations_run
         X_new, ratios = _unlift(T_hat, imap, X_in, mask_in)
         X_new[mask_in] = X_in[mask_in]
         change = np.linalg.norm(X_new - X_cur) / max(np.linalg.norm(X_cur), 1e-30)
@@ -154,9 +156,14 @@ def _complete_lifted(X_obs, mask, cfg, X_true, max_passes, pass_iters):
         if change < ILADMC_REL_TOL:
             break
     X_hat = X_cur[1:] if cfg.augment_ones else X_cur
+    # the solver fields describe the whole run, not the last pass: a
+    # single pass converges with its SVP solve, several passes once a
+    # pass meets ILADMC_REL_TOL
+    converged = diag.converged if max_passes == 1 else change < ILADMC_REL_TOL
     report = CompletionReport(
         X_hat=X_hat, outer_iterations=outer, per_column_rank1_ratio=ratios,
-        solver=diag, rank_used=R,
+        solver=replace(diag, iterations_run=total_iters, converged=converged),
+        rank_used=R,
     )
     return _finalize(X_hat, X_obs, mask, report, X_true)
 

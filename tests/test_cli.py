@@ -157,6 +157,12 @@ def test_check_missing_args():
         main(["check", "--all-patterns", "--rank", "2"])
 
 
+def test_check_rejects_zero_trials(tmp_path):
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        main(["check", "--all-patterns", "--d", "6", "--m", "4",
+              "--rank", "2", "--trials", "0", "--out-dir", str(tmp_path)])
+
+
 def test_phase_cli(tmp_path, capsys):
     out = tmp_path / "phase"
     rc = main(["phase", "--d", "6", "--r", "1", "--K-list", "2",

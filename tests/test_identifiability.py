@@ -1,8 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from ladmc import identifiability
 from ladmc.identifiability import (
     ConstraintPatterns,
     VarietyCoefficients,
@@ -98,9 +100,9 @@ def test_numerical_rank():
 def test_dedupe_patterns_warns():
     P = np.array([[1, 1, 0], [0, 0, 1]], dtype=bool)
     P = np.column_stack([P[:, 0], P[:, 0], P[:, 2]])
-    with pytest.warns(UserWarning, match="duplicate"):
+    with pytest.warns(UserWarning, match="dropped 1 duplicate"):
         out = dedupe_patterns(P)
-    assert out.shape[1] == 2
+    np.testing.assert_array_equal(out, P[:, [0, 2]])
 
 
 def test_build_constraint_patterns_all_ones():
@@ -182,6 +184,157 @@ def test_build_A_validation():
         build_A(np.ones((3, 2)), cp)  # wrong shape
 
 
+def _expand_by_loop(Upsilon, R):
+    """Reference expansion: first occurrences of the patterns, then one
+    column per (pattern, kappa) built row by row."""
+    seen, keep = set(), []
+    for i in range(Upsilon.shape[1]):
+        key = Upsilon[:, i].tobytes()
+        if key not in seen:
+            seen.add(key)
+            keep.append(i)
+    U = Upsilon[:, keep]
+    cols, provenance = [], []
+    for i in range(U.shape[1]):
+        k = np.nonzero(U[:, i])[0]
+        for kappa in range(1, k.size - R + 1):
+            col = np.zeros(U.shape[0], dtype=bool)
+            col[k[:R]] = True
+            col[k[R + kappa - 1]] = True
+            cols.append(col)
+            provenance.append((i, kappa))
+    return np.column_stack(cols), provenance, Upsilon.shape[1] - len(keep)
+
+
+def test_constraint_expansion_matches_loop_on_mixed_patterns():
+    rng = np.random.default_rng(9)
+    d, R = 6, 5
+    imap = build_index_map(d, 2)
+    Omega = np.zeros((d, 12), dtype=bool)
+    for i, m in enumerate(rng.choice([2, 3, 4, 5, 6], size=12)):
+        Omega[rng.choice(d, m, replace=False), i] = True
+    Omega = np.column_stack([Omega, Omega[:, [3, 0, 3]]])
+    U = np.column_stack([tensorize_mask(Omega[:, i], imap)
+                         for i in range(Omega.shape[1])])
+    cols, provenance, dupes = _expand_by_loop(U, R)
+    assert dupes >= 2
+    with pytest.warns(UserWarning) as record:
+        cp = build_constraint_patterns(U, R)
+    assert [str(w.message) for w in record] == [
+        f"dropped {dupes} duplicate sampling patterns"]
+    np.testing.assert_array_equal(cp.columns, cols)
+    assert cp.provenance == provenance
+    assert all(type(v) is int for pair in cp.provenance for v in pair)
+
+
+def _build_A_by_svd(B, cp):
+    """Reference kernel matrix: one SVD per constraint block, in order."""
+    cols, skipped = [], 0
+    for j in range(cp.columns.shape[1]):
+        rows = np.nonzero(cp.columns[:, j])[0]
+        a = identifiability._kernel_vector_svd(B[rows])
+        if a is None:
+            skipped += 1
+            continue
+        full = np.zeros(cp.D)
+        full[rows] = a
+        cols.append(full)
+    return np.column_stack(cols), skipped
+
+
+def _count_svd_calls(monkeypatch):
+    calls = []
+    reference = identifiability._kernel_vector_svd
+
+    def counted(block):
+        calls.append(block.shape)
+        return reference(block)
+
+    monkeypatch.setattr(identifiability, "_kernel_vector_svd", counted)
+    return calls
+
+
+def test_build_A_matches_svd_reference_on_mixed_patterns(monkeypatch):
+    # patterns with 3..6 of 6 rows lift to 6, 10, 15 or 21 rows, so the
+    # head groups hold 1, 5, 10 or 16 blocks
+    rng = np.random.default_rng(10)
+    d, R = 6, 5
+    imap = build_index_map(d, 2)
+    Omega = np.zeros((d, 30), dtype=bool)
+    for i, m in enumerate(rng.choice([3, 4, 5, 6], size=30)):
+        Omega[rng.choice(d, m, replace=False), i] = True
+    U = np.column_stack([tensorize_mask(Omega[:, i], imap)
+                         for i in range(Omega.shape[1])])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # duplicate draws
+        cp = build_constraint_patterns(U, R)
+    B = rng.standard_normal((imap.D, R))
+    expected, skipped = _build_A_by_svd(B, cp)
+    assert skipped == 0
+    calls = _count_svd_calls(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        A = build_A(B, cp)
+    assert calls == []  # every block certified by its head
+    assert A.shape == expected.shape
+    np.testing.assert_allclose(A, expected, rtol=0, atol=1e-10)
+
+
+def _blocks_over_heads(D, heads, R):
+    """Constraint columns: each head's R rows plus every later row."""
+    cols = []
+    for head in heads:
+        for extra in range(max(head) + 1, D):
+            col = np.zeros(D, dtype=bool)
+            col[list(head)] = True
+            col[extra] = True
+            cols.append(col)
+    return ConstraintPatterns(D=D, R=R, columns=np.column_stack(cols))
+
+
+def test_build_A_singular_head_takes_svd_path(monkeypatch):
+    # row 0 of the basis is zero: heads containing it are exactly
+    # singular, but with a generic extra row the block still has rank R
+    # and its kernel vector is the unit vector at row 0
+    rng = np.random.default_rng(11)
+    D, R = 9, 3
+    B = rng.standard_normal((D, R))
+    B[0] = 0.0
+    cp = _blocks_over_heads(D, [(0, 1, 2), (1, 2, 3), (0, 2, 4)], R)
+    expected, skipped = _build_A_by_svd(B, cp)
+    assert skipped == 0
+    calls = _count_svd_calls(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        A = build_A(B, cp)
+    assert len(calls) >= 10  # every block over the two singular heads
+    np.testing.assert_allclose(A, expected, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(A[:, 0], np.eye(D)[0], atol=1e-12)
+
+
+@pytest.mark.parametrize("scale", [0.0, 1e-20])
+def test_build_A_skips_rank_deficient_blocks_like_reference(scale):
+    # rows 0 and 1 of the basis are zero or negligible: every block holding
+    # both has numerical rank < R and is skipped; blocks holding one of
+    # them are kept.  Zero rows make the head inverse fail outright; tiny
+    # ones give a finite inverse that the full-rank certificate must reject.
+    rng = np.random.default_rng(12)
+    D, R = 10, 3
+    B = rng.standard_normal((D, R))
+    B[:2] *= scale
+    cp = _blocks_over_heads(D, [(0, 1, 2), (0, 2, 3), (2, 3, 4), (1, 4, 5)],
+                            R)
+    cp.columns[1, 7] = True  # (0, 2, 3) plus row 1 instead of row 4
+    cp.columns[4, 7] = False
+    expected, skipped = _build_A_by_svd(B, cp)
+    assert skipped == 8
+    with pytest.warns(UserWarning) as record:
+        A = build_A(B, cp)
+    assert [str(w.message) for w in record] == [
+        f"skipped {skipped} rank-deficient constraint blocks"]
+    np.testing.assert_allclose(A, expected, rtol=0, atol=1e-10)
+
+
 def test_algebraic_two_of_three_not_identifiable():
     Omega = gen_all_patterns(3, 2)
     for seed in range(5):
@@ -222,6 +375,18 @@ def test_algebraic_accepts_explicit_basis():
 def test_algebraic_rank_exceeds_dimension():
     with pytest.raises(ValueError):
         check_identifiable_algebraic(gen_all_patterns(3, 2), R=7, p=2)
+
+
+@pytest.mark.parametrize("trials", [0, -1])
+def test_algebraic_rejects_nonpositive_trials(trials):
+    with pytest.raises(ValueError, match="trials"):
+        check_identifiable_algebraic(gen_all_patterns(6, 4), R=2, p=2,
+                                     trials=trials)
+
+
+def test_algebraic_rejects_rank_zero():
+    with pytest.raises(ValueError, match="R=0"):
+        check_identifiable_algebraic(gen_all_patterns(6, 4), R=0, p=2)
 
 
 def test_theorem_endpoints_all_patterns():

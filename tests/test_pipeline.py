@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ladmc import pipeline
 from ladmc.lrmc import SvpOptions
 from ladmc.pipeline import (
     LadmcConfig,
@@ -144,6 +145,55 @@ def test_iladmc_fixed_point_one_outer():
     rep = iladmc(X, mask, LadmcConfig(rank_R=1))
     assert rep.outer_iterations == 1
     np.testing.assert_allclose(rep.X_hat, X, atol=1e-12)
+
+
+def _record_bursts(monkeypatch):
+    """Diagnostics of every SVP call the driver makes."""
+    bursts = []
+    solve = pipeline.svp_complete
+
+    def recorded(*args, **kwargs):
+        Z, diag = solve(*args, **kwargs)
+        bursts.append(diag)
+        return Z, diag
+
+    monkeypatch.setattr(pipeline, "svp_complete", recorded)
+    return bursts
+
+
+def test_iladmc_report_covers_every_pass(monkeypatch):
+    X, mask = _two_lines_instance()
+    bursts = _record_bursts(monkeypatch)
+    cfg = _cfg(2, iters=100, iladmc_inner_T=30)
+    rep = iladmc(np.where(mask, X, 0.0), mask, cfg, X_true=X)
+    assert 1 < rep.outer_iterations < pipeline.ILADMC_MAX_OUTER
+    assert len(bursts) == rep.outer_iterations
+    # the last 30-step burst alone does not converge; the outer loop does
+    assert not bursts[-1].converged
+    assert rep.solver.converged
+    assert rep.solver.iterations_run == sum(b.iterations_run for b in bursts)
+
+
+def test_iladmc_out_of_passes_is_unconverged(monkeypatch):
+    X, mask = _two_lines_instance()
+    monkeypatch.setattr(pipeline, "ILADMC_MAX_OUTER", 2)
+    cfg = _cfg(2, iters=100, iladmc_inner_T=30)
+    rep = iladmc(np.where(mask, X, 0.0), mask, cfg)
+    assert rep.outer_iterations == 2
+    assert not rep.solver.converged
+    assert rep.solver.iterations_run == 60
+
+
+def test_ladmc_report_is_the_svp_solve(monkeypatch):
+    X, mask = _two_lines_instance()
+    bursts = _record_bursts(monkeypatch)
+    for iters, tol, converged in ((3000, 1e-4, True), (300, 1e-9, False)):
+        bursts.clear()
+        cfg = _cfg(2, iters=iters, tol=tol)
+        rep = ladmc(np.where(mask, X, 0.0), mask, cfg)
+        (diag,) = bursts
+        assert rep.solver.converged is diag.converged is converged
+        assert rep.solver.iterations_run == diag.iterations_run
 
 
 def test_ladmc_single_subspace_recovery():
