@@ -23,9 +23,10 @@ from .lrmc import SolveDiagnostics, SvpOptions, svp_complete, truncated_svd_proj
 from .pipeline import CompletionReport, LadmcConfig, iladmc, ladmc, nrmse
 from .preimage import (
     assemble_symmetric,
-    extract_rank1,
     preimage_column,
+    rank1_gap,
     resolve_sign,
+    unlift,
 )
 from .synth import UoSModel, gen_all_patterns, gen_mask_uniform, gen_single_subspace, gen_uos
 from .tensorize import (

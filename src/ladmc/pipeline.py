@@ -14,7 +14,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .lrmc import SolveDiagnostics, SvpOptions, svp_complete
-from .preimage import preimage_column, rank1_gap
+# preimage_column and rank1_gap stay importable here: perfbench/traced.py wraps them
+from .preimage import preimage_column, rank1_gap, unlift  # noqa: F401
 from .tensorize import augment_ones, build_index_map, tensorize_matrix
 
 SUCCESS_TOL = 1e-4
@@ -99,17 +100,6 @@ def _checked_input(X_obs, mask):
     return X_obs, mask
 
 
-def _unlift(T_hat, imap, X_obs, mask):
-    """Per-column pre-image with sign resolution from the observed entries."""
-    N = T_hat.shape[1]
-    X_hat = np.zeros((imap.d, N))
-    ratios = np.zeros(N)
-    for i in range(N):
-        X_hat[:, i] = preimage_column(T_hat[:, i], imap, X_obs[:, i], mask[:, i])
-        ratios[i] = rank1_gap(T_hat[:, i], imap)
-    return X_hat, ratios
-
-
 def _finalize(X_hat, X_obs_orig, mask_orig, report, X_true):
     X_hat[mask_orig] = X_obs_orig[mask_orig]
     zero_cols = np.nonzero(mask_orig.sum(axis=0) == 0)[0]
@@ -149,7 +139,7 @@ def _complete_lifted(X_obs, mask, cfg, X_true, max_passes, pass_iters):
             Z0, _ = tensorize_matrix(X_cur, full, imap)
         T_hat, diag = svp_complete(T_obs, T_mask, opts, Z0=Z0)
         total_iters += diag.iterations_run
-        X_new, ratios = _unlift(T_hat, imap, X_in, mask_in)
+        X_new, ratios = unlift(T_hat, imap, X_in, mask_in)
         X_new[mask_in] = X_in[mask_in]
         change = np.linalg.norm(X_new - X_cur) / max(np.linalg.norm(X_cur), 1e-30)
         X_cur = X_new
