@@ -24,7 +24,6 @@ from .pipeline import CompletionReport, LadmcConfig, iladmc, ladmc, nrmse
 from .preimage import (
     assemble_symmetric,
     preimage_column,
-    rank1_gap,
     resolve_sign,
     unlift,
 )

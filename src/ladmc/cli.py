@@ -111,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--rel-tol", type=float, default=1e-6)
     sp.add_argument("--accel", action="store_true")
     sp.add_argument("--accel-restart", type=int, default=300)
-    sp.add_argument("--workers", type=int, default=0)
+    sp.add_argument("--workers", type=int, default=1)
     common(sp)
 
     sp = sub.add_parser("rank-verify",

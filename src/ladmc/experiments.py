@@ -17,16 +17,6 @@ from .pipeline import ALGORITHMS, LadmcConfig, completer
 from .synth import gen_mask_uniform, gen_uos
 from .tensorize import build_index_map, tensorize_matrix
 
-WORKERS_ENV = "LADMC_WORKERS"
-
-
-def default_workers() -> int:
-    try:
-        return max(1, int(os.environ.get(WORKERS_ENV, "1")))
-    except ValueError:
-        return 1
-
-
 @dataclass
 class PhaseGridConfig:
     d: int
@@ -47,11 +37,13 @@ class PhaseGridConfig:
     accel: bool = False
     accel_restart: int = 300
     inner_T: int = 30
-    workers: int = 0  # 0 -> environment default
+    workers: int = 1
 
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.workers < 1:
+            raise ValueError(f"workers must be >= 1, got {self.workers}")
         if self.success_tol <= 0:
             raise ValueError("success_tol must be positive")
         if self.algorithm not in ALGORITHMS:
@@ -124,9 +116,8 @@ def run_phase_grid(cfg: PhaseGridConfig, out_dir=None) -> ExperimentRecord:
         (cfg, K, m, t)
         for m in cfg.m_range for K in cfg.K_range for t in range(cfg.trials)
     ]
-    workers = cfg.workers or default_workers()
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+    if cfg.workers > 1:
+        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             results = list(pool.map(_phase_task, tasks, chunksize=1))
     else:
         results = [_phase_task(t) for t in tasks]

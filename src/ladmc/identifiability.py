@@ -118,7 +118,8 @@ def numerical_rank(M: np.ndarray, rel_tol: float = RANK_REL_TOL) -> int:
     M = np.asarray(M, dtype=float)
     if M.size == 0:
         return 0
-    s = np.linalg.svd(M, compute_uv=False)
+    # same singular values, but LAPACK is about twice as fast on the tall side
+    s = np.linalg.svd(M.T if M.shape[0] < M.shape[1] else M, compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0
     return int(np.count_nonzero(s > rel_tol * s[0]))

@@ -1,12 +1,12 @@
 """Low-rank matrix completion by singular value projection (SVP / IHT).
 
 Each iteration takes a gradient step on the observed-entry residual and
-hard-thresholds back to the target rank via a truncated SVD.
+hard-thresholds back to the target rank.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,16 +41,15 @@ class SolveDiagnostics:
     iterations_run: int
     final_residual: float
     converged: bool
-    singular_values: np.ndarray = field(default_factory=lambda: np.empty(0))
 
 
 def truncated_svd_project(M: np.ndarray, R: int) -> np.ndarray:
     """Best rank-R approximation in Frobenius norm.
 
-    Ties at sigma_R = sigma_{R+1} keep the first R triplets in the order
-    returned by the decomposition.  Strongly rectangular matrices route
-    through an eigendecomposition of the small-side Gram matrix, which
-    gives the same projection at a fraction of the cost.
+    Computed from an eigendecomposition of the small-side Gram matrix,
+    which gives the same projection as a truncated SVD at a fraction of
+    the cost, at every aspect ratio.  Ties at sigma_R = sigma_{R+1} keep
+    the first R eigenvectors in descending eigenvalue order.
 
     This is the projection step of every SVP iteration, so it stays on
     numpy's BLAS/LAPACK like the rest of the iterate: alternating with a
@@ -61,19 +60,14 @@ def truncated_svd_project(M: np.ndarray, R: int) -> np.ndarray:
     d0, d1 = M.shape
     if R > min(d0, d1):
         raise ValueError(f"rank {R} exceeds min dimension {min(d0, d1)}")
+    wide = d0 <= d1
     try:
-        if min(d0, d1) * 4 <= max(d0, d1):
-            if d0 <= d1:
-                w, V = np.linalg.eigh(M @ M.T)
-                U = V[:, ::-1][:, :R]
-                return U @ (U.T @ M)
-            w, V = np.linalg.eigh(M.T @ M)
-            U = V[:, ::-1][:, :R]
-            return (M @ U) @ U.T
-        U, s, Vt = np.linalg.svd(M, full_matrices=False)
+        _, V = np.linalg.eigh(M @ M.T if wide else M.T @ M)
     except np.linalg.LinAlgError as exc:
-        raise np.linalg.LinAlgError(f"SVD failed to converge: {exc}") from exc
-    return (U[:, :R] * s[:R]) @ Vt[:R]
+        raise np.linalg.LinAlgError(
+            f"eigendecomposition failed to converge: {exc}") from exc
+    U = V[:, ::-1][:, :R]
+    return U @ (U.T @ M) if wide else (M @ U) @ U.T
 
 
 def _observed_rms(M_obs, mask, Z, n_obs):
@@ -139,11 +133,9 @@ def svp_complete(
             converged = True
             break
 
-    s = np.linalg.svd(Z, compute_uv=False)
     diag = SolveDiagnostics(
         iterations_run=iters,
         final_residual=_observed_rms(M_obs, mask, Z, n_obs),
         converged=converged,
-        singular_values=s[: R + 1],
     )
     return Z, diag

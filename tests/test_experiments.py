@@ -32,6 +32,13 @@ def test_config_validation():
         _small_grid(N_fixed=None, N_per_K=None)
 
 
+def test_config_rejects_workers_below_one():
+    assert _small_grid().workers == 1
+    for bad in (0, -2):
+        with pytest.raises(ValueError, match="workers"):
+            _small_grid(workers=bad)
+
+
 def test_columns_for():
     cfg = _small_grid(N_per_K=50, N_cap=120)
     assert cfg.columns_for(2) == 100

@@ -97,6 +97,12 @@ def test_numerical_rank():
     assert numerical_rank(np.diag([1.0, 1e-3, 1e-12])) == 2
 
 
+def test_numerical_rank_wide_equals_transpose():
+    rng = np.random.default_rng(3)
+    M = rng.standard_normal((6, 4)) @ rng.standard_normal((4, 50))
+    assert numerical_rank(M) == numerical_rank(M.T) == 4
+
+
 def test_dedupe_patterns_warns():
     P = np.array([[1, 1, 0], [0, 0, 1]], dtype=bool)
     P = np.column_stack([P[:, 0], P[:, 0], P[:, 2]])
