@@ -1,7 +1,13 @@
 """Low-rank matrix completion by singular value projection (SVP / IHT).
 
 Each iteration takes a gradient step on the observed-entry residual and
-hard-thresholds back to the target rank.
+hard-thresholds back to the target rank.  The rank-R projection reads the
+top-R eigenvectors of the small-side Gram matrix.  From the second
+iteration on they come from two warm-started subspace steps and a
+Rayleigh–Ritz extraction, seeded with the previous iteration's basis plus
+a few extra vectors; whenever the Ritz residual fails a fixed bound the
+full eigendecomposition runs instead, so every projection is the exact
+one up to rounding.
 """
 
 from __future__ import annotations
@@ -11,6 +17,14 @@ from dataclasses import dataclass
 import numpy as np
 
 _EPS = 1e-30
+# vectors carried in the warm basis beyond the target rank, and the
+# subspace steps taken from it before the Rayleigh–Ritz extraction
+_OVERSAMPLE = 5
+_SUBSPACE_STEPS = 2
+# a warm basis is accepted when the Frobenius norm of its top-R Ritz
+# residuals |G x - theta x| is at most this fraction of the largest Ritz
+# value; otherwise the iteration runs the full eigendecomposition
+_RITZ_TOL = 1e-12
 
 
 @dataclass
@@ -41,6 +55,39 @@ class SolveDiagnostics:
     iterations_run: int
     final_residual: float
     converged: bool
+    # iterations whose projection ran the full eigendecomposition rather
+    # than accepting the warm-started basis
+    full_eigh: int = 0
+
+
+def _top_eigvecs(G: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The k largest eigenvalues of symmetric G and their eigenvectors,
+    in descending order; ties keep eigh's order reversed."""
+    try:
+        w, V = np.linalg.eigh(G)
+    except np.linalg.LinAlgError as exc:
+        raise np.linalg.LinAlgError(
+            f"eigendecomposition failed to converge: {exc}") from exc
+    return w[::-1][:k], V[:, ::-1][:, :k]
+
+
+def _warm_basis(G: np.ndarray, V: np.ndarray, R: int) -> np.ndarray | None:
+    """Ritz vectors of G after _SUBSPACE_STEPS subspace steps from V.
+
+    Returns as many Ritz vectors as V has columns, in descending Ritz
+    value order, or None when the top-R residuals fail _RITZ_TOL.
+    """
+    Q = V
+    for _ in range(_SUBSPACE_STEPS):
+        Q, _ = np.linalg.qr(G @ Q)
+    GQ = G @ Q
+    theta, S = _top_eigvecs(Q.T @ GQ, V.shape[1])
+    X = Q @ S
+    resid = GQ @ S[:, :R] - X[:, :R] * theta[:R]
+    # a NaN residual fails the comparison and so falls back as well
+    if np.linalg.norm(resid) <= _RITZ_TOL * theta[0]:
+        return X
+    return None
 
 
 def truncated_svd_project(M: np.ndarray, R: int) -> np.ndarray:
@@ -51,22 +98,18 @@ def truncated_svd_project(M: np.ndarray, R: int) -> np.ndarray:
     the cost, at every aspect ratio.  Ties at sigma_R = sigma_{R+1} keep
     the first R eigenvectors in descending eigenvalue order.
 
-    This is the projection step of every SVP iteration, so it stays on
-    numpy's BLAS/LAPACK like the rest of the iterate: alternating with a
-    second BLAS runtime (scipy bundles its own OpenBLAS) leaves two thread
-    pools spinning against each other between calls.
+    This is the exact projection; ``svp_complete`` falls back to the same
+    eigendecomposition whenever its warm-started basis is not accepted.
+    Everything stays on numpy's BLAS/LAPACK: alternating with a second
+    BLAS runtime (scipy bundles its own OpenBLAS) leaves two thread pools
+    spinning against each other between calls.
     """
     M = np.asarray(M, dtype=float)
     d0, d1 = M.shape
     if R > min(d0, d1):
         raise ValueError(f"rank {R} exceeds min dimension {min(d0, d1)}")
     wide = d0 <= d1
-    try:
-        _, V = np.linalg.eigh(M @ M.T if wide else M.T @ M)
-    except np.linalg.LinAlgError as exc:
-        raise np.linalg.LinAlgError(
-            f"eigendecomposition failed to converge: {exc}") from exc
-    U = V[:, ::-1][:, :R]
+    _, U = _top_eigvecs(M @ M.T if wide else M.T @ M, R)
     return U @ (U.T @ M) if wide else (M @ U) @ U.T
 
 
@@ -87,6 +130,12 @@ def svp_complete(
     change drops below rel_tol or max_iters is hit.  With opts.accel the
     gradient step is taken at a Nesterov-extrapolated point instead, with
     the momentum sequence restarted every accel_restart iterations.
+
+    The projection is the one ``truncated_svd_project`` computes.  The
+    first iteration, and any iteration whose warm-started Ritz basis fails
+    the residual bound, runs the full eigendecomposition; the diagnostics
+    count those iterations in ``full_eigh``.  A step whose iterate
+    overflows stops the solve unconverged.
     """
     M_obs = np.asarray(M_obs, dtype=float)
     mask = np.asarray(mask, dtype=bool)
@@ -98,35 +147,53 @@ def svp_complete(
     R = opts.rank
     if R > min(M_obs.shape):
         raise ValueError(f"rank {R} infeasible for shape {M_obs.shape}")
+    wide = M_obs.shape[0] <= M_obs.shape[1]
+    n_basis = min(R + _OVERSAMPLE, min(M_obs.shape))
 
     Z = np.where(mask, M_obs, 0.0) if Z0 is None else np.array(Z0, dtype=float)
-    # flat observed indices make the gradient step an O(n_obs) update
-    obs = np.nonzero(mask.ravel())[0]
-    Mv = M_obs.ravel()[obs]
-
-    Z_prev = Z.copy() if opts.accel else None
+    # the gradient step Y + step * P_mask(M_obs - Y) as two dense passes:
+    # Y * keep + target, keep = 1 - step on observed entries and 1 elsewhere
+    keep = 1.0 - opts.step_size * mask
+    target = np.where(mask, opts.step_size * M_obs, 0.0)
+    Y = np.empty_like(Z)
+    # Z - Z_prev: the stop test's change and the next momentum term
+    dZ = np.zeros_like(Z)
+    V = None
+    full_eigh = 0
     k = 0
     iters = 0
     converged = False
     for iters in range(1, opts.max_iters + 1):
         if opts.accel:
             k += 1
-            Y = Z + ((k - 1) / (k + 2)) * (Z - Z_prev)
+            np.multiply(dZ, (k - 1) / (k + 2), out=Y)
+            Y += Z
+            Y *= keep
             if k >= opts.accel_restart:
                 k = 0
         else:
-            Y = Z.copy()
-        Yr = Y.ravel()
-        Yr[obs] += opts.step_size * (Mv - Yr[obs])
-        # a diverging iterate overflows here first: a stop, not a warning
-        with np.errstate(over="ignore"):
-            diverged = not np.isfinite(Yr @ Yr)
+            np.multiply(Z, keep, out=Y)
+        Y += target
+        # a diverging iterate overflows the Gram first: a stop, not a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            G = Y @ Y.T if wide else Y.T @ Y
+            diverged = not np.isfinite(np.trace(G))
+            warm = None if diverged or V is None else _warm_basis(G, V, R)
         if diverged:
             break  # step size too large; report as unconverged
-        Z_new = truncated_svd_project(Y, R)
-        change = np.linalg.norm(Z_new - Z) / max(np.linalg.norm(Z), _EPS)
-        Z_prev = Z
-        Z = Z_new
+        if warm is None:
+            full_eigh += 1
+            _, V = _top_eigvecs(G, n_basis)
+        else:
+            V = warm
+        U = V[:, :R]
+        if wide:
+            np.matmul(U, U.T @ Y, out=Y)
+        else:
+            np.matmul(Y @ U, U.T, out=Y)
+        np.subtract(Y, Z, out=dZ)
+        change = np.linalg.norm(dZ) / max(np.linalg.norm(Z), _EPS)
+        Z, Y = Y, Z
         if not np.isfinite(change):
             break
         if change < opts.rel_tol:
@@ -137,5 +204,6 @@ def svp_complete(
         iterations_run=iters,
         final_residual=_observed_rms(M_obs, mask, Z, n_obs),
         converged=converged,
+        full_eigh=full_eigh,
     )
     return Z, diag

@@ -133,12 +133,13 @@ def _complete_lifted(X_obs, mask, cfg, X_true, max_passes, pass_iters):
     X_cur = np.where(mask_in, X_in, 0.0)
     full = np.ones_like(mask_in)
     Z0 = None
-    total_iters = 0
+    total_iters = total_eigh = 0
     for outer in range(1, max_passes + 1):
         if outer > 1:
             Z0, _ = tensorize_matrix(X_cur, full, imap)
         T_hat, diag = svp_complete(T_obs, T_mask, opts, Z0=Z0)
         total_iters += diag.iterations_run
+        total_eigh += diag.full_eigh
         X_new, ratios = unlift(T_hat, imap, X_in, mask_in)
         X_new[mask_in] = X_in[mask_in]
         change = np.linalg.norm(X_new - X_cur) / max(np.linalg.norm(X_cur), 1e-30)
@@ -152,7 +153,8 @@ def _complete_lifted(X_obs, mask, cfg, X_true, max_passes, pass_iters):
     converged = diag.converged if max_passes == 1 else change < ILADMC_REL_TOL
     report = CompletionReport(
         X_hat=X_hat, outer_iterations=outer, per_column_rank1_ratio=ratios,
-        solver=replace(diag, iterations_run=total_iters, converged=converged),
+        solver=replace(diag, iterations_run=total_iters, full_eigh=total_eigh,
+                       converged=converged),
         rank_used=R,
     )
     return _finalize(X_hat, X_obs, mask, report, X_true)

@@ -1,10 +1,64 @@
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from ladmc import lrmc
 from ladmc.lrmc import SvpOptions, svp_complete, truncated_svd_project
+
+
+def _reference_svp(M_obs, mask, opts, Z0=None):
+    """The SVP loop before the warm-started projection and in-place
+    buffers: a fancy-indexed gradient step and the exact projection of
+    ``truncated_svd_project`` on every iteration."""
+    Z = np.where(mask, M_obs, 0.0) if Z0 is None else np.array(Z0, dtype=float)
+    obs = np.nonzero(mask.ravel())[0]
+    Mv = M_obs.ravel()[obs]
+    Z_prev = Z.copy() if opts.accel else None
+    k = 0
+    iters = 0
+    converged = False
+    for iters in range(1, opts.max_iters + 1):
+        if opts.accel:
+            k += 1
+            Y = Z + ((k - 1) / (k + 2)) * (Z - Z_prev)
+            if k >= opts.accel_restart:
+                k = 0
+        else:
+            Y = Z.copy()
+        Yr = Y.ravel()
+        Yr[obs] += opts.step_size * (Mv - Yr[obs])
+        with np.errstate(over="ignore"):
+            if not np.isfinite(Yr @ Yr):
+                break
+        Z_new = truncated_svd_project(Y, opts.rank)
+        change = np.linalg.norm(Z_new - Z) / max(np.linalg.norm(Z), 1e-30)
+        Z_prev = Z
+        Z = Z_new
+        if not np.isfinite(change):
+            break
+        if change < opts.rel_tol:
+            converged = True
+            break
+    return Z, iters, converged
+
+
+def _low_rank_problem(shape, R, seed):
+    rng = np.random.default_rng(seed)
+    M = rng.standard_normal((shape[0], R)) @ rng.standard_normal((R, shape[1]))
+    mask = rng.random(shape) < 0.5
+    return M, mask, rng
+
+
+def _assert_matches_reference(M, mask, opts, Z0=None):
+    Z, diag = svp_complete(M, mask, opts, Z0=Z0)
+    Z_ref, iters_ref, converged_ref = _reference_svp(M, mask, opts, Z0=Z0)
+    assert diag.iterations_run == iters_ref
+    assert diag.converged == converged_ref
+    assert np.linalg.norm(Z - Z_ref) <= 1e-8 * np.linalg.norm(Z_ref)
+    return diag
 
 
 def test_options_validation():
@@ -185,3 +239,99 @@ def test_svp_divergent_step_reported_unconverged():
     _, diag = svp_complete(M, mask, SvpOptions(rank=2, step_size=50.0,
                                                max_iters=200))
     assert not diag.converged
+
+
+_SHAPES = [((40, 300), 4), ((300, 40), 4), ((60, 60), 6)]
+_VARIANTS = {
+    "plain-1.0": dict(step_size=1.0),
+    "plain-0.7": dict(step_size=0.7),
+    "momentum": dict(step_size=1.0, accel=True, accel_restart=40),
+    "given-Z0": dict(step_size=1.0),
+}
+
+
+@pytest.mark.parametrize("variant", list(_VARIANTS))
+@pytest.mark.parametrize("shape,R", _SHAPES)
+def test_svp_matches_reference_loop(shape, R, variant):
+    M, mask, rng = _low_rank_problem(shape, R, seed=sum(shape) + R)
+    opts = SvpOptions(rank=R, max_iters=400, rel_tol=1e-9, **_VARIANTS[variant])
+    Z0 = None
+    if variant == "given-Z0":
+        Z0 = truncated_svd_project(M + 0.1 * rng.standard_normal(shape), R)
+    diag = _assert_matches_reference(M, mask, opts, Z0=Z0)
+    # the warm-started basis carried most iterations, not the fallback
+    assert 1 <= diag.full_eigh < diag.iterations_run / 2
+    # later iterations damp an inexact projection out again, so the early
+    # iterates are compared too: they show one that the end result hides
+    for n in (20, 40):
+        _assert_matches_reference(M, mask, replace(opts, max_iters=n), Z0=Z0)
+
+
+def _spy_warm(monkeypatch):
+    calls = []
+    warm = lrmc._warm_basis
+
+    def spied(G, V, R):
+        out = warm(G, V, R)
+        calls.append((V.shape[1], out is None))
+        return out
+
+    monkeypatch.setattr(lrmc, "_warm_basis", spied)
+    return calls
+
+
+def test_svp_first_iteration_takes_full_eigh(monkeypatch):
+    calls = _spy_warm(monkeypatch)
+    M, mask, _ = _low_rank_problem((40, 300), 4, seed=1)
+    _, diag = svp_complete(M, mask, SvpOptions(rank=4, max_iters=1))
+    assert (diag.iterations_run, diag.full_eigh, calls) == (1, 1, [])
+    _, diag = svp_complete(M, mask, SvpOptions(rank=4, max_iters=2))
+    assert len(calls) == 1
+    assert diag.full_eigh == 1 + calls[0][1]
+
+
+def test_svp_failed_ritz_residual_takes_full_eigh(monkeypatch):
+    # a bound no residual meets sends every iteration to the full eigh,
+    # with the same result
+    calls = _spy_warm(monkeypatch)
+    monkeypatch.setattr(lrmc, "_RITZ_TOL", -1.0)
+    M, mask, _ = _low_rank_problem((40, 300), 4, seed=2)
+    opts = SvpOptions(rank=4, max_iters=60, rel_tol=1e-9)
+    diag = _assert_matches_reference(M, mask, opts)
+    assert diag.full_eigh == diag.iterations_run
+    assert len(calls) == diag.iterations_run - 1
+    assert all(failed for _, failed in calls)
+
+
+def test_warm_basis_accepts_eigenbasis_rejects_random():
+    rng = np.random.default_rng(3)
+    Y = rng.standard_normal((20, 4)) @ rng.standard_normal((4, 200))
+    Y += 1e-3 * rng.standard_normal(Y.shape)
+    G = Y @ Y.T
+    w, V = np.linalg.eigh(G)
+    X = lrmc._warm_basis(G, V[:, ::-1][:, :7], 4)
+    assert X is not None and X.shape == (20, 7)
+    np.testing.assert_allclose(X[:, :4] @ X[:, :4].T,
+                               V[:, -4:] @ V[:, -4:].T, atol=1e-12)
+    # no spectral gap: two subspace steps from a random basis stay far
+    # from the top eigenvectors
+    G = rng.standard_normal((20, 200))
+    G = G @ G.T
+    bad = np.linalg.qr(rng.standard_normal((20, 7)))[0]
+    assert lrmc._warm_basis(G, bad, 4) is None
+
+
+@pytest.mark.parametrize("shape", [(12, 80), (80, 12)])
+@pytest.mark.parametrize("drop", [0, 1])
+def test_svp_warm_basis_capped_at_small_side(monkeypatch, shape, drop):
+    calls = _spy_warm(monkeypatch)
+    small = min(shape)
+    R = small - drop
+    M, mask, rng = _low_rank_problem(shape, R, seed=small + drop)
+    opts = SvpOptions(rank=R, max_iters=30, rel_tol=1e-12)
+    # a start off the observed entries, so that R = min dimension (where
+    # the projection is the identity) still runs a second iteration
+    diag = _assert_matches_reference(M, mask, opts,
+                                     Z0=rng.standard_normal(shape))
+    assert calls and all(width == small for width, _ in calls)
+    assert diag.iterations_run == len(calls) + diag.full_eigh

@@ -172,6 +172,9 @@ def test_iladmc_report_covers_every_pass(monkeypatch):
     assert not bursts[-1].converged
     assert rep.solver.converged
     assert rep.solver.iterations_run == sum(b.iterations_run for b in bursts)
+    # every pass starts with a full eigendecomposition; the count sums them
+    assert rep.solver.full_eigh == sum(b.full_eigh for b in bursts)
+    assert rep.solver.full_eigh >= rep.outer_iterations
 
 
 def test_iladmc_out_of_passes_is_unconverged(monkeypatch):
