@@ -251,7 +251,7 @@ _VARIANTS = {
 
 
 @pytest.mark.parametrize("variant", list(_VARIANTS))
-@pytest.mark.parametrize("shape,R", _SHAPES)
+@pytest.mark.parametrize("shape,R", _SHAPES, ids=["wide", "tall", "square"])
 def test_svp_matches_reference_loop(shape, R, variant):
     M, mask, rng = _low_rank_problem(shape, R, seed=sum(shape) + R)
     opts = SvpOptions(rank=R, max_iters=400, rel_tol=1e-9, **_VARIANTS[variant])
@@ -321,7 +321,7 @@ def test_warm_basis_accepts_eigenbasis_rejects_random():
     assert lrmc._warm_basis(G, bad, 4) is None
 
 
-@pytest.mark.parametrize("shape", [(12, 80), (80, 12)])
+@pytest.mark.parametrize("shape", [(12, 80), (80, 12)], ids=["wide", "tall"])
 @pytest.mark.parametrize("drop", [0, 1])
 def test_svp_warm_basis_capped_at_small_side(monkeypatch, shape, drop):
     calls = _spy_warm(monkeypatch)
