@@ -54,6 +54,21 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out-dir", default=".")
         sp.add_argument("--config", help=argparse.SUPPRESS)
 
+    def solver_flags(sp):
+        # shared by complete and phase; each default is its dataclass's own
+        sp.add_argument("--inner-T", type=int,
+                        default=pipeline.LadmcConfig.iladmc_inner_T)
+        sp.add_argument("--step-size", type=float,
+                        default=SvpOptions.step_size)
+        sp.add_argument("--max-iters", type=int, default=SvpOptions.max_iters)
+        sp.add_argument("--rel-tol", type=float, default=SvpOptions.rel_tol)
+        sp.add_argument("--accel", action="store_true",
+                        help="restarted Nesterov momentum in the solver")
+        sp.add_argument("--accel-restart", type=int,
+                        default=SvpOptions.accel_restart)
+        sp.add_argument("--success-tol", type=float,
+                        default=experiments.PhaseGridConfig.success_tol)
+
     sp = sub.add_parser("synth", help="generate synthetic UoS data + mask")
     sp.add_argument("--d", type=int, required=True)
     sp.add_argument("--K", type=int, default=1)
@@ -70,14 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--order", type=int, default=2)
     sp.add_argument("--algorithm", choices=pipeline.ALGORITHMS,
                     default="ladmc")
-    sp.add_argument("--inner-T", type=int, default=30)
-    sp.add_argument("--step-size", type=float, default=1.0)
-    sp.add_argument("--max-iters", type=int, default=500)
-    sp.add_argument("--rel-tol", type=float, default=1e-6)
-    sp.add_argument("--accel", action="store_true",
-                    help="restarted Nesterov momentum in the solver")
-    sp.add_argument("--accel-restart", type=int, default=300)
-    sp.add_argument("--success-tol", type=float, default=1e-4)
+    solver_flags(sp)
     sp.add_argument("--augment-ones", action="store_true")
     common(sp)
 
@@ -104,13 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--trials", type=int, default=10)
     sp.add_argument("--algorithm", choices=pipeline.ALGORITHMS,
                     default="ladmc")
-    sp.add_argument("--inner-T", type=int, default=30)
-    sp.add_argument("--success-tol", type=float, default=1e-4)
-    sp.add_argument("--step-size", type=float, default=1.0)
-    sp.add_argument("--max-iters", type=int, default=500)
-    sp.add_argument("--rel-tol", type=float, default=1e-6)
-    sp.add_argument("--accel", action="store_true")
-    sp.add_argument("--accel-restart", type=int, default=300)
+    solver_flags(sp)
     sp.add_argument("--workers", type=int, default=1)
     common(sp)
 
@@ -130,11 +132,18 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--counts", type=_int_list,
                     help="absolute train,val entry counts per column")
     sp.add_argument("--order", type=int, default=2)
-    sp.add_argument("--inner-T", type=int, default=30)
-    sp.add_argument("--max-iters", type=int, default=500)
-    sp.add_argument("--rel-tol", type=float, default=1e-6)
+    sp.add_argument("--inner-T", type=int,
+                    default=pipeline.LadmcConfig.iladmc_inner_T)
+    sp.add_argument("--max-iters", type=int, default=SvpOptions.max_iters)
+    sp.add_argument("--rel-tol", type=float, default=SvpOptions.rel_tol)
     common(sp)
     return parser
+
+
+def _svp_options(args) -> SvpOptions:
+    return SvpOptions(step_size=args.step_size, max_iters=args.max_iters,
+                      rel_tol=args.rel_tol, accel=args.accel,
+                      accel_restart=args.accel_restart)
 
 
 def _cmd_synth(args):
@@ -162,12 +171,7 @@ def _cmd_complete(args):
             raise SystemExit("truth file has missing cells")
 
     cfg = pipeline.LadmcConfig(
-        p=args.order, rank_R=args.rank,
-        svp=SvpOptions(rank=1 if args.rank == "auto" else args.rank,
-                       step_size=args.step_size,
-                       max_iters=args.max_iters, rel_tol=args.rel_tol,
-                       accel=args.accel,
-                       accel_restart=args.accel_restart),
+        p=args.order, rank_R=args.rank, svp=_svp_options(args),
         iladmc_inner_T=args.inner_T,
         augment_ones=args.augment_ones,
     )
@@ -237,10 +241,7 @@ def _cmd_phase(args):
         K_range=args.K_list, m_range=args.m_list,
         N_fixed=args.N, N_per_K=args.N_per_K, N_cap=args.N_cap,
         trials=args.trials, success_tol=args.success_tol,
-        algorithm=args.algorithm, seed=args.seed,
-        step_size=args.step_size, max_iters=args.max_iters,
-        rel_tol=args.rel_tol,
-        accel=args.accel, accel_restart=args.accel_restart,
+        algorithm=args.algorithm, seed=args.seed, svp=_svp_options(args),
         inner_T=args.inner_T, workers=args.workers,
     )
     record = experiments.run_phase_grid(cfg, out_dir=args.out_dir)
@@ -268,7 +269,8 @@ def _cmd_real(args):
     results = experiments.run_real_experiment(
         args.input, ranks=args.ranks, fractions=fractions, counts=counts,
         seed=args.seed, p=args.order, inner_T=args.inner_T,
-        max_iters=args.max_iters, rel_tol=args.rel_tol, out_dir=args.out_dir,
+        svp=SvpOptions(max_iters=args.max_iters, rel_tol=args.rel_tol),
+        out_dir=args.out_dir,
     )
     print(f"excluded_columns={results['excluded_columns']}")
     print("method,rank,val_rmse,test_rmse")

@@ -31,11 +31,7 @@ class PhaseGridConfig:
     success_tol: float = 1e-4
     algorithm: str = "ladmc"
     seed: int = 0
-    step_size: float = 1.0
-    max_iters: int = 500
-    rel_tol: float = 1e-6
-    accel: bool = False
-    accel_restart: int = 300
+    svp: SvpOptions = field(default_factory=SvpOptions)
     inner_T: int = 30
     workers: int = 1
 
@@ -83,13 +79,8 @@ def run_phase_trial(cfg: PhaseGridConfig, K: int, m: int, trial: int) -> float:
         return float("inf")  # fewer columns than the rank: no completion
     X, _ = gen_uos(cfg.d, K, cfg.r, N, seed=data_seed)
     mask = gen_mask_uniform(cfg.d, N, m, seed=mask_seed)
-    pipe_cfg = LadmcConfig(
-        p=cfg.p, rank_R=R,
-        svp=SvpOptions(rank=R, step_size=cfg.step_size,
-                       max_iters=cfg.max_iters, rel_tol=cfg.rel_tol,
-                       accel=cfg.accel, accel_restart=cfg.accel_restart),
-        iladmc_inner_T=cfg.inner_T,
-    )
+    pipe_cfg = LadmcConfig(p=cfg.p, rank_R=R, svp=cfg.svp,
+                           iladmc_inner_T=cfg.inner_T)
     algo = completer(cfg.algorithm)
     return algo(np.where(mask, X, 0.0), mask, pipe_cfg, X_true=X).nrmse
 
@@ -220,15 +211,15 @@ def run_real_experiment(
     seed: int = 0,
     p: int = 2,
     inner_T: int = 30,
-    max_iters: int = 500,
-    rel_tol: float = 1e-6,
+    svp: SvpOptions = SvpOptions(),
     out_dir=None,
 ) -> dict:
     """Train/validation/test benchmark on a CSV dataset (rows = features).
 
-    Runs mean-fill, plain low-rank completion, and both lifted pipelines;
-    the rank for each completion method is chosen from ``ranks`` by
-    validation RMSE and scored on the test entries.
+    Runs mean-fill, plain low-rank completion, and both lifted pipelines,
+    each completion with the solver settings ``svp``; the rank for each
+    completion method is chosen from ``ranks`` by validation RMSE and
+    scored on the test entries.
     """
     from .io import read_matrix_csv
 
@@ -268,11 +259,7 @@ def run_real_experiment(
     lifted_D = build_index_map(d, p).D
     for name, top in (("lrmc", d), ("ladmc", lifted_D), ("iladmc", lifted_D)):
         def run(R, algo=completer(name)):
-            cfg = LadmcConfig(
-                p=p, rank_R=R,
-                svp=SvpOptions(rank=R, max_iters=max_iters, rel_tol=rel_tol),
-                iladmc_inner_T=inner_T,
-            )
+            cfg = LadmcConfig(p=p, rank_R=R, svp=svp, iladmc_inner_T=inner_T)
             return algo(np.where(train, X, 0.0), train, cfg).X_hat
 
         best = pick_best(run, [R for R in ranks if R <= min(top, N)])

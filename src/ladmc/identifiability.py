@@ -290,10 +290,7 @@ def check_identifiable_algebraic(
     if not 1 <= R <= D:
         raise ValueError(
             f"R={R} must satisfy 1 <= R <= D, the lifted dimension D={D}")
-    Upsilon = np.column_stack(
-        [tensorize_mask(Omega[:, i], imap) for i in range(Omega.shape[1])]
-    ) if Omega.shape[1] else np.zeros((D, 0), dtype=bool)
-    patterns = build_constraint_patterns(Upsilon, R)
+    patterns = build_constraint_patterns(tensorize_mask(Omega, imap), R)
 
     kernel_dims = []
     rng = np.random.default_rng(seed)

@@ -27,9 +27,10 @@ _SUBSPACE_STEPS = 2
 _RITZ_TOL = 1e-12
 
 
-@dataclass
+@dataclass(frozen=True)
 class SvpOptions:
-    rank: int
+    """SVP solver settings; the rank is an argument of ``svp_complete``."""
+
     step_size: float = 1.0
     max_iters: int = 500
     rel_tol: float = 1e-6
@@ -40,10 +41,10 @@ class SvpOptions:
     accel_restart: int = 300
 
     def __post_init__(self):
-        if self.rank < 1:
-            raise ValueError(f"rank must be >= 1, got {self.rank}")
         if self.step_size <= 0:
             raise ValueError("step_size must be positive")
+        if self.max_iters < 1:
+            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
         if self.rel_tol <= 0:
             raise ValueError("rel_tol must be positive")
         if self.accel_restart < 1:
@@ -120,16 +121,19 @@ def _observed_rms(M_obs, mask, Z, n_obs):
 def svp_complete(
     M_obs: np.ndarray,
     mask: np.ndarray,
+    rank: int,
     opts: SvpOptions,
     Z0: np.ndarray | None = None,
 ) -> tuple[np.ndarray, SolveDiagnostics]:
-    """Complete M_obs on the given mask by iterative hard thresholding.
+    """Complete M_obs on the given mask at the given rank by iterative hard
+    thresholding.
 
     Starts from the zero-filled observed matrix (or Z0 when supplied) and
-    iterates Z <- project(Z + step * P_mask(M_obs - Z), R) until the relative
-    change drops below rel_tol or max_iters is hit.  With opts.accel the
-    gradient step is taken at a Nesterov-extrapolated point instead, with
-    the momentum sequence restarted every accel_restart iterations.
+    iterates Z <- project(Z + step * P_mask(M_obs - Z), rank) until the
+    relative change drops below rel_tol or max_iters is hit.  With
+    opts.accel the gradient step is taken at a Nesterov-extrapolated point
+    instead, with the momentum sequence restarted every accel_restart
+    iterations.  A rank outside 1..min(M_obs.shape) is rejected.
 
     The projection is the one ``truncated_svd_project`` computes.  The
     first iteration, and any iteration whose warm-started Ritz basis fails
@@ -144,9 +148,10 @@ def svp_complete(
     n_obs = int(mask.sum())
     if n_obs == 0:
         raise ValueError("nothing observed: empty mask")
-    R = opts.rank
-    if R > min(M_obs.shape):
-        raise ValueError(f"rank {R} infeasible for shape {M_obs.shape}")
+    R = rank
+    if not 1 <= R <= min(M_obs.shape):
+        raise ValueError(f"rank {R} infeasible for shape {M_obs.shape}: "
+                         f"need 1 <= rank <= {min(M_obs.shape)}")
     wide = M_obs.shape[0] <= M_obs.shape[1]
     n_basis = min(R + _OVERSAMPLE, min(M_obs.shape))
 

@@ -18,7 +18,6 @@ from .lrmc import SolveDiagnostics, SvpOptions, svp_complete
 from .preimage import preimage_column, rank1_gap, unlift  # noqa: F401
 from .tensorize import augment_ones, build_index_map, tensorize_matrix
 
-SUCCESS_TOL = 1e-4
 ALGORITHMS = ("ladmc", "iladmc", "lrmc")
 # iladmc stops after this many passes, or once a pass changes the
 # estimate by less than ILADMC_REL_TOL (relative Frobenius norm)
@@ -28,13 +27,23 @@ ILADMC_REL_TOL = 1e-7
 
 @dataclass
 class LadmcConfig:
+    """A completion's settings.  ``rank_R`` is the only place its rank is
+    set: an int, or "auto" for ``auto_rank`` of the zero-filled lift."""
+
     p: int = 2
     rank_R: int | str = "auto"
-    svp: SvpOptions | None = None
+    svp: SvpOptions = field(default_factory=SvpOptions)
     iladmc_inner_T: int = 30
     augment_ones: bool = False
 
     def __post_init__(self):
+        if self.p not in (2, 3):
+            raise ValueError(f"p must be 2 or 3, got {self.p}")
+        auto = isinstance(self.rank_R, str) and self.rank_R == "auto"
+        if not auto and not (isinstance(self.rank_R, (int, np.integer))
+                             and self.rank_R >= 1):
+            raise ValueError(
+                f"rank_R must be 'auto' or an int >= 1, got {self.rank_R!r}")
         if self.iladmc_inner_T < 1:
             raise ValueError("iladmc_inner_T must be >= 1")
 
@@ -45,7 +54,6 @@ class CompletionReport:
     outer_iterations: int
     per_column_rank1_ratio: np.ndarray
     nrmse: float | None = None
-    success: bool | None = None
     solver: SolveDiagnostics | None = None
     zero_columns: list = field(default_factory=list)
     rank_used: int = 0
@@ -76,11 +84,8 @@ def auto_rank(T_obs: np.ndarray) -> int:
 
 
 def _resolve_rank(cfg: LadmcConfig, T_obs: np.ndarray) -> int:
+    R = auto_rank(T_obs) if cfg.rank_R == "auto" else int(cfg.rank_R)
     D = T_obs.shape[0]
-    if cfg.rank_R == "auto":
-        R = auto_rank(T_obs)
-    else:
-        R = int(cfg.rank_R)
     if R > D:
         raise ValueError(f"rank {R} exceeds the row dimension {D}")
     return R
@@ -108,7 +113,6 @@ def _finalize(X_hat, X_obs_orig, mask_orig, report, X_true):
     report.zero_columns = list(map(int, zero_cols))
     if X_true is not None:
         report.nrmse = nrmse(X_hat, X_true)
-        report.success = report.nrmse < SUCCESS_TOL
     return report
 
 
@@ -127,8 +131,7 @@ def _complete_lifted(X_obs, mask, cfg, X_true, max_passes, pass_iters):
     imap = build_index_map(X_in.shape[0], cfg.p)
     T_obs, T_mask = tensorize_matrix(X_in, mask_in, imap)
     R = _resolve_rank(cfg, T_obs)
-    svp = cfg.svp or SvpOptions(rank=R)
-    opts = replace(svp, rank=R, max_iters=pass_iters or svp.max_iters)
+    opts = replace(cfg.svp, max_iters=pass_iters) if pass_iters else cfg.svp
 
     X_cur = np.where(mask_in, X_in, 0.0)
     full = np.ones_like(mask_in)
@@ -137,7 +140,7 @@ def _complete_lifted(X_obs, mask, cfg, X_true, max_passes, pass_iters):
     for outer in range(1, max_passes + 1):
         if outer > 1:
             Z0, _ = tensorize_matrix(X_cur, full, imap)
-        T_hat, diag = svp_complete(T_obs, T_mask, opts, Z0=Z0)
+        T_hat, diag = svp_complete(T_obs, T_mask, R, opts, Z0=Z0)
         total_iters += diag.iterations_run
         total_eigh += diag.full_eigh
         X_new, ratios = unlift(T_hat, imap, X_in, mask_in)
@@ -150,7 +153,8 @@ def _complete_lifted(X_obs, mask, cfg, X_true, max_passes, pass_iters):
     # the solver fields describe the whole run, not the last pass: a
     # single pass converges with its SVP solve, several passes once a
     # pass meets ILADMC_REL_TOL
-    converged = diag.converged if max_passes == 1 else change < ILADMC_REL_TOL
+    converged = (diag.converged if max_passes == 1
+                 else bool(change < ILADMC_REL_TOL))
     report = CompletionReport(
         X_hat=X_hat, outer_iterations=outer, per_column_rank1_ratio=ratios,
         solver=replace(diag, iterations_run=total_iters, full_eigh=total_eigh,
@@ -200,8 +204,7 @@ def lrmc_baseline(
     X_obs, mask = _checked_input(X_obs, mask)
     X_zero = np.where(mask, X_obs, 0.0)
     R = _resolve_rank(cfg, X_zero)
-    opts = replace(cfg.svp or SvpOptions(rank=R), rank=R)
-    Z, diag = svp_complete(X_zero, mask, opts)
+    Z, diag = svp_complete(X_zero, mask, R, cfg.svp)
     report = CompletionReport(
         X_hat=Z, outer_iterations=1, per_column_rank1_ratio=np.zeros(0),
         solver=diag, rank_used=R,

@@ -91,7 +91,8 @@ def tensorize_column(x: np.ndarray, imap: TensorIndexMap) -> np.ndarray:
 
 
 def tensorize_mask(omega: np.ndarray, imap: TensorIndexMap) -> np.ndarray:
-    """Lift a sampling pattern: a monomial is observed iff all factors are."""
+    """Lift one sampling pattern (length d) or a d x n matrix of them
+    (D x n): a monomial is observed iff all of its factors are."""
     omega = np.asarray(omega, dtype=bool)
     _check_length(omega, imap, "mask column")
     return np.all(omega[imap.entries], axis=1)

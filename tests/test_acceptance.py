@@ -23,6 +23,7 @@ from ladmc.identifiability import (
     numerical_rank,
     spanning_set_uos,
 )
+from ladmc.lrmc import SvpOptions
 from ladmc.preimage import preimage_column
 from ladmc.synth import gen_all_patterns, gen_uos
 from ladmc.tensorize import build_index_map, tensorize_column, tensorize_matrix
@@ -110,11 +111,13 @@ def recovery_family():
     union-of-subspaces family (d=15, r=2, K=10, N=2700, m=9)."""
     base = dict(d=15, r=2, K_range=[10], m_range=[9], N_per_K=270,
                 trials=10, seed=0)
-    ladmc_cfg = PhaseGridConfig(algorithm="ladmc", step_size=1.0,
-                                max_iters=4000, rel_tol=1e-9,
-                                accel=True, accel_restart=500, **base)
-    lrmc_cfg = PhaseGridConfig(algorithm="lrmc", step_size=1.0,
-                               max_iters=500, rel_tol=1e-6, **base)
+    ladmc_cfg = PhaseGridConfig(
+        algorithm="ladmc",
+        svp=SvpOptions(step_size=1.0, max_iters=4000, rel_tol=1e-9,
+                       accel=True, accel_restart=500), **base)
+    lrmc_cfg = PhaseGridConfig(
+        algorithm="lrmc",
+        svp=SvpOptions(step_size=1.0, max_iters=500, rel_tol=1e-6), **base)
     t0 = time.perf_counter()
     ladmc_errs = []
     for trial in range(10):
@@ -219,7 +222,7 @@ def test_criterion_11_real_data_substitution():
     from ladmc.experiments import run_real_experiment
 
     res = run_real_experiment(path, ranks=[3, 5, 8, 10, 12],
-                              max_iters=1000, rel_tol=1e-8)
+                              svp=SvpOptions(max_iters=1000, rel_tol=1e-8))
     err = res["ladmc"]["test_rmse"]
     ok = abs(err - 0.155) <= 0.03
     record_acceptance(11, "real-data benchmark", ok,

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ladmc.cli import main
+from ladmc.cli import build_parser, main
 from ladmc.io import read_mask_csv, read_matrix_csv, write_matrix_csv
 from ladmc.synth import gen_uos
 
@@ -113,6 +113,26 @@ def test_complete_shape_mismatch(tmp_path):
     with pytest.raises(SystemExit):
         main(["complete", "--input", str(tmp_path / "X.csv"),
               "--mask", str(tmp_path / "mask.csv"), "--rank", "1"])
+
+
+def test_complete_rejects_zero_max_iters(tmp_path):
+    data = _synth_instance(tmp_path)
+    with pytest.raises(ValueError, match="max_iters must be >= 1, got 0"):
+        main(["complete", "--input", str(data / "X.csv"), "--rank", "2",
+              "--max-iters", "0", "--out-dir", str(tmp_path / "run")])
+    assert not (tmp_path / "run").exists()
+
+
+def test_complete_and_phase_share_solver_flags():
+    parser = build_parser()
+    defaults = {"inner_T": 30, "step_size": 1.0, "max_iters": 500,
+                "rel_tol": 1e-6, "accel": False, "accel_restart": 300,
+                "success_tol": 1e-4}
+    for argv in (["complete", "--input", "x.csv"],
+                 ["phase", "--d", "6", "--r", "1", "--K-list", "2",
+                  "--m-list", "4"]):
+        args = vars(parser.parse_args(argv))
+        assert {k: args[k] for k in defaults} == defaults, argv[0]
 
 
 def test_check_two_of_three(tmp_path):

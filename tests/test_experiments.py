@@ -11,12 +11,13 @@ from ladmc.experiments import (
 )
 from ladmc.identifiability import minimal_samples, uos_tensor_rank
 from ladmc.io import write_matrix_csv
+from ladmc.lrmc import SvpOptions
 from ladmc.synth import gen_uos
 
 
 def _small_grid(**kw):
-    base = dict(d=6, r=1, K_range=[2], m_range=[4, 6], N_per_K=100,
-                trials=2, step_size=2.0, max_iters=3000, rel_tol=1e-9)
+    base = dict(d=6, r=1, K_range=[2], m_range=[4, 6], N_per_K=100, trials=2,
+                svp=SvpOptions(step_size=2.0, max_iters=3000, rel_tol=1e-9))
     base.update(kw)
     return PhaseGridConfig(**base)
 
@@ -67,7 +68,8 @@ def test_phase_grid_trial_determinism():
 
 def test_phase_grid_lrmc_baseline():
     cfg = _small_grid(d=6, r=1, K_range=[1], m_range=[4], algorithm="lrmc",
-                      step_size=1.0, max_iters=2000, rel_tol=1e-10)
+                      svp=SvpOptions(step_size=1.0, max_iters=2000,
+                                     rel_tol=1e-10))
     rec = run_phase_grid(cfg)
     assert rec.success_fraction[0, 0] == 1.0
 
@@ -101,7 +103,8 @@ def test_phase_grid_code_error_raised(monkeypatch):
 
 
 def test_phase_grid_outputs_byte_identical(tmp_path):
-    cfg = _small_grid(m_range=[6], max_iters=50)
+    cfg = _small_grid(m_range=[6], svp=SvpOptions(step_size=2.0, max_iters=50,
+                                                  rel_tol=1e-9))
     out1, out2 = tmp_path / "a", tmp_path / "b"
     run_phase_grid(cfg, out_dir=out1)
     run_phase_grid(cfg, out_dir=out2)
@@ -129,7 +132,7 @@ def _write_uos_csv(path, d=8, r=2, N=80, seed=0):
 def test_real_experiment_smoke(tmp_path):
     path = tmp_path / "data.csv"
     _write_uos_csv(path)
-    res = run_real_experiment(path, ranks=[3], max_iters=300,
+    res = run_real_experiment(path, ranks=[3], svp=SvpOptions(max_iters=300),
                               out_dir=tmp_path)
     assert res["excluded_columns"] == 0
     for name in ("mean_fill", "lrmc", "ladmc", "iladmc"):
@@ -145,7 +148,7 @@ def test_real_experiment_smoke(tmp_path):
 def test_real_experiment_mean_fill_constant_columns(tmp_path):
     path = tmp_path / "const.csv"
     write_matrix_csv(path, np.full((4, 12), 7.0))
-    res = run_real_experiment(path, ranks=[1], max_iters=50)
+    res = run_real_experiment(path, ranks=[1], svp=SvpOptions(max_iters=50))
     assert res["mean_fill"]["test_rmse"] == 0.0
 
 
@@ -156,7 +159,7 @@ def test_real_experiment_excludes_empty_training_columns(tmp_path):
     mask[1:, 0] = False
     mask[0, 0] = True  # column 0 has one observed entry -> no train share
     write_matrix_csv(path, X, mask=mask)
-    res = run_real_experiment(path, ranks=[1], max_iters=50)
+    res = run_real_experiment(path, ranks=[1], svp=SvpOptions(max_iters=50))
     assert res["excluded_columns"] == 1
 
 

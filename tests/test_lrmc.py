@@ -1,6 +1,6 @@
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -9,7 +9,7 @@ from ladmc import lrmc
 from ladmc.lrmc import SvpOptions, svp_complete, truncated_svd_project
 
 
-def _reference_svp(M_obs, mask, opts, Z0=None):
+def _reference_svp(M_obs, mask, R, opts, Z0=None):
     """The SVP loop before the warm-started projection and in-place
     buffers: a fancy-indexed gradient step and the exact projection of
     ``truncated_svd_project`` on every iteration."""
@@ -33,7 +33,7 @@ def _reference_svp(M_obs, mask, opts, Z0=None):
         with np.errstate(over="ignore"):
             if not np.isfinite(Yr @ Yr):
                 break
-        Z_new = truncated_svd_project(Y, opts.rank)
+        Z_new = truncated_svd_project(Y, R)
         change = np.linalg.norm(Z_new - Z) / max(np.linalg.norm(Z), 1e-30)
         Z_prev = Z
         Z = Z_new
@@ -52,9 +52,9 @@ def _low_rank_problem(shape, R, seed):
     return M, mask, rng
 
 
-def _assert_matches_reference(M, mask, opts, Z0=None):
-    Z, diag = svp_complete(M, mask, opts, Z0=Z0)
-    Z_ref, iters_ref, converged_ref = _reference_svp(M, mask, opts, Z0=Z0)
+def _assert_matches_reference(M, mask, R, opts, Z0=None):
+    Z, diag = svp_complete(M, mask, R, opts, Z0=Z0)
+    Z_ref, iters_ref, converged_ref = _reference_svp(M, mask, R, opts, Z0=Z0)
     assert diag.iterations_run == iters_ref
     assert diag.converged == converged_ref
     assert np.linalg.norm(Z - Z_ref) <= 1e-8 * np.linalg.norm(Z_ref)
@@ -62,12 +62,14 @@ def _assert_matches_reference(M, mask, opts, Z0=None):
 
 
 def test_options_validation():
+    with pytest.raises(FrozenInstanceError):
+        SvpOptions().max_iters = 10
     with pytest.raises(ValueError):
-        SvpOptions(rank=0)
+        SvpOptions(step_size=0.0)
     with pytest.raises(ValueError):
-        SvpOptions(rank=2, step_size=0.0)
-    with pytest.raises(ValueError):
-        SvpOptions(rank=2, rel_tol=-1.0)
+        SvpOptions(rel_tol=-1.0)
+    with pytest.raises(ValueError, match="max_iters must be >= 1, got 0"):
+        SvpOptions(max_iters=0)
 
 
 def test_project_diag():
@@ -112,8 +114,8 @@ def test_svp_rank1_closed_form():
     # x22 = m12 * m21 / m11 = 4 for a rank-1 completion of [[1,2],[2,?]]
     M = np.array([[1.0, 2.0], [2.0, 0.0]])
     mask = np.array([[True, True], [True, False]])
-    Z, diag = svp_complete(M, mask, SvpOptions(rank=1, max_iters=1000,
-                                               rel_tol=1e-12))
+    Z, diag = svp_complete(M, mask, 1, SvpOptions(max_iters=1000,
+                                                  rel_tol=1e-12))
     assert abs(Z[1, 1] - 4.0) < 1e-6
     assert diag.converged
 
@@ -122,7 +124,7 @@ def test_svp_fully_observed_fixed_point():
     rng = np.random.default_rng(3)
     M = rng.standard_normal((9, 6)) @ rng.standard_normal((6, 9))
     mask = np.ones_like(M, dtype=bool)
-    Z, diag = svp_complete(M, mask, SvpOptions(rank=6))
+    Z, diag = svp_complete(M, mask, 6, SvpOptions())
     assert np.linalg.norm(Z - M) / np.linalg.norm(M) < 1e-6
     assert diag.converged
     assert diag.iterations_run <= 2
@@ -135,7 +137,7 @@ def test_svp_fully_observed_matches_projection():
     for shape in [(12, 12), (5, 40), (40, 5)]:
         M = rng.standard_normal(shape)
         mask = np.ones_like(M, dtype=bool)
-        Z, _ = svp_complete(M, mask, SvpOptions(rank=4, max_iters=50))
+        Z, _ = svp_complete(M, mask, 4, SvpOptions(max_iters=50))
         U, s, Vt = np.linalg.svd(M, full_matrices=False)
         ref = (U[:, :4] * s[:4]) @ Vt[:4]
         assert np.linalg.norm(Z - ref) / np.linalg.norm(ref) < 1e-8, shape
@@ -151,7 +153,7 @@ def test_svp_loop_loads_no_second_blas_runtime():
         "rng = np.random.default_rng(0)\n"
         "M = rng.standard_normal((6, 2)) @ rng.standard_normal((2, 60))\n"
         "mask = rng.random(M.shape) < 0.7\n"
-        "_, diag = ladmc.svp_complete(M, mask, ladmc.SvpOptions(rank=2, max_iters=20))\n"
+        "_, diag = ladmc.svp_complete(M, mask, 2, ladmc.SvpOptions(max_iters=20))\n"
         "assert diag.iterations_run > 0\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
@@ -164,7 +166,7 @@ def test_svp_iterate_rank_bounded():
     rng = np.random.default_rng(5)
     M = rng.standard_normal((10, 4)) @ rng.standard_normal((4, 10))
     mask = rng.random(M.shape) < 0.8
-    Z, _ = svp_complete(M, mask, SvpOptions(rank=4, max_iters=200))
+    Z, _ = svp_complete(M, mask, 4, SvpOptions(max_iters=200))
     s = np.linalg.svd(Z, compute_uv=False)
     assert s[4] / s[0] < 1e-10
 
@@ -175,7 +177,7 @@ def test_svp_residual_not_worse_than_zero_fill():
     rng = np.random.default_rng(6)
     M = rng.standard_normal((10, 3)) @ rng.standard_normal((3, 10))
     mask = rng.random(M.shape) < 0.7
-    _, diag = svp_complete(M, mask, SvpOptions(rank=3, max_iters=100))
+    _, diag = svp_complete(M, mask, 3, SvpOptions(max_iters=100))
     zero_rms = np.linalg.norm(M[mask]) / np.sqrt(mask.sum())
     assert 0.0 <= diag.final_residual <= zero_rms
 
@@ -184,9 +186,9 @@ def test_svp_determinism():
     rng = np.random.default_rng(7)
     M = rng.standard_normal((8, 30))
     mask = rng.random(M.shape) < 0.6
-    opts = SvpOptions(rank=3, max_iters=40)
-    Z1, d1 = svp_complete(M, mask, opts)
-    Z2, d2 = svp_complete(M, mask, opts)
+    opts = SvpOptions(max_iters=40)
+    Z1, d1 = svp_complete(M, mask, 3, opts)
+    Z2, d2 = svp_complete(M, mask, 3, opts)
     assert np.array_equal(Z1, Z2)
     assert d1.iterations_run == d2.iterations_run
 
@@ -194,8 +196,8 @@ def test_svp_determinism():
 def test_svp_accelerated_matches_plain_solution():
     M = np.array([[1.0, 2.0], [2.0, 0.0]])
     mask = np.array([[True, True], [True, False]])
-    Z, diag = svp_complete(M, mask, SvpOptions(rank=1, max_iters=1000,
-                                               rel_tol=1e-12, accel=True))
+    Z, diag = svp_complete(M, mask, 1, SvpOptions(max_iters=1000,
+                                                  rel_tol=1e-12, accel=True))
     assert abs(Z[1, 1] - 4.0) < 1e-6
     assert diag.converged
 
@@ -206,10 +208,10 @@ def test_svp_accelerated_converges_faster():
     rng = np.random.default_rng(9)
     M = rng.standard_normal((20, 5)) @ rng.standard_normal((5, 60))
     mask = rng.random(M.shape) < 0.6
-    plain = SvpOptions(rank=5, max_iters=3000, rel_tol=1e-10)
-    fast = SvpOptions(rank=5, max_iters=3000, rel_tol=1e-10, accel=True)
-    _, d_plain = svp_complete(M, mask, plain)
-    Z, d_fast = svp_complete(M, mask, fast)
+    plain = SvpOptions(max_iters=3000, rel_tol=1e-10)
+    fast = SvpOptions(max_iters=3000, rel_tol=1e-10, accel=True)
+    _, d_plain = svp_complete(M, mask, 5, plain)
+    Z, d_fast = svp_complete(M, mask, 5, fast)
     assert d_fast.converged
     assert d_fast.iterations_run < d_plain.iterations_run
     assert np.linalg.norm(Z - M) / np.linalg.norm(M) < 1e-4
@@ -217,17 +219,19 @@ def test_svp_accelerated_converges_faster():
 
 def test_svp_accel_restart_validation():
     with pytest.raises(ValueError):
-        SvpOptions(rank=1, accel_restart=0)
+        SvpOptions(accel_restart=0)
 
 
 def test_svp_errors():
     M = np.zeros((3, 3))
     with pytest.raises(ValueError, match="nothing observed"):
-        svp_complete(M, np.zeros_like(M, dtype=bool), SvpOptions(rank=1))
+        svp_complete(M, np.zeros_like(M, dtype=bool), 1, SvpOptions())
+    with pytest.raises(ValueError, match="rank 4 infeasible"):
+        svp_complete(M, np.ones_like(M, dtype=bool), 4, SvpOptions())
+    with pytest.raises(ValueError, match="rank 0 infeasible"):
+        svp_complete(M, np.ones_like(M, dtype=bool), 0, SvpOptions())
     with pytest.raises(ValueError):
-        svp_complete(M, np.ones_like(M, dtype=bool), SvpOptions(rank=4))
-    with pytest.raises(ValueError):
-        svp_complete(M, np.ones((3, 2), dtype=bool), SvpOptions(rank=1))
+        svp_complete(M, np.ones((3, 2), dtype=bool), 1, SvpOptions())
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -236,8 +240,8 @@ def test_svp_divergent_step_reported_unconverged():
     rng = np.random.default_rng(8)
     M = rng.standard_normal((6, 6))
     mask = rng.random(M.shape) < 0.8
-    _, diag = svp_complete(M, mask, SvpOptions(rank=2, step_size=50.0,
-                                               max_iters=200))
+    _, diag = svp_complete(M, mask, 2, SvpOptions(step_size=50.0,
+                                                  max_iters=200))
     assert not diag.converged
 
 
@@ -254,17 +258,18 @@ _VARIANTS = {
 @pytest.mark.parametrize("shape,R", _SHAPES, ids=["wide", "tall", "square"])
 def test_svp_matches_reference_loop(shape, R, variant):
     M, mask, rng = _low_rank_problem(shape, R, seed=sum(shape) + R)
-    opts = SvpOptions(rank=R, max_iters=400, rel_tol=1e-9, **_VARIANTS[variant])
+    opts = SvpOptions(max_iters=400, rel_tol=1e-9, **_VARIANTS[variant])
     Z0 = None
     if variant == "given-Z0":
         Z0 = truncated_svd_project(M + 0.1 * rng.standard_normal(shape), R)
-    diag = _assert_matches_reference(M, mask, opts, Z0=Z0)
+    diag = _assert_matches_reference(M, mask, R, opts, Z0=Z0)
     # the warm-started basis carried most iterations, not the fallback
     assert 1 <= diag.full_eigh < diag.iterations_run / 2
     # later iterations damp an inexact projection out again, so the early
     # iterates are compared too: they show one that the end result hides
     for n in (20, 40):
-        _assert_matches_reference(M, mask, replace(opts, max_iters=n), Z0=Z0)
+        _assert_matches_reference(M, mask, R, replace(opts, max_iters=n),
+                                  Z0=Z0)
 
 
 def _spy_warm(monkeypatch):
@@ -283,9 +288,9 @@ def _spy_warm(monkeypatch):
 def test_svp_first_iteration_takes_full_eigh(monkeypatch):
     calls = _spy_warm(monkeypatch)
     M, mask, _ = _low_rank_problem((40, 300), 4, seed=1)
-    _, diag = svp_complete(M, mask, SvpOptions(rank=4, max_iters=1))
+    _, diag = svp_complete(M, mask, 4, SvpOptions(max_iters=1))
     assert (diag.iterations_run, diag.full_eigh, calls) == (1, 1, [])
-    _, diag = svp_complete(M, mask, SvpOptions(rank=4, max_iters=2))
+    _, diag = svp_complete(M, mask, 4, SvpOptions(max_iters=2))
     assert len(calls) == 1
     assert diag.full_eigh == 1 + calls[0][1]
 
@@ -296,8 +301,8 @@ def test_svp_failed_ritz_residual_takes_full_eigh(monkeypatch):
     calls = _spy_warm(monkeypatch)
     monkeypatch.setattr(lrmc, "_RITZ_TOL", -1.0)
     M, mask, _ = _low_rank_problem((40, 300), 4, seed=2)
-    opts = SvpOptions(rank=4, max_iters=60, rel_tol=1e-9)
-    diag = _assert_matches_reference(M, mask, opts)
+    opts = SvpOptions(max_iters=60, rel_tol=1e-9)
+    diag = _assert_matches_reference(M, mask, 4, opts)
     assert diag.full_eigh == diag.iterations_run
     assert len(calls) == diag.iterations_run - 1
     assert all(failed for _, failed in calls)
@@ -328,10 +333,10 @@ def test_svp_warm_basis_capped_at_small_side(monkeypatch, shape, drop):
     small = min(shape)
     R = small - drop
     M, mask, rng = _low_rank_problem(shape, R, seed=small + drop)
-    opts = SvpOptions(rank=R, max_iters=30, rel_tol=1e-12)
+    opts = SvpOptions(max_iters=30, rel_tol=1e-12)
     # a start off the observed entries, so that R = min dimension (where
     # the projection is the identity) still runs a second iteration
-    diag = _assert_matches_reference(M, mask, opts,
+    diag = _assert_matches_reference(M, mask, R, opts,
                                      Z0=rng.standard_normal(shape))
     assert calls and all(width == small for width, _ in calls)
     assert diag.iterations_run == len(calls) + diag.full_eigh

@@ -86,6 +86,11 @@ def test_tensorize_mask_example_patterns():
     for omega, expect in cases:
         got = tensorize_mask(np.array(omega, dtype=bool), m)
         assert got.astype(int).tolist() == expect
+    # a d x n matrix of patterns lifts column by column, none to D x 0
+    Omega = np.array([omega for omega, _ in cases], dtype=bool).T
+    got = tensorize_mask(Omega, m)
+    assert got.T.astype(int).tolist() == [expect for _, expect in cases]
+    assert tensorize_mask(np.zeros((3, 0), dtype=bool), m).shape == (6, 0)
 
 
 @settings(max_examples=60, deadline=None)
