@@ -23,10 +23,12 @@ def _rank_arg(text: str):
     return "auto" if text == "auto" else int(text)
 
 
-def _load_config_tokens(argv):
+def _load_config_tokens(argv, parser):
     if "--config" not in argv:
         return argv
     i = argv.index("--config")
+    if i + 1 == len(argv):
+        parser.error("argument --config: expected a file path")
     path = argv[i + 1]
     rest = argv[:i] + argv[i + 2:]
     tokens = []
@@ -35,8 +37,11 @@ def _load_config_tokens(argv):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            key, _, value = line.partition("=")
-            tokens.extend([f"--{key.strip()}", value.strip()])
+            # a line with only a key is a switch such as accel
+            key, eq, value = line.partition("=")
+            tokens.append(f"--{key.strip()}")
+            if eq:
+                tokens.append(value.strip())
     # subcommand first, then config defaults, then explicit flags (override)
     return rest[:1] + tokens + rest[1:]
 
@@ -140,10 +145,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _svp_options(args) -> SvpOptions:
-    return SvpOptions(step_size=args.step_size, max_iters=args.max_iters,
-                      rel_tol=args.rel_tol, accel=args.accel,
-                      accel_restart=args.accel_restart)
+def _completion(args, augment_ones=False) -> pipeline.LadmcConfig:
+    svp = SvpOptions(step_size=args.step_size, max_iters=args.max_iters,
+                     rel_tol=args.rel_tol, accel=args.accel,
+                     accel_restart=args.accel_restart)
+    return pipeline.LadmcConfig(p=args.order, svp=svp,
+                                iladmc_inner_T=args.inner_T,
+                                augment_ones=augment_ones)
 
 
 def _cmd_synth(args):
@@ -170,12 +178,9 @@ def _cmd_complete(args):
         if not truth_obs.all():
             raise SystemExit("truth file has missing cells")
 
-    cfg = pipeline.LadmcConfig(
-        p=args.order, rank_R=args.rank, svp=_svp_options(args),
-        iladmc_inner_T=args.inner_T,
-        augment_ones=args.augment_ones,
-    )
-    rep = pipeline.completer(args.algorithm)(X, mask, cfg, X_true=X_true)
+    cfg = _completion(args, augment_ones=args.augment_ones)
+    rep = pipeline.completer(args.algorithm)(X, mask, args.rank, cfg,
+                                             X_true=X_true)
     report_items = {"algorithm": args.algorithm, "order": args.order,
                     "seed": args.seed, "rank_used": rep.rank_used,
                     "iterations": rep.solver.iterations_run,
@@ -237,12 +242,11 @@ def _cmd_check(args):
 
 def _cmd_phase(args):
     cfg = experiments.PhaseGridConfig(
-        d=args.d, r=args.r, p=args.order,
-        K_range=args.K_list, m_range=args.m_list,
+        d=args.d, r=args.r, K_range=args.K_list, m_range=args.m_list,
         N_fixed=args.N, N_per_K=args.N_per_K, N_cap=args.N_cap,
         trials=args.trials, success_tol=args.success_tol,
-        algorithm=args.algorithm, seed=args.seed, svp=_svp_options(args),
-        inner_T=args.inner_T, workers=args.workers,
+        algorithm=args.algorithm, seed=args.seed,
+        completion=_completion(args), workers=args.workers,
     )
     record = experiments.run_phase_grid(cfg, out_dir=args.out_dir)
     print(f"success fractions (rows m={cfg.m_range}, cols K={cfg.K_range}):")
@@ -268,8 +272,9 @@ def _cmd_real(args):
     counts = tuple(args.counts) if args.counts else None
     results = experiments.run_real_experiment(
         args.input, ranks=args.ranks, fractions=fractions, counts=counts,
-        seed=args.seed, p=args.order, inner_T=args.inner_T,
-        svp=SvpOptions(max_iters=args.max_iters, rel_tol=args.rel_tol),
+        seed=args.seed, completion=pipeline.LadmcConfig(
+            p=args.order, iladmc_inner_T=args.inner_T,
+            svp=SvpOptions(max_iters=args.max_iters, rel_tol=args.rel_tol)),
         out_dir=args.out_dir,
     )
     print(f"excluded_columns={results['excluded_columns']}")
@@ -292,8 +297,8 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    argv = _load_config_tokens(argv)
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(_load_config_tokens(argv, parser))
     return _COMMANDS[args.command](args)
 
 

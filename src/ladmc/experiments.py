@@ -12,7 +12,6 @@ import numpy as np
 
 from .identifiability import minimal_samples, uos_tensor_rank
 from .io import write_pgm, write_report
-from .lrmc import SvpOptions
 from .pipeline import ALGORITHMS, LadmcConfig, completer
 from .synth import gen_mask_uniform, gen_uos
 from .tensorize import build_index_map, tensorize_matrix
@@ -23,7 +22,6 @@ class PhaseGridConfig:
     r: int
     K_range: list
     m_range: list
-    p: int = 2
     N_fixed: int | None = None
     N_per_K: int | None = 50  # paper-style N = 50 K column budget
     N_cap: int = 3000
@@ -31,8 +29,7 @@ class PhaseGridConfig:
     success_tol: float = 1e-4
     algorithm: str = "ladmc"
     seed: int = 0
-    svp: SvpOptions = field(default_factory=SvpOptions)
-    inner_T: int = 30
+    completion: LadmcConfig = field(default_factory=LadmcConfig)
     workers: int = 1
 
     def __post_init__(self):
@@ -74,15 +71,13 @@ def run_phase_trial(cfg: PhaseGridConfig, K: int, m: int, trial: int) -> float:
     if cfg.algorithm == "lrmc":
         R = min(K * cfg.r, cfg.d)
     else:
-        R = uos_tensor_rank(K, cfg.r, cfg.d, cfg.p)
+        R = uos_tensor_rank(K, cfg.r, cfg.d, cfg.completion.p)
     if R > N:
         return float("inf")  # fewer columns than the rank: no completion
     X, _ = gen_uos(cfg.d, K, cfg.r, N, seed=data_seed)
     mask = gen_mask_uniform(cfg.d, N, m, seed=mask_seed)
-    pipe_cfg = LadmcConfig(p=cfg.p, rank_R=R, svp=cfg.svp,
-                           iladmc_inner_T=cfg.inner_T)
-    algo = completer(cfg.algorithm)
-    return algo(np.where(mask, X, 0.0), mask, pipe_cfg, X_true=X).nrmse
+    return completer(cfg.algorithm)(np.where(mask, X, 0.0), mask, R,
+                                    cfg.completion, X_true=X).nrmse
 
 
 def _phase_task(args):
@@ -124,13 +119,14 @@ def run_phase_grid(cfg: PhaseGridConfig, out_dir=None) -> ExperimentRecord:
         successes[cell] += err < cfg.success_tol
         err_sum[cell] += err if np.isfinite(err) else 1.0
         secs[cell] += dt
+    p = cfg.completion.p
     record = ExperimentRecord(
         config=cfg,
         success_fraction=successes / cfg.trials,
         mean_nrmse=err_sum / cfg.trials,
         cell_seconds=secs,
         ell_overlay=[
-            minimal_samples(uos_tensor_rank(K, cfg.r, cfg.d, cfg.p), cfg.p)
+            minimal_samples(uos_tensor_rank(K, cfg.r, cfg.d, p), p)
             for K in cfg.K_range
         ],
     )
@@ -209,22 +205,28 @@ def run_real_experiment(
     fractions=(0.5, 0.25, 0.25),
     counts=None,
     seed: int = 0,
-    p: int = 2,
-    inner_T: int = 30,
-    svp: SvpOptions = SvpOptions(),
+    completion: LadmcConfig = LadmcConfig(),
     out_dir=None,
 ) -> dict:
     """Train/validation/test benchmark on a CSV dataset (rows = features).
 
-    Runs mean-fill, plain low-rank completion, and both lifted pipelines,
-    each completion with the solver settings ``svp``; the rank for each
-    completion method is chosen from ``ranks`` by validation RMSE and
-    scored on the test entries.
+    Each column's observed entries are split by ``fractions`` (three
+    shares summing to 1) or ``counts`` (train and validation entries; the
+    rest is test).  Runs mean-fill, plain low-rank completion, and both
+    lifted pipelines, each with the method ``completion``; each method's
+    rank is chosen from ``ranks`` (at most ``min(d, N)`` raw, ``min(D, N)``
+    lifted) by validation RMSE and scored on the test entries.
     """
     from .io import read_matrix_csv
 
-    if counts is None and sum(fractions) > 1 + 1e-9:
-        raise ValueError(f"split fractions sum to {sum(fractions)} > 1")
+    if counts is None:
+        if (len(fractions) != 3 or min(fractions) < 0
+                or abs(sum(fractions) - 1) > 1e-9):
+            raise ValueError("fractions must be three non-negative shares "
+                             f"summing to 1, got {tuple(fractions)}")
+    elif len(counts) != 2 or min(counts) < 0:
+        raise ValueError("counts must be two non-negative entry counts "
+                         f"(train, val), got {tuple(counts)}")
     X, observed = read_matrix_csv(data_path)
     rng = np.random.default_rng(seed)
     train, val, test = _split_entries(observed, fractions, counts, rng)
@@ -256,13 +258,18 @@ def run_real_experiment(
                 best = (R, v, X_hat)
         return best
 
-    lifted_D = build_index_map(d, p).D
+    lifted_D = build_index_map(d + completion.augment_ones, completion.p).D
+    usable = {}
     for name, top in (("lrmc", d), ("ladmc", lifted_D), ("iladmc", lifted_D)):
+        usable[name] = [R for R in ranks if R <= min(top, N)]
+        if not usable[name]:
+            raise ValueError(f"{name}: no usable rank in {list(ranks)}; "
+                             f"ranks must be <= {min(top, N)}")
+    for name, feasible in usable.items():
         def run(R, algo=completer(name)):
-            cfg = LadmcConfig(p=p, rank_R=R, svp=svp, iladmc_inner_T=inner_T)
-            return algo(np.where(train, X, 0.0), train, cfg).X_hat
+            return algo(np.where(train, X, 0.0), train, R, completion).X_hat
 
-        best = pick_best(run, [R for R in ranks if R <= min(top, N)])
+        best = pick_best(run, feasible)
         results[name] = {"rank": best[0], "val_rmse": best[1],
                          "test_rmse": _rmse(best[2], X, test)}
 

@@ -25,13 +25,12 @@ ILADMC_MAX_OUTER = 100
 ILADMC_REL_TOL = 1e-7
 
 
-@dataclass
+@dataclass(frozen=True)
 class LadmcConfig:
-    """A completion's settings.  ``rank_R`` is the only place its rank is
-    set: an int, or "auto" for ``auto_rank`` of the zero-filled lift."""
+    """The completion method: lift order, SVP settings, ``iladmc`` burst
+    length and constant row.  The rank is each completion's argument."""
 
     p: int = 2
-    rank_R: int | str = "auto"
     svp: SvpOptions = field(default_factory=SvpOptions)
     iladmc_inner_T: int = 30
     augment_ones: bool = False
@@ -39,11 +38,6 @@ class LadmcConfig:
     def __post_init__(self):
         if self.p not in (2, 3):
             raise ValueError(f"p must be 2 or 3, got {self.p}")
-        auto = isinstance(self.rank_R, str) and self.rank_R == "auto"
-        if not auto and not (isinstance(self.rank_R, (int, np.integer))
-                             and self.rank_R >= 1):
-            raise ValueError(
-                f"rank_R must be 'auto' or an int >= 1, got {self.rank_R!r}")
         if self.iladmc_inner_T < 1:
             raise ValueError("iladmc_inner_T must be >= 1")
 
@@ -83,16 +77,15 @@ def auto_rank(T_obs: np.ndarray) -> int:
     return int(np.argmax(ratios)) + 1
 
 
-def _resolve_rank(cfg: LadmcConfig, T_obs: np.ndarray) -> int:
-    R = auto_rank(T_obs) if cfg.rank_R == "auto" else int(cfg.rank_R)
-    D = T_obs.shape[0]
-    if R > D:
-        raise ValueError(f"rank {R} exceeds the row dimension {D}")
-    return R
+def _resolve_rank(rank, T_obs: np.ndarray) -> int:
+    return auto_rank(T_obs) if rank == "auto" else int(rank)
 
 
-def _checked_input(X_obs, mask):
-    """The observed matrix and its mask as arrays, every observed entry finite."""
+def _checked_input(X_obs, mask, rank):
+    """The input as arrays; a bad rank or non-finite observation raises."""
+    if not (isinstance(rank, str) and rank == "auto"
+            or isinstance(rank, (int, np.integer)) and rank >= 1):
+        raise ValueError(f"rank must be 'auto' or an int >= 1, got {rank!r}")
     X_obs = np.asarray(X_obs, dtype=float)
     mask = np.asarray(mask, dtype=bool)
     if X_obs.shape != mask.shape:
@@ -116,7 +109,7 @@ def _finalize(X_hat, X_obs_orig, mask_orig, report, X_true):
     return report
 
 
-def _complete_lifted(X_obs, mask, cfg, X_true, max_passes, pass_iters):
+def _complete_lifted(X_obs, mask, rank, cfg, X_true, max_passes, pass_iters):
     """Up to max_passes rounds of lift / SVP / unlift / refill known entries.
 
     Each pass runs pass_iters SVP iterations (None: cfg.svp.max_iters).
@@ -125,12 +118,12 @@ def _complete_lifted(X_obs, mask, cfg, X_true, max_passes, pass_iters):
     the constant row is refilled to 1 on every pass like any observed
     entry and dropped from the result.
     """
-    X_obs, mask = _checked_input(X_obs, mask)
+    X_obs, mask = _checked_input(X_obs, mask, rank)
     X_in, mask_in = (augment_ones(X_obs, mask) if cfg.augment_ones
                      else (X_obs, mask))
     imap = build_index_map(X_in.shape[0], cfg.p)
     T_obs, T_mask = tensorize_matrix(X_in, mask_in, imap)
-    R = _resolve_rank(cfg, T_obs)
+    R = _resolve_rank(rank, T_obs)
     opts = replace(cfg.svp, max_iters=pass_iters) if pass_iters else cfg.svp
 
     X_cur = np.where(mask_in, X_in, 0.0)
@@ -167,24 +160,28 @@ def _complete_lifted(X_obs, mask, cfg, X_true, max_passes, pass_iters):
 def ladmc(
     X_obs: np.ndarray,
     mask: np.ndarray,
+    rank: int | str,
     cfg: LadmcConfig | None = None,
     X_true: np.ndarray | None = None,
 ) -> CompletionReport:
-    """One pass of lift / low-rank complete / unlift / refill known entries."""
-    return _complete_lifted(X_obs, mask, cfg or LadmcConfig(), X_true,
+    """One pass of lift / low-rank complete / unlift / refill known entries
+    at lifted rank ``rank``: an int, or "auto" (``auto_rank`` of the lift)."""
+    return _complete_lifted(X_obs, mask, rank, cfg or LadmcConfig(), X_true,
                             max_passes=1, pass_iters=None)
 
 
 def iladmc(
     X_obs: np.ndarray,
     mask: np.ndarray,
+    rank: int | str,
     cfg: LadmcConfig | None = None,
     X_true: np.ndarray | None = None,
 ) -> CompletionReport:
-    """Iterative variant: repeat T lifted hard-thresholding steps, unlift,
-    refill the known entries, until the outer estimate stops changing."""
+    """Iterative variant at lifted rank ``rank``: repeat T lifted hard-
+    thresholding steps, unlift, refill the known entries, until the outer
+    estimate stops changing."""
     cfg = cfg or LadmcConfig()
-    return _complete_lifted(X_obs, mask, cfg, X_true,
+    return _complete_lifted(X_obs, mask, rank, cfg, X_true,
                             max_passes=ILADMC_MAX_OUTER,
                             pass_iters=cfg.iladmc_inner_T)
 
@@ -192,18 +189,19 @@ def iladmc(
 def lrmc_baseline(
     X_obs: np.ndarray,
     mask: np.ndarray,
+    rank: int | str,
     cfg: LadmcConfig | None = None,
     X_true: np.ndarray | None = None,
 ) -> CompletionReport:
     """Plain low-rank completion of the raw matrix, without lifting.
 
-    Uses ``cfg.rank_R`` and ``cfg.svp``; ``p``, ``iladmc_inner_T`` and
-    ``augment_ones`` do not apply.  The report has no rank-one ratios.
+    ``rank`` is the raw matrix's (an int, or "auto"); of ``cfg`` only
+    ``svp`` applies.  The report has no rank-one ratios.
     """
     cfg = cfg or LadmcConfig()
-    X_obs, mask = _checked_input(X_obs, mask)
+    X_obs, mask = _checked_input(X_obs, mask, rank)
     X_zero = np.where(mask, X_obs, 0.0)
-    R = _resolve_rank(cfg, X_zero)
+    R = _resolve_rank(rank, X_zero)
     Z, diag = svp_complete(X_zero, mask, R, cfg.svp)
     report = CompletionReport(
         X_hat=Z, outer_iterations=1, per_column_rank1_ratio=np.zeros(0),

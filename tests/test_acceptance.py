@@ -24,6 +24,7 @@ from ladmc.identifiability import (
     spanning_set_uos,
 )
 from ladmc.lrmc import SvpOptions
+from ladmc.pipeline import LadmcConfig
 from ladmc.preimage import preimage_column
 from ladmc.synth import gen_all_patterns, gen_uos
 from ladmc.tensorize import build_index_map, tensorize_column, tensorize_matrix
@@ -113,11 +114,13 @@ def recovery_family():
                 trials=10, seed=0)
     ladmc_cfg = PhaseGridConfig(
         algorithm="ladmc",
-        svp=SvpOptions(step_size=1.0, max_iters=4000, rel_tol=1e-9,
-                       accel=True, accel_restart=500), **base)
+        completion=LadmcConfig(svp=SvpOptions(
+            step_size=1.0, max_iters=4000, rel_tol=1e-9, accel=True,
+            accel_restart=500)), **base)
     lrmc_cfg = PhaseGridConfig(
         algorithm="lrmc",
-        svp=SvpOptions(step_size=1.0, max_iters=500, rel_tol=1e-6), **base)
+        completion=LadmcConfig(svp=SvpOptions(
+            step_size=1.0, max_iters=500, rel_tol=1e-6)), **base)
     t0 = time.perf_counter()
     ladmc_errs = []
     for trial in range(10):
@@ -221,8 +224,9 @@ def test_criterion_11_real_data_substitution():
         return
     from ladmc.experiments import run_real_experiment
 
-    res = run_real_experiment(path, ranks=[3, 5, 8, 10, 12],
-                              svp=SvpOptions(max_iters=1000, rel_tol=1e-8))
+    res = run_real_experiment(
+        path, ranks=[3, 5, 8, 10, 12],
+        completion=LadmcConfig(svp=SvpOptions(max_iters=1000, rel_tol=1e-8)))
     err = res["ladmc"]["test_rmse"]
     ok = abs(err - 0.155) <= 0.03
     record_acceptance(11, "real-data benchmark", ok,

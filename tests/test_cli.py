@@ -1,7 +1,10 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from ladmc.cli import build_parser, main
+from ladmc.cli import _completion, _load_config_tokens, build_parser, main
 from ladmc.io import read_mask_csv, read_matrix_csv, write_matrix_csv
 from ladmc.synth import gen_uos
 
@@ -135,6 +138,39 @@ def test_complete_and_phase_share_solver_flags():
         assert {k: args[k] for k in defaults} == defaults, argv[0]
 
 
+def _bench_workloads():
+    # perfbench/run.py imports no numpy and runs nothing at import
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
+    spec = importlib.util.spec_from_file_location("perfbench_run", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.WORKLOADS
+
+
+def test_bench_command_lines_build_their_method():
+    # a CLI change that drops or renames a flag the benchmark passes fails
+    # here rather than in a bench run
+    parser = build_parser()
+    expected = {  # rank, order, accel, accel_restart, max_iters
+        "ladmc-p2-paper": (30, 2, True, 500, 4000),
+        "iladmc-p2-paper": (30, 2, True, 300, 500),
+        "ladmc-p3-small": (8, 3, True, 500, 4000),
+    }
+    workloads = _bench_workloads()
+    assert set(workloads) == set(expected) | {"check-9of15"}
+    for name, (rank, order, accel, restart, iters) in expected.items():
+        _, cmd = workloads[name]
+        args = parser.parse_args([*cmd, "--input", "X.csv"])
+        cfg = _completion(args)
+        got = (args.rank, cfg.p, cfg.svp.accel, cfg.svp.accel_restart,
+               cfg.svp.max_iters)
+        assert got == (rank, order, accel, restart, iters), name
+        assert cfg.svp.rel_tol == 1e-9 and cfg.iladmc_inner_T == 30, name
+    args = parser.parse_args(workloads["check-9of15"][1])
+    assert (args.all_patterns, args.d, args.m, args.rank, args.order,
+            args.trials) == (True, 15, 9, 30, 2, 1)
+
+
 def test_check_two_of_three(tmp_path):
     out = tmp_path / "v"
     main(["check", "--all-patterns", "--d", "3", "--m", "2",
@@ -230,3 +266,21 @@ def test_config_file_flags_override(tmp_path):
     report = _read_report(out / "report.txt")
     assert report["seed"] == "7"  # explicit flag beats config file
     assert float(report["nrmse"]) < 1e-4
+
+
+def test_config_file_switch_lines(tmp_path):
+    # a line that holds only a key sets a switch
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("input=X.csv\naccel\naugment-ones\naccel-restart=500\n")
+    parser = build_parser()
+    args = parser.parse_args(
+        _load_config_tokens(["complete", "--config", str(cfg)], parser))
+    assert args.accel and args.augment_ones
+    assert _completion(args, args.augment_ones).svp.accel_restart == 500
+
+
+def test_config_flag_without_path_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["complete", "--input", "X.csv", "--config"])
+    assert exc.value.code == 2
+    assert "--config" in capsys.readouterr().err

@@ -12,12 +12,14 @@ from ladmc.experiments import (
 from ladmc.identifiability import minimal_samples, uos_tensor_rank
 from ladmc.io import write_matrix_csv
 from ladmc.lrmc import SvpOptions
+from ladmc.pipeline import LadmcConfig
 from ladmc.synth import gen_uos
 
 
 def _small_grid(**kw):
     base = dict(d=6, r=1, K_range=[2], m_range=[4, 6], N_per_K=100, trials=2,
-                svp=SvpOptions(step_size=2.0, max_iters=3000, rel_tol=1e-9))
+                completion=LadmcConfig(svp=SvpOptions(
+                    step_size=2.0, max_iters=3000, rel_tol=1e-9)))
     base.update(kw)
     return PhaseGridConfig(**base)
 
@@ -68,8 +70,8 @@ def test_phase_grid_trial_determinism():
 
 def test_phase_grid_lrmc_baseline():
     cfg = _small_grid(d=6, r=1, K_range=[1], m_range=[4], algorithm="lrmc",
-                      svp=SvpOptions(step_size=1.0, max_iters=2000,
-                                     rel_tol=1e-10))
+                      completion=LadmcConfig(svp=SvpOptions(
+                          step_size=1.0, max_iters=2000, rel_tol=1e-10)))
     rec = run_phase_grid(cfg)
     assert rec.success_fraction[0, 0] == 1.0
 
@@ -103,8 +105,8 @@ def test_phase_grid_code_error_raised(monkeypatch):
 
 
 def test_phase_grid_outputs_byte_identical(tmp_path):
-    cfg = _small_grid(m_range=[6], svp=SvpOptions(step_size=2.0, max_iters=50,
-                                                  rel_tol=1e-9))
+    cfg = _small_grid(m_range=[6], completion=LadmcConfig(svp=SvpOptions(
+        step_size=2.0, max_iters=50, rel_tol=1e-9)))
     out1, out2 = tmp_path / "a", tmp_path / "b"
     run_phase_grid(cfg, out_dir=out1)
     run_phase_grid(cfg, out_dir=out2)
@@ -132,8 +134,9 @@ def _write_uos_csv(path, d=8, r=2, N=80, seed=0):
 def test_real_experiment_smoke(tmp_path):
     path = tmp_path / "data.csv"
     _write_uos_csv(path)
-    res = run_real_experiment(path, ranks=[3], svp=SvpOptions(max_iters=300),
-                              out_dir=tmp_path)
+    res = run_real_experiment(
+        path, ranks=[3], completion=LadmcConfig(svp=SvpOptions(max_iters=300)),
+        out_dir=tmp_path)
     assert res["excluded_columns"] == 0
     for name in ("mean_fill", "lrmc", "ladmc", "iladmc"):
         assert np.isfinite(res[name]["test_rmse"])
@@ -148,7 +151,8 @@ def test_real_experiment_smoke(tmp_path):
 def test_real_experiment_mean_fill_constant_columns(tmp_path):
     path = tmp_path / "const.csv"
     write_matrix_csv(path, np.full((4, 12), 7.0))
-    res = run_real_experiment(path, ranks=[1], svp=SvpOptions(max_iters=50))
+    res = run_real_experiment(
+        path, ranks=[1], completion=LadmcConfig(svp=SvpOptions(max_iters=50)))
     assert res["mean_fill"]["test_rmse"] == 0.0
 
 
@@ -159,7 +163,8 @@ def test_real_experiment_excludes_empty_training_columns(tmp_path):
     mask[1:, 0] = False
     mask[0, 0] = True  # column 0 has one observed entry -> no train share
     write_matrix_csv(path, X, mask=mask)
-    res = run_real_experiment(path, ranks=[1], svp=SvpOptions(max_iters=50))
+    res = run_real_experiment(
+        path, ranks=[1], completion=LadmcConfig(svp=SvpOptions(max_iters=50)))
     assert res["excluded_columns"] == 1
 
 
@@ -168,3 +173,29 @@ def test_real_experiment_bad_fractions(tmp_path):
     _write_uos_csv(path, N=10)
     with pytest.raises(ValueError, match="fractions"):
         run_real_experiment(path, ranks=[1], fractions=(0.8, 0.5, 0.25))
+
+
+def test_real_experiment_split_arguments_checked(tmp_path):
+    path = tmp_path / "data.csv"
+    _write_uos_csv(path, N=10)
+    # a third share that the split would ignore, and one count of two
+    for kw in (dict(fractions=(0.5, 0.25, 0.05)), dict(fractions=(0.5, 0.5)),
+               dict(fractions=(1.2, -0.1, -0.1))):
+        with pytest.raises(ValueError, match="fractions"):
+            run_real_experiment(path, ranks=[1], **kw)
+    for counts in ((3,), (2, 1, 1), (2, -1)):
+        with pytest.raises(ValueError, match="counts"):
+            run_real_experiment(path, ranks=[1], counts=counts)
+
+
+def test_real_experiment_rejects_ranks_without_a_usable_one(tmp_path,
+                                                            monkeypatch):
+    path = tmp_path / "data.csv"
+    _write_uos_csv(path)  # 8 x 80: lrmc takes ranks up to 8
+    solves = []
+    monkeypatch.setattr(experiments, "completer",
+                        lambda name: lambda *a: solves.append(name))
+    with pytest.raises(ValueError, match=r"lrmc: no usable rank in \[50\]; "
+                                         r"ranks must be <= 8"):
+        run_real_experiment(path, ranks=[50])
+    assert solves == []

@@ -31,10 +31,9 @@ def _affine_lines_instance(seed=0, d=6, N=400, m=4):
     return X, gen_mask_uniform(d, N, m, seed=seed + 10)
 
 
-def _cfg(R, step=2.0, iters=3000, tol=1e-9, **kw):
+def _cfg(step=2.0, iters=3000, tol=1e-9, **kw):
     return LadmcConfig(
-        p=2, rank_R=R,
-        svp=SvpOptions(step_size=step, max_iters=iters, rel_tol=tol),
+        p=2, svp=SvpOptions(step_size=step, max_iters=iters, rel_tol=tol),
         **kw,
     )
 
@@ -73,63 +72,63 @@ def test_config_validation():
     # p and the rank are checked before any lift or solve runs
     with pytest.raises(ValueError, match="p must be 2 or 3, got 4"):
         LadmcConfig(p=4)
-    for bad in (0, -1, "3", "max", 2.0, None):
-        with pytest.raises(ValueError, match="rank_R must be 'auto' or an int"):
-            LadmcConfig(rank_R=bad)
-    assert LadmcConfig(rank_R=np.int64(3)).rank_R == 3
     X = np.ones((3, 4))
     mask = np.ones_like(X, dtype=bool)
+    for bad in (0, -1, "3", "max", 2.0, None):
+        with pytest.raises(ValueError, match="rank must be 'auto' or an int"):
+            ladmc(X, mask, bad)
+    assert ladmc(X, mask, np.int64(3)).rank_used == 3
     with pytest.raises(ValueError):
-        ladmc(X, mask, LadmcConfig(rank_R=100))
+        ladmc(X, mask, 100)
 
 
 def test_fully_observed_identity():
     rng = np.random.default_rng(2)
     X = rng.standard_normal((5, 8))
     mask = np.ones_like(X, dtype=bool)
-    rep = ladmc(X, mask, LadmcConfig(rank_R=3))
+    rep = ladmc(X, mask, 3)
     np.testing.assert_array_equal(rep.X_hat, X)
 
 
 def test_observed_entry_fidelity():
     X, mask = _two_lines_instance()
-    cfg = _cfg(2, iters=50)
+    cfg = _cfg(iters=50)
     for algo in (ladmc, iladmc):
-        rep = algo(np.where(mask, X, 0.0), mask, cfg)
+        rep = algo(np.where(mask, X, 0.0), mask, 2, cfg)
         np.testing.assert_array_equal(rep.X_hat[mask], X[mask])
 
 
 def test_zero_columns_flagged():
     X, mask = _two_lines_instance(N=30)
     mask[:, 7] = False
-    rep = ladmc(np.where(mask, X, 0.0), mask, _cfg(2, iters=50))
+    rep = ladmc(np.where(mask, X, 0.0), mask, 2, _cfg(iters=50))
     assert rep.zero_columns == [7]
     assert np.all(rep.X_hat[:, 7] == 0.0)
 
 
 def test_permutation_equivariance():
     X, mask = _two_lines_instance(N=60)
-    cfg = _cfg(2, iters=300)
+    cfg = _cfg(iters=300)
     perm = np.random.default_rng(5).permutation(60)
-    rep = ladmc(np.where(mask, X, 0.0), mask, cfg)
-    rep_p = ladmc(np.where(mask, X, 0.0)[:, perm], mask[:, perm], cfg)
+    rep = ladmc(np.where(mask, X, 0.0), mask, 2, cfg)
+    rep_p = ladmc(np.where(mask, X, 0.0)[:, perm], mask[:, perm], 2, cfg)
     np.testing.assert_allclose(rep_p.X_hat, rep.X_hat[:, perm], atol=1e-8)
 
 
 def test_column_scale_on_fully_observed_column():
     X, mask = _two_lines_instance(N=40)
     mask[:, 3] = True
-    cfg = _cfg(2, iters=100)
-    rep = ladmc(np.where(mask, X, 0.0), mask, cfg)
+    cfg = _cfg(iters=100)
+    rep = ladmc(np.where(mask, X, 0.0), mask, 2, cfg)
     X2 = X.copy()
     X2[:, 3] *= 2.5
-    rep2 = ladmc(np.where(mask, X2, 0.0), mask, cfg)
+    rep2 = ladmc(np.where(mask, X2, 0.0), mask, 2, cfg)
     np.testing.assert_allclose(rep2.X_hat[:, 3], 2.5 * rep.X_hat[:, 3])
 
 
 def test_ladmc_two_lines_recovery():
     X, mask = _two_lines_instance()
-    rep = ladmc(np.where(mask, X, 0.0), mask, _cfg(2), X_true=X)
+    rep = ladmc(np.where(mask, X, 0.0), mask, 2, _cfg(), X_true=X)
     assert rep.nrmse < 1e-4
     assert rep.rank_used == 2
     assert np.max(rep.per_column_rank1_ratio) < 0.1
@@ -137,8 +136,8 @@ def test_ladmc_two_lines_recovery():
 
 def test_iladmc_two_lines_recovery():
     X, mask = _two_lines_instance()
-    cfg = _cfg(2, iters=100, iladmc_inner_T=30)
-    rep = iladmc(np.where(mask, X, 0.0), mask, cfg, X_true=X)
+    cfg = _cfg(iters=100, iladmc_inner_T=30)
+    rep = iladmc(np.where(mask, X, 0.0), mask, 2, cfg, X_true=X)
     assert rep.nrmse < 1e-4
     # outer loop stays within the budget a single long solve would use
     assert rep.outer_iterations * 30 <= 3000
@@ -148,7 +147,7 @@ def test_iladmc_fixed_point_one_outer():
     rng = np.random.default_rng(6)
     X = np.outer(rng.standard_normal(4), rng.standard_normal(10))
     mask = np.ones_like(X, dtype=bool)
-    rep = iladmc(X, mask, LadmcConfig(rank_R=1))
+    rep = iladmc(X, mask, 1)
     assert rep.outer_iterations == 1
     np.testing.assert_allclose(rep.X_hat, X, atol=1e-12)
 
@@ -170,8 +169,8 @@ def _record_bursts(monkeypatch):
 def test_iladmc_report_covers_every_pass(monkeypatch):
     X, mask = _two_lines_instance()
     bursts = _record_bursts(monkeypatch)
-    cfg = _cfg(2, iters=100, iladmc_inner_T=30)
-    rep = iladmc(np.where(mask, X, 0.0), mask, cfg, X_true=X)
+    cfg = _cfg(iters=100, iladmc_inner_T=30)
+    rep = iladmc(np.where(mask, X, 0.0), mask, 2, cfg, X_true=X)
     assert 1 < rep.outer_iterations < pipeline.ILADMC_MAX_OUTER
     assert len(bursts) == rep.outer_iterations
     # the last 30-step burst alone does not converge; the outer loop does
@@ -186,8 +185,8 @@ def test_iladmc_report_covers_every_pass(monkeypatch):
 def test_iladmc_out_of_passes_is_unconverged(monkeypatch):
     X, mask = _two_lines_instance()
     monkeypatch.setattr(pipeline, "ILADMC_MAX_OUTER", 2)
-    cfg = _cfg(2, iters=100, iladmc_inner_T=30)
-    rep = iladmc(np.where(mask, X, 0.0), mask, cfg)
+    cfg = _cfg(iters=100, iladmc_inner_T=30)
+    rep = iladmc(np.where(mask, X, 0.0), mask, 2, cfg)
     assert rep.outer_iterations == 2
     assert not rep.solver.converged
     assert rep.solver.iterations_run == 60
@@ -198,8 +197,8 @@ def test_ladmc_report_is_the_svp_solve(monkeypatch):
     bursts = _record_bursts(monkeypatch)
     for iters, tol, converged in ((3000, 1e-4, True), (300, 1e-9, False)):
         bursts.clear()
-        cfg = _cfg(2, iters=iters, tol=tol)
-        rep = ladmc(np.where(mask, X, 0.0), mask, cfg)
+        cfg = _cfg(iters=iters, tol=tol)
+        rep = ladmc(np.where(mask, X, 0.0), mask, 2, cfg)
         (diag,) = bursts
         assert rep.solver.converged is diag.converged is converged
         assert rep.solver.iterations_run == diag.iterations_run
@@ -209,17 +208,16 @@ def test_ladmc_single_subspace_recovery():
     # higher-dimensional single-subspace instance: d=25, r=3, lifted rank 6
     X, _ = gen_uos(25, 1, 3, 1300, seed=5)
     mask = gen_mask_uniform(25, 1300, 12, seed=6)
-    rep = ladmc(np.where(mask, X, 0.0), mask, _cfg(6, iters=900), X_true=X)
+    rep = ladmc(np.where(mask, X, 0.0), mask, 6, _cfg(iters=900), X_true=X)
     assert rep.nrmse < 1e-4
 
 
 def test_auto_rank_through_pipeline():
     X, mask = _two_lines_instance()
     cfg = LadmcConfig(
-        p=2, rank_R="auto",
-        svp=SvpOptions(step_size=2.0, max_iters=3000, rel_tol=1e-9),
+        p=2, svp=SvpOptions(step_size=2.0, max_iters=3000, rel_tol=1e-9),
     )
-    rep = ladmc(np.where(mask, X, 0.0), mask, cfg, X_true=X)
+    rep = ladmc(np.where(mask, X, 0.0), mask, "auto", cfg, X_true=X)
     assert rep.rank_used >= 1
     # the auto rule may over- or under-shoot on a zero-filled spectrum, but
     # it must still produce a finite, observed-faithful estimate
@@ -231,13 +229,13 @@ def test_augment_ones_fully_observed_identity():
     rng = np.random.default_rng(7)
     X = rng.standard_normal((4, 12)) + 3.0
     mask = np.ones_like(X, dtype=bool)
-    rep = ladmc(X, mask, LadmcConfig(rank_R=3, augment_ones=True))
+    rep = ladmc(X, mask, 3, LadmcConfig(augment_ones=True))
     np.testing.assert_array_equal(rep.X_hat, X)
 
 
 def test_report_without_truth_has_no_metrics():
     X, mask = _two_lines_instance(N=20)
-    rep = ladmc(np.where(mask, X, 0.0), mask, _cfg(2, iters=20))
+    rep = ladmc(np.where(mask, X, 0.0), mask, 2, _cfg(iters=20))
     assert rep.nrmse is None
 
 
@@ -246,8 +244,8 @@ def test_augment_ones_recovers_affine_lines():
     X, mask = _affine_lines_instance()
     svp = SvpOptions(accel=True, max_iters=3000, rel_tol=1e-9)
     for algo in (ladmc, iladmc):
-        cfg = LadmcConfig(p=2, rank_R=6, svp=svp, augment_ones=True)
-        rep = algo(np.where(mask, X, 0.0), mask, cfg, X_true=X)
+        cfg = LadmcConfig(p=2, svp=svp, augment_ones=True)
+        rep = algo(np.where(mask, X, 0.0), mask, 6, cfg, X_true=X)
         assert rep.X_hat.shape == X.shape
         assert rep.nrmse < 1e-4, algo.__name__
 
@@ -256,8 +254,8 @@ def test_lrmc_baseline_completes_low_rank_matrix():
     rng = np.random.default_rng(8)
     X = rng.standard_normal((10, 2)) @ rng.standard_normal((2, 40))
     mask = rng.random(X.shape) < 0.7
-    cfg = LadmcConfig(rank_R=2, svp=SvpOptions(max_iters=2000, rel_tol=1e-10))
-    rep = lrmc_baseline(np.where(mask, X, 0.0), mask, cfg, X_true=X)
+    cfg = LadmcConfig(svp=SvpOptions(max_iters=2000, rel_tol=1e-10))
+    rep = lrmc_baseline(np.where(mask, X, 0.0), mask, 2, cfg, X_true=X)
     assert rep.solver.converged
     assert rep.nrmse < 1e-6
     np.testing.assert_array_equal(rep.X_hat[mask], X[mask])
@@ -270,4 +268,4 @@ def test_non_finite_observation_rejected(algo):
     row = int(np.nonzero(mask[:, 5])[0][1])
     X[row, 5] = np.inf
     with pytest.raises(ValueError, match=rf"\({row}, 5\) is not finite"):
-        algo(X, mask, _cfg(2, iters=20))
+        algo(X, mask, 2, _cfg(iters=20))
