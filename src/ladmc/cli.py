@@ -70,7 +70,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--accel", action="store_true",
                         help="restarted Nesterov momentum in the solver")
         sp.add_argument("--accel-restart", type=int,
-                        default=SvpOptions.accel_restart)
+                        default=SvpOptions.accel_restart,
+                        help="longest momentum run between restarts")
         sp.add_argument("--success-tol", type=float,
                         default=experiments.PhaseGridConfig.success_tol)
 

@@ -236,6 +236,15 @@ def run_real_experiment(
         keep = train.sum(axis=0) > 0
         X, train, val, test = X[:, keep], train[:, keep], val[:, keep], test[:, keep]
     d, N = X.shape
+    # an empty share gives a nan RMSE for every rank: fail before any solve
+    split = (f"counts={tuple(counts)}" if counts is not None
+             else f"fractions={tuple(fractions)}")
+    empty_shares = [share for share, entries in (
+        ("training", train), ("validation", val), ("test", test))
+        if not entries.any()]
+    if empty_shares:
+        raise ValueError(f"{split} leaves no {' or '.join(empty_shares)} "
+                         "entries")
 
     results = {"excluded_columns": int(empty.size)}
 

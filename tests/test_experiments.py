@@ -158,8 +158,8 @@ def test_real_experiment_mean_fill_constant_columns(tmp_path):
 
 def test_real_experiment_excludes_empty_training_columns(tmp_path):
     path = tmp_path / "sparse.csv"
-    X = np.arange(12.0).reshape(3, 4) + 1
-    mask = np.ones((3, 4), dtype=bool)
+    X = np.arange(16.0).reshape(4, 4) + 1
+    mask = np.ones((4, 4), dtype=bool)
     mask[1:, 0] = False
     mask[0, 0] = True  # column 0 has one observed entry -> no train share
     write_matrix_csv(path, X, mask=mask)
@@ -198,4 +198,23 @@ def test_real_experiment_rejects_ranks_without_a_usable_one(tmp_path,
     with pytest.raises(ValueError, match=r"lrmc: no usable rank in \[50\]; "
                                          r"ranks must be <= 8"):
         run_real_experiment(path, ranks=[50])
+    assert solves == []
+
+
+@pytest.mark.parametrize("split,empty", [
+    (dict(counts=(4, 0)), r"counts=\(4, 0\) leaves no validation entries"),
+    (dict(counts=(7, 1)), r"counts=\(7, 1\) leaves no test entries"),
+    (dict(counts=(8, 4)), "no validation or test entries"),
+    (dict(fractions=(0.5, 0.5, 0.0)), r"fractions=.* leaves no test entries"),
+], ids=["no-validation", "no-test", "train-takes-all", "fractions-no-test"])
+def test_real_experiment_rejects_an_empty_share(tmp_path, monkeypatch, split,
+                                                empty):
+    # an empty validation or test share scores every rank as nan
+    path = tmp_path / "data.csv"
+    _write_uos_csv(path)  # 8 x 80, every entry observed
+    solves = []
+    monkeypatch.setattr(experiments, "completer",
+                        lambda name: lambda *a: solves.append(name))
+    with pytest.raises(ValueError, match=empty):
+        run_real_experiment(path, ranks=[1, 2, 5], **split)
     assert solves == []

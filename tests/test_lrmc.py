@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
@@ -12,22 +13,24 @@ from ladmc.lrmc import SvpOptions, svp_complete, truncated_svd_project
 def _reference_svp(M_obs, mask, R, opts, Z0=None):
     """The SVP loop before the warm-started projection and in-place
     buffers: a fancy-indexed gradient step and the exact projection of
-    ``truncated_svd_project`` on every iteration."""
+    ``truncated_svd_project`` on every iteration.  With momentum it
+    restarts when the step points against the gradient mapping at the
+    extrapolated point E, or when a run reaches ``accel_restart``."""
     Z = np.where(mask, M_obs, 0.0) if Z0 is None else np.array(Z0, dtype=float)
     obs = np.nonzero(mask.ravel())[0]
     Mv = M_obs.ravel()[obs]
-    Z_prev = Z.copy() if opts.accel else None
+    Z_prev = Z.copy()
     k = 0
+    restarts = 0
     iters = 0
     converged = False
     for iters in range(1, opts.max_iters + 1):
         if opts.accel:
             k += 1
-            Y = Z + ((k - 1) / (k + 2)) * (Z - Z_prev)
-            if k >= opts.accel_restart:
-                k = 0
+            E = Z + ((k - 1) / (k + 2)) * (Z - Z_prev)
         else:
-            Y = Z.copy()
+            E = Z
+        Y = E.copy()
         Yr = Y.ravel()
         Yr[obs] += opts.step_size * (Mv - Yr[obs])
         with np.errstate(over="ignore"):
@@ -35,6 +38,7 @@ def _reference_svp(M_obs, mask, R, opts, Z0=None):
                 break
         Z_new = truncated_svd_project(Y, R)
         change = np.linalg.norm(Z_new - Z) / max(np.linalg.norm(Z), 1e-30)
+        uphill = np.vdot(E - Z_new, Z_new - Z) > 0
         Z_prev = Z
         Z = Z_new
         if not np.isfinite(change):
@@ -42,7 +46,10 @@ def _reference_svp(M_obs, mask, R, opts, Z0=None):
         if change < opts.rel_tol:
             converged = True
             break
-    return Z, iters, converged
+        if opts.accel and (uphill or k >= opts.accel_restart):
+            k = 0
+            restarts += 1
+    return Z, iters, converged, restarts
 
 
 def _low_rank_problem(shape, R, seed):
@@ -54,9 +61,11 @@ def _low_rank_problem(shape, R, seed):
 
 def _assert_matches_reference(M, mask, R, opts, Z0=None):
     Z, diag = svp_complete(M, mask, R, opts, Z0=Z0)
-    Z_ref, iters_ref, converged_ref = _reference_svp(M, mask, R, opts, Z0=Z0)
+    Z_ref, iters_ref, converged_ref, restarts_ref = _reference_svp(
+        M, mask, R, opts, Z0=Z0)
     assert diag.iterations_run == iters_ref
     assert diag.converged == converged_ref
+    assert diag.restarts == restarts_ref
     assert np.linalg.norm(Z - Z_ref) <= 1e-8 * np.linalg.norm(Z_ref)
     return diag
 
@@ -236,13 +245,44 @@ def test_svp_errors():
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_svp_divergent_step_reported_unconverged():
-    # divergence is reported through the diagnostics, not a numpy warning
+    # divergence is reported through the diagnostics, not a numpy warning,
+    # with or without the momentum's restart test
     rng = np.random.default_rng(8)
     M = rng.standard_normal((6, 6))
     mask = rng.random(M.shape) < 0.8
-    _, diag = svp_complete(M, mask, 2, SvpOptions(step_size=50.0,
-                                                  max_iters=200))
-    assert not diag.converged
+    for accel in (False, True):
+        _, diag = svp_complete(M, mask, 2, SvpOptions(
+            step_size=50.0, max_iters=200, accel=accel))
+        assert not diag.converged, accel
+
+
+def test_svp_restarts_counted():
+    M, mask, _ = _low_rank_problem((40, 300), 4, seed=12)
+    opts = SvpOptions(max_iters=400, rel_tol=1e-9)
+    _, plain = svp_complete(M, mask, 4, opts)
+    assert plain.restarts == 0
+    _, adaptive = svp_complete(M, mask, 4, replace(opts, accel=True,
+                                                   accel_restart=1000))
+    assert adaptive.restarts >= 1
+    # the cap restarts every run that reaches it, adaptive restarts aside
+    _, capped = svp_complete(M, mask, 4, replace(opts, accel=True,
+                                                 accel_restart=5))
+    assert capped.restarts >= (capped.iterations_run - 1) // 5
+
+
+def test_svp_momentum_keeps_no_extra_buffer():
+    # the momentum term is the change buffer of the stop test; keeping the
+    # previous iterate as well would add a whole matrix to the peak
+    M, mask, _ = _low_rank_problem((60, 2000), 4, seed=13)
+    peaks = {}
+    for accel in (False, True):
+        tracemalloc.start()
+        try:
+            svp_complete(M, mask, 4, SvpOptions(max_iters=20, accel=accel))
+            peaks[accel] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[True] <= 1.02 * peaks[False], peaks
 
 
 _SHAPES = [((40, 300), 4), ((300, 40), 4), ((60, 60), 6)]
@@ -250,6 +290,8 @@ _VARIANTS = {
     "plain-1.0": dict(step_size=1.0),
     "plain-0.7": dict(step_size=0.7),
     "momentum": dict(step_size=1.0, accel=True, accel_restart=40),
+    # a cap the 400 iterations never reach: every restart is adaptive
+    "momentum-adaptive": dict(step_size=0.7, accel=True, accel_restart=1000),
     "given-Z0": dict(step_size=1.0),
 }
 
@@ -265,6 +307,8 @@ def test_svp_matches_reference_loop(shape, R, variant):
     diag = _assert_matches_reference(M, mask, R, opts, Z0=Z0)
     # the warm-started basis carried most iterations, not the fallback
     assert 1 <= diag.full_eigh < diag.iterations_run / 2
+    if variant == "momentum-adaptive":
+        assert diag.restarts >= 1
     # later iterations damp an inexact projection out again, so the early
     # iterates are compared too: they show one that the end result hides
     for n in (20, 40):

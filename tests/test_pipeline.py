@@ -182,6 +182,20 @@ def test_iladmc_report_covers_every_pass(monkeypatch):
     assert rep.solver.full_eigh >= rep.outer_iterations
 
 
+def test_iladmc_restarts_sum_over_passes(monkeypatch):
+    X, mask = _two_lines_instance()
+    bursts = _record_bursts(monkeypatch)
+    cfg = LadmcConfig(svp=SvpOptions(step_size=1.0, max_iters=100,
+                                     rel_tol=1e-9, accel=True,
+                                     accel_restart=10),
+                      iladmc_inner_T=30)
+    rep = iladmc(np.where(mask, X, 0.0), mask, 2, cfg)
+    assert len(bursts) == rep.outer_iterations > 1
+    # each 30-step burst reaches the cap of 10 at least twice
+    assert all(b.restarts >= 2 for b in bursts)
+    assert rep.solver.restarts == sum(b.restarts for b in bursts)
+
+
 def test_iladmc_out_of_passes_is_unconverged(monkeypatch):
     X, mask = _two_lines_instance()
     monkeypatch.setattr(pipeline, "ILADMC_MAX_OUTER", 2)
