@@ -203,15 +203,13 @@ def svp_complete(
                 np.matmul(U, U.T @ Y, out=Y)
             else:
                 np.matmul(Y @ U, U.T, out=Y)
-            z_norm = np.linalg.norm(Z)
-            # the step Z_new - Z overwrites Z, which is not needed again
-            np.subtract(Y, Z, out=Z)
-            step = np.linalg.norm(Z)
             if opts.accel:
-                inner = np.vdot(dZ, Z)  # <dZ_old, dZ_new>
-            change = step / max(z_norm, _EPS)
-        # the new iterate, its step, and the old step's buffer as scratch
-        Z, dZ, Y = Y, Z, dZ
+                # <dZ_old, dZ_new>, read before dZ is overwritten
+                inner = np.vdot(dZ, Y) - np.vdot(dZ, Z)
+            np.subtract(Y, Z, out=dZ)
+            step = np.linalg.norm(dZ)
+            change = step / max(np.linalg.norm(Z), _EPS)
+        Z, Y = Y, Z
         if not np.isfinite(change):
             break
         if change < opts.rel_tol:
