@@ -185,6 +185,8 @@ def _cmd_complete(args):
     report_items = {"algorithm": args.algorithm, "order": args.order,
                     "seed": args.seed, "rank_used": rep.rank_used,
                     "iterations": rep.solver.iterations_run,
+                    "restarts": rep.solver.restarts,
+                    "full_eigh": rep.solver.full_eigh,
                     "outer_iterations": rep.outer_iterations,
                     "residual": rep.solver.final_residual,
                     "converged": rep.solver.converged,

@@ -26,6 +26,11 @@ COMBINATORIAL_RETRIES = 50
 MEMBERSHIP_TOL = 1e-10
 # float64 elements per batched work array in build_A (8 MB)
 _CHUNK_FLOATS = 1 << 20
+# constraint blocks per chunk of the streamed identifiability check
+_CHUNK_BLOCKS = 4096
+# smallest lambda_{D-R} / lambda_1 of the projected Gram that certifies the
+# rank; sigma ratio 1e-4, far above both the Gram's and the SVD's rounding
+_GRAM_REL_FLOOR = 1e-8
 
 
 @dataclass
@@ -265,6 +270,53 @@ def build_A(basis_B: np.ndarray, patterns: ConstraintPatterns) -> np.ndarray:
     return A
 
 
+def _pattern_chunks(Upsilon: np.ndarray, R: int) -> list:
+    """(lo, hi) column ranges of whole lifted patterns holding about
+    _CHUNK_BLOCKS constraints each; always at least one range."""
+    counts = np.maximum(Upsilon.sum(axis=0) - R, 0)
+    starts = np.cumsum(counts) - counts
+    cuts = np.flatnonzero(np.diff(starts // _CHUNK_BLOCKS)) + 1
+    bounds = [0, *cuts.tolist(), Upsilon.shape[1]]
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
+def _fold_kernel_chunks(Upsilon, chunks, R, bases, fold) -> list:
+    """Build each chunk's constraints once and call fold(t, A_c) with the
+    chunk's kernel matrix under every trial basis; returns the number of
+    rank-deficient blocks skipped per trial (build_A's own per-call warning
+    is silenced, the caller reports the totals)."""
+    skipped = [0] * len(bases)
+    with warnings.catch_warnings():
+        warnings.filterwarnings(
+            "ignore", message=r"skipped \d+ rank-deficient constraint blocks")
+        for lo, hi in chunks:
+            cp = build_constraint_patterns(Upsilon[:, lo:hi], R)
+            for t, B in enumerate(bases):
+                A_c = build_A(B, cp)
+                skipped[t] += cp.columns.shape[1] - A_c.shape[1]
+                fold(t, A_c)
+    return skipped
+
+
+def _rank_certified(G: np.ndarray, e2: float) -> bool:
+    """True when A is certified to have exactly D-R singular values above
+    RANK_REL_TOL sigma_1(A), given the Gram G of Q_perp^T A and
+    e2 = |Q_B^T A|_F^2.
+
+    sigma_i(A) >= sigma_i(Q_perp^T A) for i <= D-R, sigma_1(A)^2 <=
+    lambda_1(G) + e2, and sigma_{D-R+1}(A) <= |Q_B^T A|_2 <= sqrt(e2) by
+    Weyl, since Q_perp Q_perp^T A has rank <= D-R.  The _GRAM_REL_FLOOR
+    on lambda_{D-R} keeps the Gram's eps-level rounding far from the
+    verdict.
+    """
+    if G.shape[0] == 0:  # R == D: no constraints, the exact pass gives D
+        return False
+    lam = np.linalg.eigvalsh(G)
+    return bool(lam[-1] > 0.0
+                and lam[0] >= _GRAM_REL_FLOOR * (lam[-1] + e2)
+                and e2 <= (RANK_REL_TOL / 2) ** 2 * lam[-1])
+
+
 def check_identifiable_algebraic(
     Omega: np.ndarray,
     R: int,
@@ -280,6 +332,16 @@ def check_identifiable_algebraic(
     space as a stand-in for a generic subspace (all of whose square row
     restrictions are full rank almost surely); an explicit lifted basis may
     be supplied instead for subspace-specific audits.
+
+    The kernel matrix A is never formed whole.  The patterns are walked in
+    chunks of about _CHUNK_BLOCKS constraints, and each chunk's A_c is
+    folded into every trial's small accumulators: with Q = [Q_B, Q_perp]
+    from a complete QR of the basis, the Gram of Q_perp^T A and the energy
+    |Q_B^T A|_F^2 (rounding only, as A^T B = 0).  These certify rank D-R
+    for well-conditioned patterns (see _rank_certified).  A trial that is
+    not certified walks the chunks again through a streamed QR of A^T,
+    whose triangular factor has A's singular values, and takes the rank of
+    that factor.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -290,22 +352,52 @@ def check_identifiable_algebraic(
     if not 1 <= R <= D:
         raise ValueError(
             f"R={R} must satisfy 1 <= R <= D, the lifted dimension D={D}")
-    patterns = build_constraint_patterns(tensorize_mask(Omega, imap), R)
+    Upsilon = tensorize_mask(Omega, imap)
+    chunks = _pattern_chunks(Upsilon, R)
 
-    kernel_dims = []
     rng = np.random.default_rng(seed)
-    n_trials = 1 if basis is not None else trials
-    for _ in range(n_trials):
-        B = basis if basis is not None else rng.standard_normal((D, R))
-        A = build_A(np.asarray(B, dtype=float), patterns)
-        kernel_dims.append(D - numerical_rank(A))
-    identifiable = all(k == R for k in kernel_dims)
+    if basis is not None:
+        bases = [np.asarray(basis, dtype=float)]
+    else:
+        bases = [rng.standard_normal((D, R)) for _ in range(trials)]
+    Qt = [np.linalg.qr(B, mode="complete")[0].T for B in bases]
+    G = np.zeros((len(bases), D - R, D - R))
+    e2 = np.zeros(len(bases))
+
+    def gram(t, A_c):
+        Y = Qt[t] @ A_c
+        G[t] += Y[R:] @ Y[R:].T
+        e2[t] += np.vdot(Y[:R], Y[:R])
+
+    skipped = _fold_kernel_chunks(Upsilon, chunks, R, bases, gram)
+    for t, n in enumerate(skipped):
+        if n:
+            warnings.warn(f"trial {t + 1}: skipped {n} rank-deficient "
+                          f"constraint blocks")
+    kernel_dims = [R] * len(bases)
+    exact = [t for t in range(len(bases)) if not _rank_certified(G[t], e2[t])]
+    if exact:
+        T = [np.zeros((0, D)) for _ in exact]  # R factor of A^T so far
+
+        def tsqr(i, A_c):
+            T[i] = np.linalg.qr(np.vstack([T[i], A_c.T]), mode="r")
+
+        _fold_kernel_chunks(Upsilon, chunks, R, [bases[t] for t in exact],
+                            tsqr)
+        for i, t in enumerate(exact):
+            kernel_dims[t] = D - numerical_rank(T[i])
+    walk = f"{len(chunks)} chunk" + "s" * (len(chunks) != 1)
+    how = [f"trial {t + 1}: "
+           + (f"exact, 2 passes of {walk}" if t in exact
+              else f"certified, {walk}")
+           for t in range(len(bases))]
     return IdentifiabilityVerdict(
-        identifiable=identifiable,
+        identifiable=all(k == R for k in kernel_dims),
         method="algebraic",
         kernel_dim=max(kernel_dims),
-        trials=n_trials,
-        details=f"kernel dims per trial: {kernel_dims} (target {R})",
+        trials=len(bases),
+        details=(f"kernel dims per trial: {kernel_dims} (target {R}); "
+                 + "; ".join(how)),
     )
 
 

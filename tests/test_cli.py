@@ -106,6 +106,8 @@ def test_complete_report_fields_same_for_every_algorithm(tmp_path):
         assert rc == 0
         report = _read_report(out / "report.txt")
         assert report["converged"] in ("True", "False")
+        assert int(report["restarts"]) >= 0
+        assert int(report["full_eigh"]) >= 1  # the first iteration's
         keys[algo] = list(report)
     assert keys["ladmc"] == keys["iladmc"] == keys["lrmc"]
 
@@ -178,6 +180,10 @@ def test_check_two_of_three(tmp_path):
     report = _read_report(out / "verdict.txt")
     assert report["identifiable"] == "no"
     assert report["ell"] == "2"
+    # too few kernel vectors: no trial certifies rank D-R from the Gram
+    assert report["details"].endswith(
+        "trial 1: exact, 2 passes of 1 chunk; trial 2: exact, 2 passes of "
+        "1 chunk; trial 3: exact, 2 passes of 1 chunk")
 
 
 def test_check_four_of_six(tmp_path):
@@ -187,6 +193,10 @@ def test_check_four_of_six(tmp_path):
     report = _read_report(out / "verdict.txt")
     assert report["identifiable"] == "yes"
     assert report["kernel_dim"] == "2"
+    assert report["details"] == (
+        "kernel dims per trial: [2, 2, 2] (target 2); "
+        "trial 1: certified, 1 chunk; trial 2: certified, 1 chunk; "
+        "trial 3: certified, 1 chunk")
 
 
 def test_check_reports_minimum_samples_only(tmp_path):

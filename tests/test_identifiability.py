@@ -1,4 +1,6 @@
 import math
+import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -409,6 +411,138 @@ def test_theorem_endpoints_all_patterns():
             v = check_identifiable_algebraic(gen_all_patterns(d, ell + 2),
                                              R=R, p=2, seed=1)
             assert v.identifiable, (d, R, "m at sufficiency bound")
+
+
+def _uos_basis_5():
+    rng = np.random.default_rng(5)
+    m = build_index_map(5, 2)
+    return spanning_set_uos([rng.standard_normal((5, 1)) for _ in range(2)],
+                            m)
+
+
+# name -> (Omega, R, p, basis); each chunk of _CHUNK_BLOCKS = 5 holds one
+# to three patterns
+_STREAM_CASES = {
+    "identifiable": lambda: (gen_all_patterns(6, 4), 2, 2, None),
+    "not-identifiable": lambda: (gen_all_patterns(6, 3), 5, 2, None),
+    "p3-identifiable": lambda: (gen_all_patterns(4, 3), 4, 3, None),
+    "p3-not-identifiable": lambda: (gen_all_patterns(4, 2), 2, 3, None),
+    "explicit-basis": lambda: (gen_all_patterns(5, 4), 2, 2, _uos_basis_5()),
+    "duplicates": lambda: (np.column_stack(
+        [gen_all_patterns(6, 4), gen_all_patterns(6, 4)[:, 3:9]]), 2, 2, None),
+    "no-constraints": lambda: (gen_all_patterns(5, 2), 3, 2, None),
+    "R-equals-D": lambda: (gen_all_patterns(3, 2), 6, 2, None),
+}
+
+
+def _spy(monkeypatch, name):
+    """Record every output of identifiability.<name>."""
+    outputs = []
+    fn = getattr(identifiability, name)
+
+    def spied(*args):
+        outputs.append(fn(*args))
+        return outputs[-1]
+
+    monkeypatch.setattr(identifiability, name, spied)
+    return outputs
+
+
+@pytest.mark.filterwarnings("ignore:dropped")
+@pytest.mark.parametrize("certified", [True, False],
+                         ids=["certified", "forced-exact"])
+@pytest.mark.parametrize("case", list(_STREAM_CASES))
+def test_streamed_check_matches_dense_rank(monkeypatch, case, certified):
+    # the streamed check reports the kernel dimension of the whole kernel
+    # matrix, built at once under the same trial bases
+    Omega, R, p, basis = _STREAM_CASES[case]()
+    imap = build_index_map(Omega.shape[0], p)
+    cp = build_constraint_patterns(tensorize_mask(Omega, imap), R)
+    rng = np.random.default_rng(4)
+    bases = [basis] if basis is not None else [
+        rng.standard_normal((imap.D, R)) for _ in range(3)]
+    expected = [imap.D - numerical_rank(build_A(B, cp)) for B in bases]
+
+    monkeypatch.setattr(identifiability, "_CHUNK_BLOCKS", 5)
+    if not certified:  # a floor no Gram meets
+        monkeypatch.setattr(identifiability, "_GRAM_REL_FLOOR", np.inf)
+    built = _spy(monkeypatch, "build_constraint_patterns")
+    kernels = _spy(monkeypatch, "build_A")
+    v = check_identifiable_algebraic(Omega, R, p, trials=3, seed=4,
+                                     basis=basis)
+    assert v.details.startswith(f"kernel dims per trial: {expected} ")
+    assert v.kernel_dim == max(expected)
+    assert v.identifiable == all(k == R for k in expected)
+    assert v.trials == len(bases)
+
+    how = re.findall(r"trial \d+: (certified|exact)", v.details)
+    assert len(how) == len(bases)
+    if not certified or any(k != R for k in expected):
+        assert set(how) == {"exact"}
+    elif R < imap.D:
+        assert set(how) == {"certified"}
+    # each chunk's constraints are built once for all trials, and once
+    # more if some trial takes the exact pass
+    n_exact = how.count("exact")
+    passes = 1 + (n_exact > 0)
+    assert len(built) % passes == 0
+    n_chunks = len(built) // passes
+    assert len(kernels) == n_chunks * (len(bases) + n_exact)
+    # the chunks hold whole patterns, in order, and all of them
+    walk = np.concatenate([c.columns for c in built[:n_chunks]], axis=1)
+    np.testing.assert_array_equal(walk, cp.columns)
+    if cp.columns.shape[1] > 5:
+        assert n_chunks > 1
+    walked = f"{n_chunks} chunk" + "s" * (n_chunks != 1)
+    assert f"exact, 2 passes of {walked}" in v.details if n_exact else \
+        f"certified, {walked}" in v.details
+
+
+@pytest.mark.parametrize("certified", [True, False],
+                         ids=["certified", "forced-exact"])
+def test_streamed_check_reports_skipped_blocks_once_per_trial(monkeypatch,
+                                                               certified):
+    # the basis rows of x1^2, x1 x2 and x1 x3 (lifted rows 0-2) are
+    # collinear, so every block of a pattern holding x1, x2 and x3 has that
+    # head and rank < R; those three patterns fall in three chunks
+    Omega, R = gen_all_patterns(6, 4), 3
+    imap = build_index_map(6, 2)
+    B = np.random.default_rng(12).standard_normal((imap.D, R))
+    B[1], B[2] = 2.0 * B[0], -B[0]
+    cp = build_constraint_patterns(tensorize_mask(Omega, imap), R)
+    with pytest.warns(UserWarning, match="rank-deficient"):
+        A = build_A(B, cp)
+    skipped = cp.columns.shape[1] - A.shape[1]
+    assert skipped == 21
+
+    monkeypatch.setattr(identifiability, "_CHUNK_BLOCKS", 5)
+    if not certified:
+        monkeypatch.setattr(identifiability, "_GRAM_REL_FLOOR", np.inf)
+    built = _spy(monkeypatch, "build_constraint_patterns")
+    kernels = _spy(monkeypatch, "build_A")
+    with pytest.warns(UserWarning) as record:
+        v = check_identifiable_algebraic(Omega, R, 2, basis=B)
+    assert [str(w.message) for w in record] == [
+        f"trial 1: skipped {skipped} rank-deficient constraint blocks"]
+    short = [c.columns.shape[1] - A_c.shape[1]
+             for c, A_c in zip(built, kernels)]
+    assert sum(s > 0 for s in short) == (3 if certified else 6)
+    assert v.kernel_dim == imap.D - numerical_rank(A) == R
+    assert ("certified" in v.details) == certified
+
+
+def test_streamed_check_keeps_no_dense_kernel_matrix():
+    # the whole kernel matrix of all 9-of-15 patterns at R=30 is
+    # 120 x 75,075 floats (69 MB); building it at once peaks near 190 MB
+    Omega = gen_all_patterns(15, 9, 1)
+    tracemalloc.start()
+    try:
+        v = check_identifiable_algebraic(Omega, 30, 2, trials=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert v.kernel_dim == 30 and "certified" in v.details
+    assert peak < 40 * 2**20, peak
 
 
 def test_combinatorial_block_fixture():

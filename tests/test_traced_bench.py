@@ -16,8 +16,10 @@ from pathlib import Path
 
 import numpy as np
 
+from ladmc.identifiability import build_constraint_patterns
 from ladmc.io import write_matrix_csv
-from ladmc.synth import gen_mask_uniform, gen_uos
+from ladmc.synth import gen_all_patterns, gen_mask_uniform, gen_uos
+from ladmc.tensorize import build_index_map, tensorize_mask
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -51,3 +53,9 @@ def test_traced_check_reaches_build_A(tmp_path):
                 ["check", "--all-patterns", "--d", "6", "--m", "4",
                  "--rank", "2", "--trials", "1"])
     assert m["identifiability.build_A_s"] > 0
+    # every constraint goes through the wrapped build_constraint_patterns
+    # once, and no trial needs the exact second pass
+    imap = build_index_map(6, 2)
+    cp = build_constraint_patterns(
+        tensorize_mask(gen_all_patterns(6, 4), imap), 2)
+    assert m["identifiability.blocks"] == cp.columns.shape[1] > 0
