@@ -226,13 +226,15 @@ def _kernel_vectors_by_head(basis_B: np.ndarray, rows: np.ndarray):
     return a, certified
 
 
-def build_A(basis_B: np.ndarray, patterns: ConstraintPatterns) -> np.ndarray:
+def build_A(basis_B: np.ndarray, patterns: ConstraintPatterns, *,
+            warn_skipped: bool = True) -> np.ndarray:
     """One kernel vector per constraint pattern, scattered into R^D.
 
     Each constraint restricts the basis to its R+1 rows; the left null
     vector of that (R+1) x R block (unit norm, first nonzero positive) is
-    placed at the pattern's rows.  Rank-deficient blocks are skipped with
-    a warning since they violate genericity.
+    placed at the pattern's rows.  Rank-deficient blocks are skipped, with
+    a warning unless warn_skipped is False, since they violate genericity;
+    the count skipped is patterns.columns.shape[1] - A.shape[1].
 
     The blocks of one source pattern share their first R rows, so each
     distinct R x R head is factored once and applied to all of its extra
@@ -265,7 +267,9 @@ def build_A(basis_B: np.ndarray, patterns: ConstraintPatterns) -> np.ndarray:
             A[rows_j, j] = a_j
     skipped = n - int(keep.sum())
     if skipped:
-        warnings.warn(f"skipped {skipped} rank-deficient constraint blocks")
+        if warn_skipped:
+            warnings.warn(
+                f"skipped {skipped} rank-deficient constraint blocks")
         A = A[:, keep]
     return A
 
@@ -283,18 +287,14 @@ def _pattern_chunks(Upsilon: np.ndarray, R: int) -> list:
 def _fold_kernel_chunks(Upsilon, chunks, R, bases, fold) -> list:
     """Build each chunk's constraints once and call fold(t, A_c) with the
     chunk's kernel matrix under every trial basis; returns the number of
-    rank-deficient blocks skipped per trial (build_A's own per-call warning
-    is silenced, the caller reports the totals)."""
+    rank-deficient blocks skipped per trial, for the caller to report."""
     skipped = [0] * len(bases)
-    with warnings.catch_warnings():
-        warnings.filterwarnings(
-            "ignore", message=r"skipped \d+ rank-deficient constraint blocks")
-        for lo, hi in chunks:
-            cp = build_constraint_patterns(Upsilon[:, lo:hi], R)
-            for t, B in enumerate(bases):
-                A_c = build_A(B, cp)
-                skipped[t] += cp.columns.shape[1] - A_c.shape[1]
-                fold(t, A_c)
+    for lo, hi in chunks:
+        cp = build_constraint_patterns(Upsilon[:, lo:hi], R)
+        for t, B in enumerate(bases):
+            A_c = build_A(B, cp, warn_skipped=False)
+            skipped[t] += cp.columns.shape[1] - A_c.shape[1]
+            fold(t, A_c)
     return skipped
 
 

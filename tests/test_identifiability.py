@@ -440,8 +440,8 @@ def _spy(monkeypatch, name):
     outputs = []
     fn = getattr(identifiability, name)
 
-    def spied(*args):
-        outputs.append(fn(*args))
+    def spied(*args, **kwargs):
+        outputs.append(fn(*args, **kwargs))
         return outputs[-1]
 
     monkeypatch.setattr(identifiability, name, spied)
@@ -494,8 +494,9 @@ def test_streamed_check_matches_dense_rank(monkeypatch, case, certified):
     if cp.columns.shape[1] > 5:
         assert n_chunks > 1
     walked = f"{n_chunks} chunk" + "s" * (n_chunks != 1)
-    assert f"exact, 2 passes of {walked}" in v.details if n_exact else \
-        f"certified, {walked}" in v.details
+    for t, mode in enumerate(how, 1):
+        took = f"2 passes of {walked}" if mode == "exact" else walked
+        assert f"trial {t}: {mode}, {took}" in v.details
 
 
 @pytest.mark.parametrize("certified", [True, False],
@@ -529,6 +530,24 @@ def test_streamed_check_reports_skipped_blocks_once_per_trial(monkeypatch,
     assert sum(s > 0 for s in short) == (3 if certified else 6)
     assert v.kernel_dim == imap.D - numerical_rank(A) == R
     assert ("certified" in v.details) == certified
+
+
+@pytest.mark.parametrize("leak,certified",
+                         [(0.0, True), (1e-12, True), (1e-6, False),
+                          (1.0, False)])
+def test_rank_certificate_agrees_with_dense_rank(leak, certified):
+    # A's part in span(B) is rounding for real kernel vectors; once it
+    # lifts sigma_{D-R+1}(A) above RANK_REL_TOL sigma_1(A) the dense rank
+    # is D and the Gram must not certify D - R
+    rng = np.random.default_rng(13)
+    D, R, n = 12, 3, 40
+    Q = np.linalg.qr(rng.standard_normal((D, R)), mode="complete")[0]
+    A = (Q[:, R:] @ rng.standard_normal((D - R, n))
+         + leak * Q[:, :R] @ rng.standard_normal((R, n)))
+    Y = Q.T @ A
+    assert identifiability._rank_certified(
+        Y[R:] @ Y[R:].T, np.vdot(Y[:R], Y[:R])) == certified
+    assert numerical_rank(A) == (D - R if certified else D)
 
 
 def test_streamed_check_keeps_no_dense_kernel_matrix():
