@@ -6,8 +6,9 @@ top-R eigenvectors of the small-side Gram matrix.  From the second
 iteration on they come from two warm-started subspace steps and a
 Rayleigh–Ritz extraction, seeded with the previous iteration's basis plus
 a few extra vectors; whenever the Ritz residual fails a fixed bound the
-full eigendecomposition runs instead, so every projection is the exact
-one up to rounding.
+full eigendecomposition runs instead, as it does without a warm attempt
+for a fixed number of iterations after such a failure.  So every
+projection is the exact one up to rounding.
 """
 
 from __future__ import annotations
@@ -25,6 +26,10 @@ _SUBSPACE_STEPS = 2
 # residuals |G x - theta x| is at most this fraction of the largest Ritz
 # value; otherwise the iteration runs the full eigendecomposition
 _RITZ_TOL = 1e-12
+# iterations after a rejected warm basis that run the full
+# eigendecomposition without trying one: rejections come in long runs
+# while the iterate is far from rank R, and each costs about half an eigh
+_WARM_BACKOFF = 8
 
 
 @dataclass(frozen=True)
@@ -144,9 +149,10 @@ def svp_complete(
     1..min(M_obs.shape) is rejected.
 
     The projection is the one ``truncated_svd_project`` computes.  The
-    first iteration, and any iteration whose warm-started Ritz basis fails
-    the residual bound, runs the full eigendecomposition; the diagnostics
-    count those iterations in ``full_eigh``.  A step whose iterate
+    first iteration, any iteration whose warm-started Ritz basis fails
+    the residual bound, and the _WARM_BACKOFF iterations after such a
+    failure run the full eigendecomposition; the diagnostics count those
+    iterations in ``full_eigh``.  A step whose iterate
     overflows stops the solve unconverged.
     """
     M_obs = np.asarray(M_obs, dtype=float)
@@ -172,7 +178,7 @@ def svp_complete(
     # Z - Z_prev: the stop test's change and the next momentum term
     dZ = np.zeros_like(Z)
     V = None
-    full_eigh = restarts = 0
+    full_eigh = restarts = backoff = 0
     k = 0
     iters = 0
     converged = False
@@ -189,10 +195,15 @@ def svp_complete(
         # a diverging iterate overflows the Gram first: a stop, not a warning
         with np.errstate(over="ignore", invalid="ignore"):
             G = Y @ Y.T if wide else Y.T @ Y
-            diverged = not np.isfinite(np.trace(G))
-            warm = None if diverged or V is None else _warm_basis(G, V, R)
-            if diverged:
+            if not np.isfinite(np.trace(G)):
                 break  # step size too large; report as unconverged
+            warm = None
+            if backoff:
+                backoff -= 1
+            elif V is not None:
+                warm = _warm_basis(G, V, R)
+                if warm is None:
+                    backoff = _WARM_BACKOFF
             if warm is None:
                 full_eigh += 1
                 _, V = _top_eigvecs(G, n_basis)

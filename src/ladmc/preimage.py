@@ -3,9 +3,15 @@
 For p=2 each lifted vector is unfolded into the symmetric d x d matrix it
 came from, and the principal eigenpair gives the column up to sign.  For
 p=3 the cubical symmetric tensor is gathered and its best rank-one
-approximation is found with the symmetric higher-order power method.  The
-sign is fixed from an observed entry.  The one decomposition per column
-also gives its rank-one gap.
+approximation is found with the symmetric higher-order power method, run
+for all columns at once.  The sign is fixed from an observed entry.  The
+one decomposition per column also gives its rank-one gap.
+
+``unlift_warm`` is the p=2 pre-image of a column whose previous pre-image
+is known, as on every ``iladmc`` pass after the first: a few batched power
+steps from that start, with the exact stacked ``eigh`` of ``unlift`` for
+every column whose Ritz pair fails the acceptance test.  It returns no
+gaps; a reported result comes from ``unlift``.
 """
 
 from __future__ import annotations
@@ -21,6 +27,15 @@ HOPM_ITERS = 100
 HOPM_TOL = 1e-12
 HOPM_RESTARTS = 5
 HOPM_SEED = 0x1AD
+# columns whose gathered cubes are held at once stay below this many floats
+_CUBE_FLOATS = 1 << 20
+
+# Power steps of the warm p=2 pre-image.  A column is accepted when its
+# Ritz residual |S u - lam u| is at most _WARM_TOL |lam| and 2 lam^2 >
+# |S|_F^2, which makes lam the dominant eigenvalue whatever the start;
+# every other column takes the stacked eigh.
+_WARM_STEPS = 8
+_WARM_TOL = 1e-12
 
 
 def assemble_symmetric(T: np.ndarray, imap: TensorIndexMap) -> np.ndarray:
@@ -66,29 +81,82 @@ def resolve_sign(
     return X
 
 
-def _unlift_p2(T: np.ndarray, imap: TensorIndexMap):
-    """Pre-images and gaps of all columns from one stacked ``eigh``.
+def _convention_sign(U: np.ndarray) -> np.ndarray:
+    """Flip each row of U (N x d) in place so that its first nonzero
+    component is positive."""
+    rows = np.arange(U.shape[0])
+    nz = np.abs(U) > 1e-12
+    first = np.argmax(nz, axis=1)
+    U[nz[rows, first] & (U[rows, first] < 0)] *= -1.0
+    return U
+
+
+def _eigh_unlift(S: np.ndarray):
+    """Pre-images (d x N) and gaps of stacked symmetric matrices S
+    (N x d x d) from one stacked ``eigh``.
 
     Ties in a spectrum are broken deterministically by taking the first
     eigenpair (in ascending-eigenvalue order) attaining the largest
     absolute eigenvalue; each eigenvector has its first nonzero component
     positive.
     """
-    N = T.shape[1]
-    w, V = np.linalg.eigh(assemble_symmetric(T, imap))
+    N, d = S.shape[:2]
+    w, V = np.linalg.eigh(S)
     a = np.abs(w)
     cols = np.arange(N)
     top = np.argmax(a, axis=1)
-    U = V[cols, :, top]  # N x d
-    nz = np.abs(U) > 1e-12
-    first = np.argmax(nz, axis=1)
-    U[nz[cols, first] & (U[cols, first] < 0)] *= -1.0
+    U = _convention_sign(V[cols, :, top])  # N x d
     X = np.ascontiguousarray((np.sqrt(a[cols, top])[:, None] * U).T)
     a.sort(axis=1)
     gaps = np.zeros(N)
-    if imap.d > 1:
+    if d > 1:
         np.divide(a[:, -2], a[:, -1], out=gaps, where=a[:, -1] != 0.0)
     return X, gaps
+
+
+def unlift_warm(
+    T: np.ndarray,
+    imap: TensorIndexMap,
+    X_prev: np.ndarray,
+    X_obs: np.ndarray | None = None,
+    mask: np.ndarray | None = None,
+) -> np.ndarray:
+    """The p=2 pre-images of ``unlift``, started from previous ones.
+
+    ``T`` is D x N and ``X_prev`` d x N.  Each column's principal
+    eigenvector is taken from _WARM_STEPS power steps on its unfolded
+    lift S, batched over columns and started at its column of ``X_prev``.
+    A column is accepted when its Ritz pair (lam, u) has |S u - lam u| <=
+    _WARM_TOL |lam| and 2 lam^2 > |S|_F^2; its pre-image is then
+    sqrt(|lam|) u with ``unlift``'s sign convention.  The other columns
+    (among them every zero lift and every zero start) take ``unlift``'s
+    stacked ``eigh``.  Returns the d x N pre-images, signs resolved like
+    ``unlift``'s; no gaps.
+    """
+    S = assemble_symmetric(T, imap)
+    U = np.array(X_prev, dtype=float).T  # N x d
+    if U.shape != S.shape[:2]:
+        raise ValueError(f"previous pre-images {U.T.shape} need shape "
+                         f"{(imap.d, S.shape[0])}")
+    # a zero start or a zero step leaves NaN, which fails the test below
+    with np.errstate(invalid="ignore", divide="ignore"):
+        U /= np.linalg.norm(U, axis=1, keepdims=True)
+        for _ in range(_WARM_STEPS):
+            U = np.matmul(S, U[..., None])[..., 0]
+            U /= np.linalg.norm(U, axis=1, keepdims=True)
+        SU = np.matmul(S, U[..., None])[..., 0]
+        lam = np.einsum("ni,ni->n", U, SU)
+        SU -= lam[:, None] * U
+        ok = ((np.linalg.norm(SU, axis=1) <= _WARM_TOL * np.abs(lam))
+              & (2.0 * lam * lam > np.einsum("nij,nij->n", S, S)))
+    X = np.sqrt(np.abs(lam))[:, None] * _convention_sign(U)
+    X = np.ascontiguousarray(X.T)
+    rest = np.flatnonzero(~ok)
+    if rest.size:
+        X[:, rest] = _eigh_unlift(S[rest])[0]
+    if X_obs is not None and mask is not None:
+        X = resolve_sign(X, X_obs, mask)
+    return X
 
 
 def _cube_index(imap: TensorIndexMap) -> np.ndarray:
@@ -100,45 +168,55 @@ def _cube_index(imap: TensorIndexMap) -> np.ndarray:
     return pos[tuple(np.sort(np.indices((d,) * 3), axis=0))]
 
 
-def _hopm(T: np.ndarray) -> tuple[float, np.ndarray]:
-    """Best-of-restarts symmetric higher-order power method, order 3."""
-    d = T.shape[0]
+def _hopm(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Best-of-restarts symmetric higher-order power method, order 3, on
+    stacked cubes C (n x d x d x d); the dominant pairs (n, n x d).
+
+    Every column runs the same HOPM_RESTARTS seeded starts.  A column stops
+    a restart once its step vanishes or moves it by less than HOPM_TOL, and
+    keeps a restart's pair only if it beats the best so far in |lam|.
+    """
+    n, d = C.shape[:2]
     rng = np.random.default_rng(HOPM_SEED)
-    best_lam, best_u = 0.0, np.zeros(d)
+    best_lam, best_U = np.zeros(n), np.zeros((n, d))
     for _ in range(HOPM_RESTARTS):
         u = rng.standard_normal(d)
-        u /= np.linalg.norm(u)
+        U = np.tile(u / np.linalg.norm(u), (n, 1))
+        live = np.ones(n, dtype=bool)
         for _ in range(HOPM_ITERS):
-            v = np.einsum("ijk,j,k->i", T, u, u)
-            nv = np.linalg.norm(v)
-            if nv == 0.0:
+            V = np.einsum("nijk,nj,nk->ni", C, U, U)
+            nv = np.linalg.norm(V, axis=1)
+            live &= nv != 0.0
+            V /= np.where(live, nv, 1.0)[:, None]
+            moved = np.linalg.norm(V - U, axis=1)
+            U[live] = V[live]
+            live &= moved >= HOPM_TOL
+            if not live.any():
                 break
-            u_new = v / nv
-            if np.linalg.norm(u_new - u) < HOPM_TOL:
-                u = u_new
-                break
-            u = u_new
-        lam = float(np.einsum("ijk,i,j,k->", T, u, u, u))
-        if abs(lam) > abs(best_lam):
-            best_lam, best_u = lam, u
-    return best_lam, best_u
+        lam = np.einsum("nijk,ni,nj,nk->n", C, U, U, U)
+        better = np.abs(lam) > np.abs(best_lam)
+        best_lam[better], best_U[better] = lam[better], U[better]
+    return best_lam, best_U
 
 
 def _unlift_p3(T: np.ndarray, imap: TensorIndexMap):
-    """Pre-images and gaps from one HOPM run per column."""
+    """Pre-images and gaps from one batched HOPM run over the columns, in
+    blocks whose gathered cubes stay below _CUBE_FLOATS."""
     idx = _cube_index(imap)
-    N = T.shape[1]
-    X = np.zeros((imap.d, N))
+    d, N = imap.d, T.shape[1]
+    X = np.zeros((d, N))
     gaps = np.zeros(N)
-    for n in range(N):
-        cube = T[idx, n]
-        lam, u = _hopm(cube)
-        X[:, n] = np.cbrt(lam) * u
-        if lam == 0.0:
-            gaps[n] = np.inf if np.any(cube) else 0.0
-        else:
-            rest = max(float(np.sum(cube * cube) - lam * lam), 0.0)
-            gaps[n] = np.sqrt(rest) / abs(lam)
+    block = max(1, _CUBE_FLOATS // d**3)
+    for lo in range(0, N, block):
+        cols = slice(lo, min(lo + block, N))
+        C = T.T[cols][:, idx]  # n x d x d x d
+        lam, U = _hopm(C)
+        X[:, cols] = (np.cbrt(lam)[:, None] * U).T
+        sq = np.einsum("nijk,nijk->n", C, C)
+        rest = np.sqrt(np.maximum(sq - lam * lam, 0.0))
+        g = np.where(C.any(axis=(1, 2, 3)), np.inf, 0.0)
+        np.divide(rest, np.abs(lam), out=g, where=lam != 0.0)
+        gaps[cols] = g
     return X, gaps
 
 
@@ -164,7 +242,7 @@ def unlift(
     if T.ndim != 2 or T.shape[0] != imap.D:
         raise ValueError(f"lifted matrix shape {T.shape} needs {imap.D} rows")
     if imap.p == 2:
-        X, gaps = _unlift_p2(T, imap)
+        X, gaps = _eigh_unlift(assemble_symmetric(T, imap))
     elif imap.p == 3:
         X, gaps = _unlift_p3(T, imap)
     else:

@@ -341,15 +341,51 @@ def test_svp_first_iteration_takes_full_eigh(monkeypatch):
 
 def test_svp_failed_ritz_residual_takes_full_eigh(monkeypatch):
     # a bound no residual meets sends every iteration to the full eigh,
-    # with the same result
+    # with the same result; after each rejection the next _WARM_BACKOFF
+    # iterations make no attempt
     calls = _spy_warm(monkeypatch)
     monkeypatch.setattr(lrmc, "_RITZ_TOL", -1.0)
     M, mask, _ = _low_rank_problem((40, 300), 4, seed=2)
     opts = SvpOptions(max_iters=60, rel_tol=1e-9)
     diag = _assert_matches_reference(M, mask, 4, opts)
     assert diag.full_eigh == diag.iterations_run
-    assert len(calls) == diag.iterations_run - 1
+    assert len(calls) == len(range(2, diag.iterations_run + 1,
+                                   lrmc._WARM_BACKOFF + 1))
     assert all(failed for _, failed in calls)
+
+
+def test_svp_backoff_skips_warm_attempts_not_exactness(monkeypatch):
+    # Rejections come in a run while the iterate is far from rank R.  The
+    # back-off makes fewer attempts than trying on every iteration, each
+    # attempt has the outcome it has there, and the iterates agree.
+    backoff = lrmc._WARM_BACKOFF
+    assert backoff >= 1
+    calls = _spy_warm(monkeypatch)
+    M, mask, _ = _low_rank_problem((30, 200), 8, seed=1)
+    opts = SvpOptions(max_iters=150, rel_tol=1e-10)
+    monkeypatch.setattr(lrmc, "_WARM_BACKOFF", 0)
+    Z_every, diag_every = svp_complete(M, mask, 8, opts)
+    every = [failed for _, failed in calls]
+    assert diag_every.full_eigh == 1 + sum(every)
+    assert sum(every) >= 2 * backoff and not all(every)
+
+    calls.clear()
+    monkeypatch.setattr(lrmc, "_WARM_BACKOFF", backoff)
+    Z, diag = svp_complete(M, mask, 8, opts)
+    tried, skip = [], 0
+    for failed in every:
+        if skip:
+            skip -= 1
+            continue
+        tried.append(failed)
+        skip = backoff if failed else 0
+    assert [failed for _, failed in calls] == tried
+    assert len(tried) < len(every)
+    assert diag.iterations_run == diag_every.iterations_run
+    # every iteration without an accepted warm basis ran the full eigh
+    accepted = len(tried) - sum(tried)
+    assert diag.full_eigh == diag.iterations_run - accepted
+    assert np.linalg.norm(Z - Z_every) <= 1e-12 * np.linalg.norm(Z_every)
 
 
 def test_warm_basis_accepts_eigenbasis_rejects_random():

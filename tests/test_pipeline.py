@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ladmc import pipeline
+from ladmc import pipeline, preimage
 from ladmc.lrmc import SvpOptions
 from ladmc.pipeline import (
     LadmcConfig,
@@ -12,6 +12,7 @@ from ladmc.pipeline import (
     nrmse,
 )
 from ladmc.synth import gen_mask_uniform, gen_uos
+from ladmc.preimage import unlift
 from ladmc.tensorize import build_index_map, tensorize_matrix
 
 
@@ -180,6 +181,54 @@ def test_iladmc_report_covers_every_pass(monkeypatch):
     # every pass starts with a full eigendecomposition; the count sums them
     assert rep.solver.full_eigh == sum(b.full_eigh for b in bursts)
     assert rep.solver.full_eigh >= rep.outer_iterations
+
+
+@pytest.mark.parametrize("augment", [False, True], ids=["raw", "augment-ones"])
+def test_iladmc_result_does_not_depend_on_warm_unlift(monkeypatch, augment):
+    # with a constant row the lifts of two lines through the origin share
+    # the constant monomial: rank 1 + 2 + 2
+    X, mask = _two_lines_instance()
+    R = 5 if augment else 2
+    cfg = _cfg(iters=100, iladmc_inner_T=30, augment_ones=augment)
+    lifts, eigh_columns = [], []
+    solve, exact = pipeline.svp_complete, preimage._eigh_unlift
+
+    def recorded(*args, **kwargs):
+        Z, diag = solve(*args, **kwargs)
+        lifts.append(Z)
+        return Z, diag
+
+    def counted(S):
+        eigh_columns.append(S.shape[0])
+        return exact(S)
+
+    monkeypatch.setattr(pipeline, "svp_complete", recorded)
+    monkeypatch.setattr(preimage, "_eigh_unlift", counted)
+    runs = []
+    for warm_tol in (preimage._WARM_TOL, -1.0):
+        # a negative tolerance sends every column of a warm pass to eigh
+        monkeypatch.setattr(preimage, "_WARM_TOL", warm_tol)
+        lifts.clear()
+        eigh_columns.clear()
+        rep = iladmc(np.where(mask, X, 0.0), mask, R, cfg)
+        runs.append((rep, list(eigh_columns)))
+        # the gaps are those of an exact unlift of the last lifted estimate
+        imap = build_index_map(X.shape[0] + augment, 2)
+        np.testing.assert_array_equal(rep.per_column_rank1_ratio,
+                                      unlift(lifts[-1], imap)[1])
+    (warm, warm_eigh), (forced, forced_eigh) = runs
+    N = X.shape[1]
+    assert warm.outer_iterations > 2
+    # pass 1 and the closing exact unlift take every column; warm passes
+    # settle some of theirs, the forced run none
+    assert warm_eigh[0] == warm_eigh[-1] == N
+    assert sum(warm_eigh[1:-1]) < N * (warm.outer_iterations - 1) / 2
+    assert forced_eigh == [N] * (forced.outer_iterations + 1)
+    assert ((warm.outer_iterations, warm.solver.iterations_run,
+             warm.solver.full_eigh)
+            == (forced.outer_iterations, forced.solver.iterations_run,
+                forced.solver.full_eigh))
+    np.testing.assert_allclose(warm.X_hat, forced.X_hat, rtol=0, atol=1e-10)
 
 
 def test_iladmc_restarts_sum_over_passes(monkeypatch):

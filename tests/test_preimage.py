@@ -158,27 +158,154 @@ def test_unlift_matches_column_reference():
     assert np.any(X != unlift(T, m)[0])
 
 
-def test_unlift_p3_one_hopm_per_column(monkeypatch):
+def _reference_hopm(cube):
+    """Best-of-restarts symmetric HOPM on one cube: the per-column loop
+    that the batched ``_hopm`` replaced."""
+    d = cube.shape[0]
+    rng = np.random.default_rng(preimage.HOPM_SEED)
+    best_lam, best_u = 0.0, np.zeros(d)
+    for _ in range(preimage.HOPM_RESTARTS):
+        u = rng.standard_normal(d)
+        u /= np.linalg.norm(u)
+        for _ in range(preimage.HOPM_ITERS):
+            v = np.einsum("ijk,j,k->i", cube, u, u)
+            nv = np.linalg.norm(v)
+            if nv == 0.0:
+                break
+            u_new = v / nv
+            if np.linalg.norm(u_new - u) < preimage.HOPM_TOL:
+                u = u_new
+                break
+            u = u_new
+        lam = float(np.einsum("ijk,i,j,k->", cube, u, u, u))
+        if abs(lam) > abs(best_lam):
+            best_lam, best_u = lam, u
+    return best_lam, best_u
+
+
+def _reference_unlift_p3(T, m):
+    idx = preimage._cube_index(m)
+    X, gaps = np.zeros((m.d, T.shape[1])), np.zeros(T.shape[1])
+    for n in range(T.shape[1]):
+        cube = T[idx, n]
+        lam, u = _reference_hopm(cube)
+        X[:, n] = np.cbrt(lam) * u
+        if lam == 0.0:
+            gaps[n] = np.inf if np.any(cube) else 0.0
+        else:
+            rest = max(float(np.sum(cube * cube) - lam * lam), 0.0)
+            gaps[n] = np.sqrt(rest) / abs(lam)
+    return X, gaps
+
+
+@pytest.mark.parametrize("block_columns", [None, 2])
+def test_unlift_p3_batched_hopm_matches_per_column(monkeypatch, block_columns):
     m = build_index_map(4, 3)
     rng = np.random.default_rng(12)
     xs = rng.standard_normal((4, 6))
-    T, _ = tensorize_matrix(xs, np.ones_like(xs, dtype=bool), m)
-    calls = []
-    hopm = preimage._hopm
-
-    def counting(cube):
-        calls.append(cube)
-        return hopm(cube)
-
-    monkeypatch.setattr(preimage, "_hopm", counting)
-    X, gaps = unlift(T, m, xs, np.ones_like(xs, dtype=bool))
-    assert len(calls) == 6
-    np.testing.assert_allclose(X, xs, atol=1e-8)
-    assert np.all(gaps < 1e-5)
+    T_rank1, _ = tensorize_matrix(xs, np.ones_like(xs, dtype=bool), m)
     # the gathered cube is the symmetric tensor of x
     np.testing.assert_allclose(
-        calls[0], np.einsum("i,j,k->ijk", xs[:, 0], xs[:, 0], xs[:, 0]),
-        atol=1e-12)
+        T_rank1[preimage._cube_index(m), 0],
+        np.einsum("i,j,k->ijk", xs[:, 0], xs[:, 0], xs[:, 0]), atol=1e-12)
+    # Columns on which HOPM converges: on a generic cube it may wander for
+    # all its steps, and where it ends is then decided by rounding.  On an
+    # orthogonally decomposable cube the restarts reach different terms,
+    # so the pick of the best restart is exercised.
+    odeco = []
+    for _ in range(3):
+        Q = np.linalg.qr(rng.standard_normal((4, 4)))[0]
+        cube = sum(w * np.einsum("i,j,k->ijk", q, q, q)
+                   for w, q in zip((2.0, 1.6, -1.8), Q.T))
+        odeco.append(cube[tuple(m.entries.T)])
+    T = np.column_stack([
+        T_rank1,                                  # stop in a few steps
+        T_rank1[:, :3] + 1e-3 * rng.standard_normal((m.D, 3)),  # near
+        *odeco,
+        np.zeros(m.D),                            # zero step at once
+    ])
+    if block_columns:
+        monkeypatch.setattr(preimage, "_CUBE_FLOATS", block_columns * 4**3)
+    X, gaps = unlift(T, m)
+    X_ref, gaps_ref = _reference_unlift_p3(T, m)
+    np.testing.assert_allclose(X, X_ref, rtol=0, atol=1e-10)
+    # an exact rank-one gap is the root of a rounding-level difference, so
+    # gaps agree to about the square root of the rounding
+    np.testing.assert_allclose(gaps, gaps_ref, rtol=1e-10, atol=1e-6)
+    assert gaps[-1] == 0.0 and np.all(X[:, -1] == 0.0)
+    X, gaps = unlift(T_rank1, m, xs, np.ones_like(xs, dtype=bool))
+    np.testing.assert_allclose(X, xs, atol=1e-8)
+    assert np.all(gaps < 1e-5)
+
+
+def _spy_eigh(monkeypatch):
+    """The stacked matrices of every exact eigh in the pre-image."""
+    stacks = []
+    exact = preimage._eigh_unlift
+
+    def spied(S):
+        stacks.append(S.copy())
+        return exact(S)
+
+    monkeypatch.setattr(preimage, "_eigh_unlift", spied)
+    return stacks
+
+
+def test_unlift_warm_matches_unlift(monkeypatch):
+    # Warm pre-images agree with the exact ones column by column to 1e-10
+    # relative: an accepted Ritz residual of 1e-12 |lam| with a gap near
+    # |lam| bounds the angle by about 1e-12.
+    rng = np.random.default_rng(21)
+    d, N = 6, 40
+    m = build_index_map(d, 2)
+    xs = rng.standard_normal((d, N))
+    T = tensorize_matrix(xs, np.ones_like(xs, dtype=bool), m)[0]
+    T += 1e-4 * np.linalg.norm(T, axis=0) * rng.standard_normal(T.shape)
+    prev = xs + 1e-2 * rng.standard_normal(xs.shape)
+    special = {}
+    # a start on the second eigenvector stays there: the residual test
+    # passes and the dominance test must reject it
+    Q = np.linalg.qr(rng.standard_normal((d, d)))[0]
+    special["second"] = (_lift_symmetric(Q @ np.diag([3, 2, 0, 0, 0, 0.5]) @ Q.T, m),
+                         Q[:, 1])
+    # |lam_1| = |lam_2| exactly: eigh takes the first in ascending order
+    special["tie"] = (_lift_symmetric(np.diag([1.0, -1, 0, 0, 0, 0]), m),
+                      np.eye(d)[0])
+    special["zero lift"] = (np.zeros(m.D), rng.standard_normal(d))
+    special["zero start"] = (T[:, 0].copy(), np.zeros(d))
+    # a dominant negative eigenvalue passes both tests, which use |lam|
+    # and lam^2; its pre-image is sqrt(|lam|) u like eigh's
+    special["negative"] = (-T[:, 1], prev[:, 1])
+    must_fall_back = ["second", "tie", "zero lift", "zero start"]
+    T = np.column_stack([T] + [t for t, _ in special.values()])
+    prev = np.column_stack([prev] + [u for _, u in special.values()])
+    X_obs = np.where(rng.random(T.shape[1]) < 0.5, -1.0, 1.0) * np.column_stack(
+        [xs] + [np.zeros(d)] * len(special))
+    mask = rng.random(X_obs.shape) < 0.5
+    X_exact, _ = unlift(T, m, X_obs, mask)
+    stacks = _spy_eigh(monkeypatch)
+    X = preimage.unlift_warm(T, m, prev, X_obs, mask)
+    fell_back = [N + list(special).index(k) for k in must_fall_back]
+    assert len(stacks) == 1
+    np.testing.assert_array_equal(stacks[0],
+                                  assemble_symmetric(T[:, fell_back], m))
+    scale = np.maximum(np.linalg.norm(X_exact, axis=0), 1e-300)
+    assert np.all(np.linalg.norm(X - X_exact, axis=0) <= 1e-10 * scale)
+    np.testing.assert_array_equal(X[:, fell_back], X_exact[:, fell_back])
+    np.testing.assert_array_equal(X[:, N + 1], [0, 1, 0, 0, 0, 0])
+    assert np.all(X[:, N + 2] == 0.0)
+    # signs follow the observed entries, as in unlift
+    flipped = preimage.unlift_warm(T, m, prev)
+    assert np.any(np.sign(flipped) != np.sign(X))
+
+
+def test_unlift_warm_rejects_bad_input():
+    m = build_index_map(3, 2)
+    with pytest.raises(ValueError, match="previous pre-images"):
+        preimage.unlift_warm(np.zeros((m.D, 4)), m, np.zeros((3, 5)))
+    with pytest.raises(ValueError, match="requires p=2"):
+        m3 = build_index_map(3, 3)
+        preimage.unlift_warm(np.zeros((m3.D, 4)), m3, np.zeros((3, 4)))
 
 
 def test_unlift_shape_errors():
