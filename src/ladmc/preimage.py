@@ -91,17 +91,16 @@ def _convention_sign(U: np.ndarray) -> np.ndarray:
     return U
 
 
-def _eigh_unlift(S: np.ndarray):
-    """Pre-images (d x N) and gaps of stacked symmetric matrices S
-    (N x d x d) from one stacked ``eigh``.
+def _unlift_p2(T: np.ndarray, imap: TensorIndexMap):
+    """Pre-images and gaps of all columns from one stacked ``eigh``.
 
     Ties in a spectrum are broken deterministically by taking the first
     eigenpair (in ascending-eigenvalue order) attaining the largest
     absolute eigenvalue; each eigenvector has its first nonzero component
     positive.
     """
-    N, d = S.shape[:2]
-    w, V = np.linalg.eigh(S)
+    N = T.shape[1]
+    w, V = np.linalg.eigh(assemble_symmetric(T, imap))
     a = np.abs(w)
     cols = np.arange(N)
     top = np.argmax(a, axis=1)
@@ -109,7 +108,7 @@ def _eigh_unlift(S: np.ndarray):
     X = np.ascontiguousarray((np.sqrt(a[cols, top])[:, None] * U).T)
     a.sort(axis=1)
     gaps = np.zeros(N)
-    if d > 1:
+    if imap.d > 1:
         np.divide(a[:, -2], a[:, -1], out=gaps, where=a[:, -1] != 0.0)
     return X, gaps
 
@@ -133,6 +132,7 @@ def unlift_warm(
     stacked ``eigh``.  Returns the d x N pre-images, signs resolved like
     ``unlift``'s; no gaps.
     """
+    T = np.asarray(T, dtype=float)
     S = assemble_symmetric(T, imap)
     U = np.array(X_prev, dtype=float).T  # N x d
     if U.shape != S.shape[:2]:
@@ -153,7 +153,7 @@ def unlift_warm(
     X = np.ascontiguousarray(X.T)
     rest = np.flatnonzero(~ok)
     if rest.size:
-        X[:, rest] = _eigh_unlift(S[rest])[0]
+        X[:, rest] = _unlift_p2(T[:, rest], imap)[0]
     if X_obs is not None and mask is not None:
         X = resolve_sign(X, X_obs, mask)
     return X
@@ -242,7 +242,7 @@ def unlift(
     if T.ndim != 2 or T.shape[0] != imap.D:
         raise ValueError(f"lifted matrix shape {T.shape} needs {imap.D} rows")
     if imap.p == 2:
-        X, gaps = _eigh_unlift(assemble_symmetric(T, imap))
+        X, gaps = _unlift_p2(T, imap)
     elif imap.p == 3:
         X, gaps = _unlift_p3(T, imap)
     else:

@@ -191,19 +191,19 @@ def test_iladmc_result_does_not_depend_on_warm_unlift(monkeypatch, augment):
     R = 5 if augment else 2
     cfg = _cfg(iters=100, iladmc_inner_T=30, augment_ones=augment)
     lifts, eigh_columns = [], []
-    solve, exact = pipeline.svp_complete, preimage._eigh_unlift
+    solve, exact = pipeline.svp_complete, preimage._unlift_p2
 
     def recorded(*args, **kwargs):
         Z, diag = solve(*args, **kwargs)
         lifts.append(Z)
         return Z, diag
 
-    def counted(S):
-        eigh_columns.append(S.shape[0])
-        return exact(S)
+    def counted(T, imap):
+        eigh_columns.append(T.shape[1])
+        return exact(T, imap)
 
     monkeypatch.setattr(pipeline, "svp_complete", recorded)
-    monkeypatch.setattr(preimage, "_eigh_unlift", counted)
+    monkeypatch.setattr(preimage, "_unlift_p2", counted)
     runs = []
     for warm_tol in (preimage._WARM_TOL, -1.0):
         # a negative tolerance sends every column of a warm pass to eigh
