@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .preimage import _convention_sign
 from .tensorize import (TensorIndexMap, build_index_map, tensor_dimension,
                         tensorize_column, tensorize_mask)
 
@@ -164,11 +165,7 @@ def _kernel_vector_svd(block: np.ndarray) -> np.ndarray | None:
     U, s, _ = np.linalg.svd(block, full_matrices=True)
     if s.size < R or s[-1] <= RANK_REL_TOL * s[0]:
         return None
-    a = U[:, -1]
-    nz = np.nonzero(np.abs(a) > 1e-12)[0]
-    if nz.size and a[nz[0]] < 0:
-        a = -a
-    return a
+    return _convention_sign(U[None, :, -1])[0]
 
 
 def _kernel_vectors_by_head(basis_B: np.ndarray, rows: np.ndarray):
@@ -214,9 +211,7 @@ def _kernel_vectors_by_head(basis_B: np.ndarray, rows: np.ndarray):
         a[order[lo:hi], :R] = -(extra @ H_inv)[g, k]
 
     a /= np.linalg.norm(a, axis=1, keepdims=True)
-    big = np.abs(a) > 1e-12
-    lead = a[np.arange(n), np.argmax(big, axis=1)]
-    a[big.any(axis=1) & (lead < 0)] *= -1.0
+    _convention_sign(a)
 
     row_sq = np.einsum("ij,ij->i", basis_B, basis_B)
     block_norm = np.sqrt(row_sq[rows].sum(axis=1))
@@ -226,15 +221,14 @@ def _kernel_vectors_by_head(basis_B: np.ndarray, rows: np.ndarray):
     return a, certified
 
 
-def build_A(basis_B: np.ndarray, patterns: ConstraintPatterns, *,
-            warn_skipped: bool = True) -> np.ndarray:
+def build_A(basis_B: np.ndarray, patterns: ConstraintPatterns) -> np.ndarray:
     """One kernel vector per constraint pattern, scattered into R^D.
 
     Each constraint restricts the basis to its R+1 rows; the left null
     vector of that (R+1) x R block (unit norm, first nonzero positive) is
-    placed at the pattern's rows.  Rank-deficient blocks are skipped, with
-    a warning unless warn_skipped is False, since they violate genericity;
-    the count skipped is patterns.columns.shape[1] - A.shape[1].
+    placed at the pattern's rows.  Rank-deficient blocks violate genericity
+    and are skipped without a warning; the count skipped is
+    patterns.columns.shape[1] - A.shape[1].
 
     The blocks of one source pattern share their first R rows, so each
     distinct R x R head is factored once and applied to all of its extra
@@ -265,13 +259,7 @@ def build_A(basis_B: np.ndarray, patterns: ConstraintPatterns, *,
             keep[j] = False
         else:
             A[rows_j, j] = a_j
-    skipped = n - int(keep.sum())
-    if skipped:
-        if warn_skipped:
-            warnings.warn(
-                f"skipped {skipped} rank-deficient constraint blocks")
-        A = A[:, keep]
-    return A
+    return A if keep.all() else A[:, keep]
 
 
 def _pattern_chunks(Upsilon: np.ndarray, R: int) -> list:
@@ -292,7 +280,7 @@ def _fold_kernel_chunks(Upsilon, chunks, R, bases, fold) -> list:
     for lo, hi in chunks:
         cp = build_constraint_patterns(Upsilon[:, lo:hi], R)
         for t, B in enumerate(bases):
-            A_c = build_A(B, cp, warn_skipped=False)
+            A_c = build_A(B, cp)
             skipped[t] += cp.columns.shape[1] - A_c.shape[1]
             fold(t, A_c)
     return skipped

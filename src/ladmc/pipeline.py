@@ -15,7 +15,7 @@ import numpy as np
 
 from .lrmc import SolveDiagnostics, SvpOptions, svp_complete
 # preimage_column and rank1_gap stay importable here: perfbench/traced.py wraps them
-from .preimage import preimage_column, rank1_gap, unlift, unlift_warm  # noqa: F401
+from .preimage import preimage_column, rank1_gap, unlift  # noqa: F401
 from .tensorize import augment_ones, build_index_map, tensorize_matrix
 
 ALGORITHMS = ("ladmc", "iladmc", "lrmc")
@@ -83,8 +83,10 @@ def _resolve_rank(rank, T_obs: np.ndarray) -> int:
 
 def _checked_input(X_obs, mask, rank):
     """The input as arrays; a bad rank or non-finite observation raises."""
+    # bool is an int subclass, but True is no rank
     if not (isinstance(rank, str) and rank == "auto"
-            or isinstance(rank, (int, np.integer)) and rank >= 1):
+            or isinstance(rank, (int, np.integer))
+            and not isinstance(rank, bool) and rank >= 1):
         raise ValueError(f"rank must be 'auto' or an int >= 1, got {rank!r}")
     X_obs = np.asarray(X_obs, dtype=float)
     mask = np.asarray(mask, dtype=bool)
@@ -116,14 +118,9 @@ def _complete_lifted(X_obs, mask, rank, cfg, X_true, max_passes, pass_iters):
     The first pass starts SVP from the zero-filled lift; each later pass
     starts it from the lift of the previous estimate.  With augment_ones
     the constant row is refilled to 1 on every pass like any observed
-    entry and dropped from the result.
-
-    The first pass unlifts with ``unlift``.  At p=2 each later pass takes
-    ``unlift_warm`` from the previous estimate instead: warm power steps,
-    with the exact stacked ``eigh`` for every column they do not settle.
-    When the run ends on such a pass, one exact ``unlift`` of its lifted
-    estimate gives the result and the rank-one gaps, so neither depends
-    on the warm steps.
+    entry and dropped from the result.  Every pass unlifts its own lifted
+    estimate with ``unlift``; the last pass gives the result and the
+    rank-one gaps.
     """
     X_obs, mask = _checked_input(X_obs, mask, rank)
     X_in, mask_in = (augment_ones(X_obs, mask) if cfg.augment_ones
@@ -144,19 +141,12 @@ def _complete_lifted(X_obs, mask, rank, cfg, X_true, max_passes, pass_iters):
         total_iters += diag.iterations_run
         total_eigh += diag.full_eigh
         total_restarts += diag.restarts
-        warm = outer > 1 and cfg.p == 2
-        if warm:
-            X_new = unlift_warm(T_hat, imap, X_cur, X_in, mask_in)
-        else:
-            X_new, ratios = unlift(T_hat, imap, X_in, mask_in)
+        X_new, ratios = unlift(T_hat, imap, X_in, mask_in)
         X_new[mask_in] = X_in[mask_in]
         change = np.linalg.norm(X_new - X_cur) / max(np.linalg.norm(X_cur), 1e-30)
         X_cur = X_new
         if change < ILADMC_REL_TOL:
             break
-    if warm:
-        X_cur, ratios = unlift(T_hat, imap, X_in, mask_in)
-        X_cur[mask_in] = X_in[mask_in]
     X_hat = X_cur[1:] if cfg.augment_ones else X_cur
     # the solver fields describe the whole run, not the last pass: a
     # single pass converges with its SVP solve, several passes once a

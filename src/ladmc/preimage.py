@@ -1,17 +1,15 @@
 """Recover columns from their completed lifted vectors.
 
-For p=2 each lifted vector is unfolded into the symmetric d x d matrix it
-came from, and the principal eigenpair gives the column up to sign.  For
-p=3 the cubical symmetric tensor is gathered and its best rank-one
-approximation is found with the symmetric higher-order power method, run
-for all columns at once.  The sign is fixed from an observed entry.  The
-one decomposition per column also gives its rank-one gap.
-
-``unlift_warm`` is the p=2 pre-image of a column whose previous pre-image
-is known, as on every ``iladmc`` pass after the first: a few batched power
-steps from that start, with the exact stacked ``eigh`` of ``unlift`` for
-every column whose Ritz pair fails the acceptance test.  It returns no
-gaps; a reported result comes from ``unlift``.
+For p=2 each lifted vector is unfolded into the symmetric d x d matrix S it
+came from, and the principal eigenpair gives the column up to sign.  It is
+taken from a few power steps batched over the columns, each started at the
+column of S that holds its largest |diagonal| entry (for a rank-one lift
+lam x x^T that column is proportional to x); a column whose Ritz pair fails
+the acceptance test takes a stacked ``eigh`` instead.  For p=3 the cubical
+symmetric tensor is gathered and its best rank-one approximation is found
+with the symmetric higher-order power method, run for all columns at once.
+The sign is fixed from an observed entry.  Each column's rank-one gap is
+read from its one decomposition.
 """
 
 from __future__ import annotations
@@ -30,12 +28,12 @@ HOPM_SEED = 0x1AD
 # columns whose gathered cubes are held at once stay below this many floats
 _CUBE_FLOATS = 1 << 20
 
-# Power steps of the warm p=2 pre-image.  A column is accepted when its
-# Ritz residual |S u - lam u| is at most _WARM_TOL |lam| and 2 lam^2 >
-# |S|_F^2, which makes lam the dominant eigenvalue whatever the start;
-# every other column takes the stacked eigh.
-_WARM_STEPS = 8
-_WARM_TOL = 1e-12
+# Power steps of the p=2 pre-image.  A column is accepted when its Ritz
+# residual |S u - lam u| is at most _POWER_TOL |lam| and 2 lam^2 > |S|_F^2,
+# which makes lam the dominant eigenvalue whatever the start; every other
+# column takes the stacked eigh.
+_POWER_STEPS = 8
+_POWER_TOL = 1e-12
 
 
 def assemble_symmetric(T: np.ndarray, imap: TensorIndexMap) -> np.ndarray:
@@ -82,8 +80,8 @@ def resolve_sign(
 
 
 def _convention_sign(U: np.ndarray) -> np.ndarray:
-    """Flip each row of U (N x d) in place so that its first nonzero
-    component is positive."""
+    """Flip each row of U (N x d) in place so that its first component
+    above 1e-12 in magnitude is positive; a row with none is kept."""
     rows = np.arange(U.shape[0])
     nz = np.abs(U) > 1e-12
     first = np.argmax(nz, axis=1)
@@ -91,72 +89,62 @@ def _convention_sign(U: np.ndarray) -> np.ndarray:
     return U
 
 
-def _unlift_p2(T: np.ndarray, imap: TensorIndexMap):
-    """Pre-images and gaps of all columns from one stacked ``eigh``.
+def _eigh_p2(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dominant eigenpairs (n, n x d) of stacked symmetric matrices S
+    (n x d x d) from one stacked ``eigh``.
 
     Ties in a spectrum are broken deterministically by taking the first
     eigenpair (in ascending-eigenvalue order) attaining the largest
-    absolute eigenvalue; each eigenvector has its first nonzero component
-    positive.
+    absolute eigenvalue; each eigenvector gets ``_convention_sign``.
     """
-    N = T.shape[1]
-    w, V = np.linalg.eigh(assemble_symmetric(T, imap))
-    a = np.abs(w)
-    cols = np.arange(N)
-    top = np.argmax(a, axis=1)
-    U = _convention_sign(V[cols, :, top])  # N x d
-    X = np.ascontiguousarray((np.sqrt(a[cols, top])[:, None] * U).T)
-    a.sort(axis=1)
-    gaps = np.zeros(N)
-    if imap.d > 1:
-        np.divide(a[:, -2], a[:, -1], out=gaps, where=a[:, -1] != 0.0)
-    return X, gaps
+    w, V = np.linalg.eigh(S)
+    cols = np.arange(S.shape[0])
+    top = np.argmax(np.abs(w), axis=1)
+    return w[cols, top], _convention_sign(V[cols, :, top])
 
 
-def unlift_warm(
-    T: np.ndarray,
-    imap: TensorIndexMap,
-    X_prev: np.ndarray,
-    X_obs: np.ndarray | None = None,
-    mask: np.ndarray | None = None,
-) -> np.ndarray:
-    """The p=2 pre-images of ``unlift``, started from previous ones.
+def _rank1_gaps(L: np.ndarray, lam: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """|L - lam u^(x)p|_F / |lam| for stacked symmetric tensors L (n x d^p,
+    p = 2 or 3) and their rank-one pairs (n, n x d): 0 for a zero L, inf for
+    a nonzero L with lam = 0.  L is overwritten with the residual."""
+    n, d = U.shape
+    tail = U if L.ndim == 3 else U[:, :, None] * U[:, None, :]
+    head = (lam[:, None] * U).reshape((n, d) + (1,) * (L.ndim - 2))
+    for i in range(d):  # one slice at a time: no second n x d^p array
+        L[:, i] -= head[:, i] * tail
+    flat = L.reshape(n, d ** (L.ndim - 1))
+    res = np.sqrt(np.einsum("ni,ni->n", flat, flat))
+    gaps = np.where(res > 0.0, np.inf, 0.0)
+    np.divide(res, np.abs(lam), out=gaps, where=lam != 0.0)
+    return gaps
 
-    ``T`` is D x N and ``X_prev`` d x N.  Each column's principal
-    eigenvector is taken from _WARM_STEPS power steps on its unfolded
-    lift S, batched over columns and started at its column of ``X_prev``.
-    A column is accepted when its Ritz pair (lam, u) has |S u - lam u| <=
-    _WARM_TOL |lam| and 2 lam^2 > |S|_F^2; its pre-image is then
-    sqrt(|lam|) u with ``unlift``'s sign convention.  The other columns
-    (among them every zero lift and every zero start) take ``unlift``'s
-    stacked ``eigh``.  Returns the d x N pre-images, signs resolved like
-    ``unlift``'s; no gaps.
-    """
-    T = np.asarray(T, dtype=float)
+
+def _unlift_p2(T: np.ndarray, imap: TensorIndexMap):
+    """Pre-images and gaps of all columns: _POWER_STEPS power steps on each
+    unfolded lift S, batched over columns and started at the column of S
+    holding its largest |diagonal| entry, with ``_eigh_p2`` for every
+    column whose Ritz pair is not accepted (among them every zero lift)."""
     S = assemble_symmetric(T, imap)
-    U = np.array(X_prev, dtype=float).T  # N x d
-    if U.shape != S.shape[:2]:
-        raise ValueError(f"previous pre-images {U.T.shape} need shape "
-                         f"{(imap.d, S.shape[0])}")
+    cols = np.arange(S.shape[0])
+    start = np.argmax(np.abs(np.diagonal(S, axis1=1, axis2=2)), axis=1)
+    U = S[cols, :, start]  # N x d
     # a zero start or a zero step leaves NaN, which fails the test below
     with np.errstate(invalid="ignore", divide="ignore"):
         U /= np.linalg.norm(U, axis=1, keepdims=True)
-        for _ in range(_WARM_STEPS):
+        for _ in range(_POWER_STEPS):
             U = np.matmul(S, U[..., None])[..., 0]
             U /= np.linalg.norm(U, axis=1, keepdims=True)
         SU = np.matmul(S, U[..., None])[..., 0]
         lam = np.einsum("ni,ni->n", U, SU)
         SU -= lam[:, None] * U
-        ok = ((np.linalg.norm(SU, axis=1) <= _WARM_TOL * np.abs(lam))
+        ok = ((np.linalg.norm(SU, axis=1) <= _POWER_TOL * np.abs(lam))
               & (2.0 * lam * lam > np.einsum("nij,nij->n", S, S)))
-    X = np.sqrt(np.abs(lam))[:, None] * _convention_sign(U)
-    X = np.ascontiguousarray(X.T)
+    _convention_sign(U)
     rest = np.flatnonzero(~ok)
     if rest.size:
-        X[:, rest] = _unlift_p2(T[:, rest], imap)[0]
-    if X_obs is not None and mask is not None:
-        X = resolve_sign(X, X_obs, mask)
-    return X
+        lam[rest], U[rest] = _eigh_p2(S[rest])
+    X = np.ascontiguousarray((np.sqrt(np.abs(lam))[:, None] * U).T)
+    return X, _rank1_gaps(S, lam, U)
 
 
 def _cube_index(imap: TensorIndexMap) -> np.ndarray:
@@ -212,11 +200,7 @@ def _unlift_p3(T: np.ndarray, imap: TensorIndexMap):
         C = T.T[cols][:, idx]  # n x d x d x d
         lam, U = _hopm(C)
         X[:, cols] = (np.cbrt(lam)[:, None] * U).T
-        sq = np.einsum("nijk,nijk->n", C, C)
-        rest = np.sqrt(np.maximum(sq - lam * lam, 0.0))
-        g = np.where(C.any(axis=(1, 2, 3)), np.inf, 0.0)
-        np.divide(rest, np.abs(lam), out=g, where=lam != 0.0)
-        gaps[cols] = g
+        gaps[cols] = _rank1_gaps(C, lam, U)
     return X, gaps
 
 
@@ -229,11 +213,11 @@ def unlift(
     """Map each completed lifted column back to R^d, with its rank-one gap.
 
     ``T`` is D x N; returns the d x N pre-images and the N gaps.  For p=2
-    a column's pre-image is sqrt(|w|) u for the principal eigenpair (w, u)
-    of its unfolded lift, and its gap is sigma_2 / sigma_1 of that matrix
-    (0 for an exact rank-one lift).  For p=3 it is cbrt(lambda) u for the
-    dominant HOPM pair, and the gap is sqrt(|T|_F^2 - lambda^2) / |lambda|.
-    An all-zero lift gives the zero column and gap 0.
+    a column's pre-image is sqrt(|lam|) u for the principal eigenpair
+    (lam, u) of its unfolded lift L; for p=3 it is cbrt(lam) u for the
+    dominant HOPM pair of its symmetric cube L.  The gap is
+    |L - lam u^(x)p|_F / |lam|, 0 for an exact rank-one lift.  An all-zero
+    lift gives the zero column and gap 0.
 
     ``X_obs``/``mask`` (d x N) give the observed entries of the original
     columns and are used only for sign resolution.

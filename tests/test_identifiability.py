@@ -336,10 +336,11 @@ def test_build_A_skips_rank_deficient_blocks_like_reference(scale):
     cp.columns[4, 7] = False
     expected, skipped = _build_A_by_svd(B, cp)
     assert skipped == 8
-    with pytest.warns(UserWarning) as record:
+    # the count is read from the shape; only the check warns about it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         A = build_A(B, cp)
-    assert [str(w.message) for w in record] == [
-        f"skipped {skipped} rank-deficient constraint blocks"]
+    assert cp.columns.shape[1] - A.shape[1] == skipped
     np.testing.assert_allclose(A, expected, rtol=0, atol=1e-10)
 
 
@@ -511,8 +512,7 @@ def test_streamed_check_reports_skipped_blocks_once_per_trial(monkeypatch,
     B = np.random.default_rng(12).standard_normal((imap.D, R))
     B[1], B[2] = 2.0 * B[0], -B[0]
     cp = build_constraint_patterns(tensorize_mask(Omega, imap), R)
-    with pytest.warns(UserWarning, match="rank-deficient"):
-        A = build_A(B, cp)
+    A = build_A(B, cp)
     skipped = cp.columns.shape[1] - A.shape[1]
     assert skipped == 21
 

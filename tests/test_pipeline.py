@@ -75,7 +75,7 @@ def test_config_validation():
         LadmcConfig(p=4)
     X = np.ones((3, 4))
     mask = np.ones_like(X, dtype=bool)
-    for bad in (0, -1, "3", "max", 2.0, None):
+    for bad in (0, -1, "3", "max", 2.0, None, True, False):
         with pytest.raises(ValueError, match="rank must be 'auto' or an int"):
             ladmc(X, mask, bad)
     assert ladmc(X, mask, np.int64(3)).rank_used == 3
@@ -184,51 +184,54 @@ def test_iladmc_report_covers_every_pass(monkeypatch):
 
 
 @pytest.mark.parametrize("augment", [False, True], ids=["raw", "augment-ones"])
-def test_iladmc_result_does_not_depend_on_warm_unlift(monkeypatch, augment):
+def test_iladmc_result_does_not_depend_on_power_steps(monkeypatch, augment):
     # with a constant row the lifts of two lines through the origin share
     # the constant monomial: rank 1 + 2 + 2
     X, mask = _two_lines_instance()
     R = 5 if augment else 2
     cfg = _cfg(iters=100, iladmc_inner_T=30, augment_ones=augment)
     lifts, eigh_columns = [], []
-    solve, exact = pipeline.svp_complete, preimage._unlift_p2
+    solve, exact = pipeline.svp_complete, preimage._eigh_p2
 
     def recorded(*args, **kwargs):
         Z, diag = solve(*args, **kwargs)
         lifts.append(Z)
         return Z, diag
 
-    def counted(T, imap):
-        eigh_columns.append(T.shape[1])
-        return exact(T, imap)
+    def counted(S):
+        eigh_columns.append(S.shape[0])
+        return exact(S)
 
     monkeypatch.setattr(pipeline, "svp_complete", recorded)
-    monkeypatch.setattr(preimage, "_unlift_p2", counted)
+    monkeypatch.setattr(preimage, "_eigh_p2", counted)
+    imap = build_index_map(X.shape[0] + augment, 2)
     runs = []
-    for warm_tol in (preimage._WARM_TOL, -1.0):
-        # a negative tolerance sends every column of a warm pass to eigh
-        monkeypatch.setattr(preimage, "_WARM_TOL", warm_tol)
+    for tol in (preimage._POWER_TOL, -1.0):
+        # a negative tolerance sends every column to eigh
+        monkeypatch.setattr(preimage, "_POWER_TOL", tol)
         lifts.clear()
         eigh_columns.clear()
         rep = iladmc(np.where(mask, X, 0.0), mask, R, cfg)
         runs.append((rep, list(eigh_columns)))
-        # the gaps are those of an exact unlift of the last lifted estimate
-        imap = build_index_map(X.shape[0] + augment, 2)
+        # one unlift per pass, of that pass's lift alone; the last gives
+        # the gaps
+        assert len(lifts) == rep.outer_iterations
         np.testing.assert_array_equal(rep.per_column_rank1_ratio,
                                       unlift(lifts[-1], imap)[1])
-    (warm, warm_eigh), (forced, forced_eigh) = runs
+    (power, power_eigh), (forced, forced_eigh) = runs
     N = X.shape[1]
-    assert warm.outer_iterations > 2
-    # pass 1 and the closing exact unlift take every column; warm passes
-    # settle some of theirs, the forced run none
-    assert warm_eigh[0] == warm_eigh[-1] == N
-    assert sum(warm_eigh[1:-1]) < N * (warm.outer_iterations - 1) / 2
-    assert forced_eigh == [N] * (forced.outer_iterations + 1)
-    assert ((warm.outer_iterations, warm.solver.iterations_run,
-             warm.solver.full_eigh)
+    assert power.outer_iterations > 2
+    # the power steps settle most columns, the forced run none
+    assert sum(power_eigh) < N * power.outer_iterations / 2
+    assert forced_eigh == [N] * forced.outer_iterations
+    assert ((power.outer_iterations, power.solver.iterations_run,
+             power.solver.full_eigh)
             == (forced.outer_iterations, forced.solver.iterations_run,
                 forced.solver.full_eigh))
-    np.testing.assert_allclose(warm.X_hat, forced.X_hat, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(power.X_hat, forced.X_hat, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(power.per_column_rank1_ratio,
+                               forced.per_column_rank1_ratio, rtol=0,
+                               atol=1e-10)
 
 
 def test_iladmc_restarts_sum_over_passes(monkeypatch):
