@@ -202,11 +202,11 @@ def _reference_unlift_p3(T, m):
         cube = T[idx, n]
         lam, u = _reference_hopm(cube)
         X[:, n] = np.cbrt(lam) * u
-        rest = np.linalg.norm(cube - lam * np.einsum("i,j,k->ijk", u, u, u))
         if lam == 0.0:
             gaps[n] = np.inf if np.any(cube) else 0.0
         else:
-            gaps[n] = rest / abs(lam)
+            rank1 = lam * np.einsum("i,j,k->ijk", u, u, u)
+            gaps[n] = np.linalg.norm(cube - rank1) / abs(lam)
     return X, gaps
 
 
