@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -103,6 +102,10 @@ def run_phase_grid(cfg: PhaseGridConfig, out_dir=None) -> ExperimentRecord:
         for m in cfg.m_range for K in cfg.K_range for t in range(cfg.trials)
     ]
     if cfg.workers > 1:
+        # imported here: it brings in multiprocessing, which no other
+        # command needs at start-up
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             results = list(pool.map(_phase_task, tasks, chunksize=1))
     else:

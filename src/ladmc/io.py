@@ -69,18 +69,23 @@ def read_mask_csv(path) -> np.ndarray:
 
 
 def write_matrix_csv(path, X: np.ndarray, mask: np.ndarray | None = None):
-    """Write a matrix; cells where mask is False are emitted as empty."""
+    """Write a matrix; cells where mask is False are emitted as empty.
+
+    The bytes are those of ``csv.writer``: ``repr`` of each value, which
+    needs no quoting, and CRLF line ends.
+    """
     X = np.asarray(X, dtype=float)
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        for i in range(X.shape[0]):
-            if mask is None:
-                w.writerow([repr(float(v)) for v in X[i]])
-            else:
-                w.writerow(
-                    [repr(float(X[i, j])) if mask[i, j] else ""
-                     for j in range(X.shape[1])]
-                )
+        if mask is None:
+            for row in X.tolist():
+                fh.write(",".join(map(repr, row)) + "\r\n")
+            return
+        seen_rows = np.asarray(mask, dtype=bool).tolist()
+        for row, seen in zip(X.tolist(), seen_rows):
+            line = ",".join(repr(v) if m else "" for v, m in zip(row, seen))
+            if not line and len(row) == 1:
+                line = '""'  # csv quotes a lone empty field: not a blank row
+            fh.write(line + "\r\n")
 
 
 def write_report(path, items: dict):

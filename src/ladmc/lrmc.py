@@ -9,10 +9,18 @@ a few extra vectors; whenever the Ritz residual fails a fixed bound the
 full eigendecomposition runs instead, as it does without a warm attempt
 for a fixed number of iterations after such a failure.  So every
 projection is the exact one up to rounding.
+
+Everything else an iteration does is one cache-blocked pass over its
+D x N buffers after the projection: the change from the previous iterate,
+the sums of the stop and momentum-restart tests, and the next gradient
+step, taken at the momentum it has unless the tests restart it (then it is
+taken again).  The arithmetic of every entry is that of whole-array
+passes, so the iterates are bitwise equal whatever the block size.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +38,11 @@ _RITZ_TOL = 1e-12
 # eigendecomposition without trying one: rejections come in long runs
 # while the iterate is far from rank R, and each costs about half an eigh
 _WARM_BACKOFF = 8
+# entries of one D x N operand in a row block of the SVP sweep (256 KB):
+# the sweep streams five operands, 1.3 MB a block, which stays in a core's
+# 2 MB L2 where whole-array passes over the 2.6 MB operands of a 120 x 2700
+# lift each go out to memory
+_SWEEP_FLOATS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -123,8 +136,48 @@ def truncated_svd_project(M: np.ndarray, R: int) -> np.ndarray:
     return U @ (U.T @ M) if wide else (M @ U) @ U.T
 
 
-def _observed_rms(M_obs, mask, Z, n_obs):
-    return float(np.linalg.norm((M_obs - Z)[mask]) / np.sqrt(n_obs))
+def _row_blocks(shape) -> list[slice]:
+    """Row slices of a D x N buffer, each at most _SWEEP_FLOATS entries
+    (one row when a row alone is longer)."""
+    rows = max(1, _SWEEP_FLOATS // shape[1])
+    return [slice(i, i + rows) for i in range(0, shape[0], rows)]
+
+
+def _gradient_step(out, Z, dZ, beta, keep, target):
+    """out = (Z + beta * dZ) * keep + target, or Z * keep + target when
+    beta is None: the gradient step Z + step * P_mask(M_obs - Z) taken at
+    the point Z extrapolated by beta along dZ."""
+    if beta is None:
+        np.multiply(Z, keep, out=out)
+    else:
+        np.multiply(dZ, beta, out=out)
+        out += Z
+        out *= keep
+    out += target
+
+
+def _sweep(blocks, Z, Y, dZ, beta, keep, target) -> tuple[float, float]:
+    """One pass over the row blocks after the projection has written the
+    new iterate into Y.  Writes the change Y - Z into Z's buffer and the
+    next gradient step, at momentum beta, into dZ's buffer; returns
+    <dZ, Y - Z> (0 without momentum) and |Y - Z|^2."""
+    inner = sq = 0.0
+    for b in blocks:
+        z, d = Z[b], dZ[b]
+        np.subtract(Y[b], z, out=z)
+        if beta is not None:
+            inner += float(np.vdot(d, z))
+        sq += float(np.vdot(z, z))
+        _gradient_step(d, Y[b], z, beta, keep[b], target[b])
+    return inner, sq
+
+
+def _observed_rms(M_obs, mask, Z, n_obs, out):
+    """RMS of M_obs - Z over the observed entries, formed in the spare
+    buffer out rather than in a gathered temporary."""
+    out.fill(0.0)
+    np.subtract(M_obs, Z, out=out, where=mask)
+    return float(np.linalg.norm(out) / np.sqrt(n_obs))
 
 
 def svp_complete(
@@ -139,12 +192,12 @@ def svp_complete(
 
     Starts from the zero-filled observed matrix (or Z0 when supplied) and
     iterates Z <- project(Z + step * P_mask(M_obs - Z), rank) until the
-    relative change drops below rel_tol or max_iters is hit.  With
-    opts.accel the gradient step is taken at the Nesterov-extrapolated
-    point E = Z + beta * (Z - Z_prev) instead.  The momentum sequence
-    restarts (beta back to 0) after any step that points against the
-    gradient mapping, <E - Z_new, Z_new - Z> > 0 (O'Donoghue & Candes,
-    2015), and after accel_restart iterations without one; the
+    relative change |Z_new - Z| / |Z| drops below rel_tol or max_iters is
+    hit.  With opts.accel the gradient step is taken at the
+    Nesterov-extrapolated point E = Z + beta * (Z - Z_prev) instead.  The
+    momentum sequence restarts (beta back to 0) after any step that points
+    against the gradient mapping, <E - Z_new, Z_new - Z> > 0 (O'Donoghue &
+    Candes, 2015), and after accel_restart iterations without one; the
     diagnostics count both kinds in ``restarts``.  A rank outside
     1..min(M_obs.shape) is rejected.
 
@@ -154,6 +207,16 @@ def svp_complete(
     failure run the full eigendecomposition; the diagnostics count those
     iterations in ``full_eigh``.  A step whose iterate
     overflows stops the solve unconverged.
+
+    Outside the projection each iteration makes one pass over its D x N
+    buffers, in row blocks of at most _SWEEP_FLOATS entries: the change
+    Z_new - Z, the two sums the stop and restart tests read, and the next
+    iteration's gradient step, at the momentum it has unless this one
+    restarts.  An adaptive restart takes that step again at beta = 0.  |Z|
+    is read from the projection's coefficients, |U^T Y| = |U U^T Y| for
+    orthonormal U.  Every entry sees the same operations as in whole-array
+    passes, so the iterates do not depend on the block size; only the sums
+    of the two tests are added in another order.
     """
     M_obs = np.asarray(M_obs, dtype=float)
     mask = np.asarray(mask, dtype=bool)
@@ -174,26 +237,26 @@ def svp_complete(
     # Y * keep + target, keep = 1 - step on observed entries and 1 elsewhere
     keep = 1.0 - opts.step_size * mask
     target = np.where(mask, opts.step_size * M_obs, 0.0)
+    # Y: the gradient step, then the projected iterate; dZ: Z - Z_prev, the
+    # stop test's change and the next momentum term.  Each sweep turns Z
+    # into the new change and dZ into the next gradient step, and the three
+    # buffers rotate.
     Y = np.empty_like(Z)
-    # Z - Z_prev: the stop test's change and the next momentum term
     dZ = np.zeros_like(Z)
+    blocks = _row_blocks(Z.shape)
     V = None
     full_eigh = restarts = backoff = 0
-    k = 0
+    # the momentum counter of the iteration about to run and its beta
+    k = 1
+    beta = 0.0 if opts.accel else None
     iters = 0
     converged = False
-    for iters in range(1, opts.max_iters + 1):
-        if opts.accel:
-            k += 1
-            beta = (k - 1) / (k + 2)
-            np.multiply(dZ, beta, out=Y)
-            Y += Z
-            Y *= keep
-        else:
-            np.multiply(Z, keep, out=Y)
-        Y += target
-        # a diverging iterate overflows the Gram first: a stop, not a warning
-        with np.errstate(over="ignore", invalid="ignore"):
+    # a diverging iterate overflows the Gram first: a stop, not a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        z_norm = float(np.linalg.norm(Z))
+        for b in blocks:
+            _gradient_step(Y[b], Z[b], dZ[b], beta, keep[b], target[b])
+        for iters in range(1, opts.max_iters + 1):
             G = Y @ Y.T if wide else Y.T @ Y
             if not np.isfinite(np.trace(G)):
                 break  # step size too large; report as unconverged
@@ -211,33 +274,43 @@ def svp_complete(
                 V = warm
             U = V[:, :R]
             if wide:
-                np.matmul(U, U.T @ Y, out=Y)
+                W = U.T @ Y
+                np.matmul(U, W, out=Y)
             else:
-                np.matmul(Y @ U, U.T, out=Y)
-            if opts.accel:
-                # <dZ_old, dZ_new>, read before dZ is overwritten
-                inner = np.vdot(dZ, Y) - np.vdot(dZ, Z)
-            np.subtract(Y, Z, out=dZ)
-            step = np.linalg.norm(dZ)
-            change = step / max(np.linalg.norm(Z), _EPS)
-        Z, Y = Y, Z
-        if not np.isfinite(change):
-            break
-        if change < opts.rel_tol:
-            converged = True
-            break
-        # restart the momentum when the step just taken points against the
-        # gradient mapping, <E - Z_new, Z_new - Z_old> > 0 at the point
-        # E = Z_old + beta * dZ_old, i.e. beta <dZ_old, dZ_new> > |dZ_new|^2,
-        # or when a run reaches accel_restart
-        if opts.accel and (beta * inner > step * step
-                           or k >= opts.accel_restart):
-            k = 0
-            restarts += 1
+                W = Y @ U
+                np.matmul(W, U.T, out=Y)
+            # a run that reaches accel_restart restarts whatever the sweep
+            # finds, so the next step's beta is known before it
+            capped = opts.accel and k >= opts.accel_restart
+            k_next = 1 if capped else k + 1
+            beta_next = (k_next - 1) / (k_next + 2) if opts.accel else None
+            inner, sq = _sweep(blocks, Z, Y, dZ, beta_next, keep, target)
+            change = math.sqrt(sq) / max(z_norm, _EPS)
+            z_norm = float(np.linalg.norm(W))
+            Z, dZ, Y = Y, Z, dZ
+            if not math.isfinite(change):
+                break
+            if change < opts.rel_tol:
+                converged = True
+                break
+            # restart the momentum when the step just taken points against
+            # the gradient mapping, <E - Z_new, Z_new - Z_old> > 0 at the
+            # point E = Z_old + beta * dZ_old, i.e.
+            # beta <dZ_old, dZ_new> > |dZ_new|^2; the sweep took the next
+            # step with momentum, so take it again without
+            if capped:
+                restarts += 1
+            elif opts.accel and beta * inner > sq:
+                restarts += 1
+                k_next, beta_next = 1, 0.0
+                for b in blocks:
+                    _gradient_step(Y[b], Z[b], dZ[b], beta_next, keep[b],
+                                   target[b])
+            k, beta = k_next, beta_next
 
     diag = SolveDiagnostics(
         iterations_run=iters,
-        final_residual=_observed_rms(M_obs, mask, Z, n_obs),
+        final_residual=_observed_rms(M_obs, mask, Z, n_obs, out=Y),
         converged=converged,
         full_eigh=full_eigh,
         restarts=restarts,

@@ -1,4 +1,6 @@
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -294,3 +296,17 @@ def test_config_flag_without_path_is_a_usage_error(capsys):
         main(["complete", "--input", "X.csv", "--config"])
     assert exc.value.code == 2
     assert "--config" in capsys.readouterr().err
+
+
+def test_cli_import_loads_no_process_pool():
+    # only a phase grid with workers > 1 uses a process pool; every other
+    # command would pay for importing multiprocessing at start-up
+    code = (
+        "import sys\n"
+        "import ladmc.cli\n"
+        "print(sorted(m for m in ('multiprocessing', 'concurrent.futures')\n"
+        "             if m in sys.modules))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]", out.stdout

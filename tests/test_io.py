@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -31,6 +33,30 @@ def test_matrix_full_roundtrip_exact(tmp_path):
     X2, mask = read_matrix_csv(path)
     assert mask.all()
     np.testing.assert_array_equal(X2, X)  # repr() round-trips doubles
+
+
+def _csv_writer_bytes(path, X, mask=None):
+    """The matrix as ``csv.writer`` writes it, one ``repr`` per cell."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        for i in range(X.shape[0]):
+            w.writerow([repr(float(X[i, j])) if mask is None or mask[i, j]
+                        else "" for j in range(X.shape[1])])
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("shape", [(3, 4), (5, 1), (1, 6)])
+def test_write_matrix_bytes_match_csv_writer(tmp_path, shape):
+    rng = np.random.default_rng(sum(shape))
+    X = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
+    X.flat[:3] = [-0.0, 1e-300, 1e300][:X.size]
+    mask = rng.random(shape) < 0.5
+    mask.flat[0] = True
+    mask.flat[-1] = False  # a 1-column row with no observed cell among them
+    for m in (None, mask):
+        write_matrix_csv(tmp_path / "fast.csv", X, mask=m)
+        got = (tmp_path / "fast.csv").read_bytes()
+        assert got == _csv_writer_bytes(tmp_path / "ref.csv", X, m), m
 
 
 def test_read_matrix_nan_as_missing(tmp_path):

@@ -67,7 +67,7 @@ def _assert_matches_reference(M, mask, R, opts, Z0=None):
     assert diag.converged == converged_ref
     assert diag.restarts == restarts_ref
     assert np.linalg.norm(Z - Z_ref) <= 1e-8 * np.linalg.norm(Z_ref)
-    return diag
+    return Z, diag
 
 
 def test_options_validation():
@@ -137,6 +137,20 @@ def test_svp_fully_observed_fixed_point():
     assert np.linalg.norm(Z - M) / np.linalg.norm(M) < 1e-6
     assert diag.converged
     assert diag.iterations_run <= 2
+
+
+def test_svp_stop_test_divides_by_previous_iterate():
+    # from Z0 = M / 1000 one step lands on M: the change is 999 relative to
+    # Z0, under 1 relative to the new iterate; only the second iteration,
+    # which does not move, may meet rel_tol = 2
+    rng = np.random.default_rng(3)
+    M = rng.standard_normal((9, 3)) @ rng.standard_normal((3, 40))
+    mask = np.ones_like(M, dtype=bool)
+    for accel in (False, True):
+        _, diag = svp_complete(M, mask, 3, SvpOptions(rel_tol=2.0,
+                                                      accel=accel),
+                               Z0=1e-3 * M)
+        assert (diag.iterations_run, diag.converged) == (2, True), accel
 
 
 def test_svp_fully_observed_matches_projection():
@@ -244,16 +258,19 @@ def test_svp_errors():
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_svp_divergent_step_reported_unconverged():
+def test_svp_divergent_step_reported_unconverged(monkeypatch):
     # divergence is reported through the diagnostics, not a numpy warning,
-    # with or without the momentum's restart test
+    # with or without the momentum's restart test, and whether the sweep
+    # takes the 6 rows in one block, as 4 + 2 or one by one
     rng = np.random.default_rng(8)
     M = rng.standard_normal((6, 6))
     mask = rng.random(M.shape) < 0.8
-    for accel in (False, True):
-        _, diag = svp_complete(M, mask, 2, SvpOptions(
-            step_size=50.0, max_iters=200, accel=accel))
-        assert not diag.converged, accel
+    for sweep_floats in (lrmc._SWEEP_FLOATS, 24, 6):
+        monkeypatch.setattr(lrmc, "_SWEEP_FLOATS", sweep_floats)
+        for accel in (False, True):
+            _, diag = svp_complete(M, mask, 2, SvpOptions(
+                step_size=50.0, max_iters=200, accel=accel))
+            assert not diag.converged, (sweep_floats, accel)
 
 
 def test_svp_restarts_counted():
@@ -272,7 +289,9 @@ def test_svp_restarts_counted():
 
 def test_svp_momentum_keeps_no_extra_buffer():
     # the momentum term is the change buffer of the stop test; keeping the
-    # previous iterate as well would add a whole matrix to the peak
+    # previous iterate as well would add a whole matrix to the peak.  The
+    # solve holds five D x N arrays (Z, Y, dZ, keep, target) and makes no
+    # D x N temporary, the final residual included.
     M, mask, _ = _low_rank_problem((60, 2000), 4, seed=13)
     peaks = {}
     for accel in (False, True):
@@ -283,6 +302,7 @@ def test_svp_momentum_keeps_no_extra_buffer():
         finally:
             tracemalloc.stop()
     assert peaks[True] <= 1.02 * peaks[False], peaks
+    assert max(peaks.values()) <= 5.5 * M.nbytes, peaks
 
 
 _SHAPES = [((40, 300), 4), ((300, 40), 4), ((60, 60), 6)]
@@ -294,17 +314,30 @@ _VARIANTS = {
     "momentum-adaptive": dict(step_size=0.7, accel=True, accel_restart=1000),
     "given-Z0": dict(step_size=1.0),
 }
+# entries per sweep block that split every shape of _SHAPES into several
+# row blocks with a short last one: 7 rows of 40, 52 of 300, 35 of 60
+_SPLIT_FLOATS = 2100
 
 
 @pytest.mark.parametrize("variant", list(_VARIANTS))
 @pytest.mark.parametrize("shape,R", _SHAPES, ids=["wide", "tall", "square"])
-def test_svp_matches_reference_loop(shape, R, variant):
+def test_svp_matches_reference_loop(monkeypatch, shape, R, variant):
     M, mask, rng = _low_rank_problem(shape, R, seed=sum(shape) + R)
     opts = SvpOptions(max_iters=400, rel_tol=1e-9, **_VARIANTS[variant])
     Z0 = None
     if variant == "given-Z0":
         Z0 = truncated_svd_project(M + 0.1 * rng.standard_normal(shape), R)
-    diag = _assert_matches_reference(M, mask, R, opts, Z0=Z0)
+    monkeypatch.setattr(lrmc, "_SWEEP_FLOATS", M.size)
+    assert len(lrmc._row_blocks(shape)) == 1
+    Z_one, diag_one = svp_complete(M, mask, R, opts, Z0=Z0)
+    monkeypatch.setattr(lrmc, "_SWEEP_FLOATS", _SPLIT_FLOATS)
+    rows = [len(range(shape[0])[b]) for b in lrmc._row_blocks(shape)]
+    assert len(rows) > 1 and 0 < rows[-1] < rows[0]
+    Z, diag = _assert_matches_reference(M, mask, R, opts, Z0=Z0)
+    # every entry sees the same operations whatever the blocks; only the
+    # sums of the stop and restart tests are added in another order
+    assert Z.tobytes() == Z_one.tobytes()
+    assert diag == diag_one
     # the warm-started basis carried most iterations, not the fallback
     assert 1 <= diag.full_eigh < diag.iterations_run / 2
     if variant == "momentum-adaptive":
@@ -347,7 +380,7 @@ def test_svp_failed_ritz_residual_takes_full_eigh(monkeypatch):
     monkeypatch.setattr(lrmc, "_RITZ_TOL", -1.0)
     M, mask, _ = _low_rank_problem((40, 300), 4, seed=2)
     opts = SvpOptions(max_iters=60, rel_tol=1e-9)
-    diag = _assert_matches_reference(M, mask, 4, opts)
+    _, diag = _assert_matches_reference(M, mask, 4, opts)
     assert diag.full_eigh == diag.iterations_run
     assert len(calls) == len(range(2, diag.iterations_run + 1,
                                    lrmc._WARM_BACKOFF + 1))
@@ -416,7 +449,7 @@ def test_svp_warm_basis_capped_at_small_side(monkeypatch, shape, drop):
     opts = SvpOptions(max_iters=30, rel_tol=1e-12)
     # a start off the observed entries, so that R = min dimension (where
     # the projection is the identity) still runs a second iteration
-    diag = _assert_matches_reference(M, mask, R, opts,
-                                     Z0=rng.standard_normal(shape))
+    _, diag = _assert_matches_reference(M, mask, R, opts,
+                                        Z0=rng.standard_normal(shape))
     assert calls and all(width == small for width, _ in calls)
     assert diag.iterations_run == len(calls) + diag.full_eigh
