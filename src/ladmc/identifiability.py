@@ -170,27 +170,27 @@ def _kernel_vector_svd(block: np.ndarray) -> np.ndarray | None:
 
 def _kernel_vectors_by_head(basis_B: np.ndarray, rows: np.ndarray):
     """Left null vectors of the blocks basis_B[rows[j]], one R x R head
-    factorization per distinct head.
+    factorization per run of adjacent blocks with equal heads.
 
     rows is n x (R+1), each row sorted: the first R rows of a block are its
     head H, the last its extra row e, and the null vector is proportional
-    to [-H^-T e^T; 1].  Returns the unit vectors with the first-nonzero-
+    to [-H^-T e^T; 1].  ``build_constraint_patterns`` emits the blocks of
+    one pattern next to each other, so they form one run; a head that
+    recurs in runs that are not adjacent is factored once per run, which
+    is correct, only repeated.  Returns the unit vectors with the first-nonzero-
     positive sign rule and a mask of the blocks certified full rank:
     sigma_min(block) >= 1/|H^-1|_F > RANK_REL_TOL |block|_F >= RANK_REL_TOL
     sigma_max(block), so the SVD test would keep them too.  Uncertified
     rows of the result are meaningless.
     """
     n, R = rows.shape[0], rows.shape[1] - 1
-    # group by head; a byte-string key sorts far faster than unique(axis=0)
-    head_rows = np.ascontiguousarray(rows[:, :R])
-    key = head_rows.view(np.dtype((np.void, head_rows.itemsize * R))).ravel()
-    _, first, group = np.unique(key, return_index=True, return_inverse=True)
-    heads = head_rows[first]
-    # blocks sorted by head; pos is a block's place within its head group
-    order = np.argsort(group, kind="stable")
-    sorted_group = group[order]
-    bounds = np.searchsorted(sorted_group, np.arange(heads.shape[0] + 1))
-    pos = np.arange(n) - bounds[sorted_group]
+    # group is a block's run of equal heads, pos its place within the run
+    head_rows = rows[:, :R]
+    new_run = np.r_[True, np.any(head_rows[1:] != head_rows[:-1], axis=1)]
+    group = np.cumsum(new_run) - 1
+    bounds = np.r_[np.flatnonzero(new_run), n]
+    heads = head_rows[new_run]
+    pos = np.arange(n) - bounds[group]
     width = int(np.diff(bounds).max())
     step = max(1, _CHUNK_FLOATS // (R * max(R, width)))
 
@@ -205,10 +205,10 @@ def _kernel_vectors_by_head(basis_B: np.ndarray, rows: np.ndarray):
             H_inv = np.full((g1 - g0, R, R), np.nan)
         inv_norm[g0:g1] = np.linalg.norm(H_inv, axis=(1, 2))
         lo, hi = bounds[g0], bounds[g1]
-        g, k = sorted_group[lo:hi] - g0, pos[lo:hi]
+        g, k = group[lo:hi] - g0, pos[lo:hi]
         extra = np.zeros((g1 - g0, width, R))
-        extra[g, k] = basis_B[rows[order[lo:hi], R]]
-        a[order[lo:hi], :R] = -(extra @ H_inv)[g, k]
+        extra[g, k] = basis_B[rows[lo:hi, R]]
+        a[lo:hi, :R] = -(extra @ H_inv)[g, k]
 
     a /= np.linalg.norm(a, axis=1, keepdims=True)
     _convention_sign(a)
@@ -231,7 +231,7 @@ def build_A(basis_B: np.ndarray, patterns: ConstraintPatterns) -> np.ndarray:
     patterns.columns.shape[1] - A.shape[1].
 
     The blocks of one source pattern share their first R rows, so each
-    distinct R x R head is factored once and applied to all of its extra
+    pattern's R x R head is factored once and applied to all of its extra
     rows.  Blocks whose head does not certify full rank, and columns
     without exactly R+1 rows, go through a per-block SVD instead.
     """

@@ -9,6 +9,7 @@ comparison.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -128,7 +129,10 @@ def _complete_lifted(X_obs, mask, rank, cfg, X_true, max_passes, pass_iters):
     imap = build_index_map(X_in.shape[0], cfg.p)
     T_obs, T_mask = tensorize_matrix(X_in, mask_in, imap)
     R = _resolve_rank(rank, T_obs)
-    opts = replace(cfg.svp, max_iters=pass_iters) if pass_iters else cfg.svp
+    # a burst runs its pass_iters steps whatever cfg.svp.rel_tol says: only
+    # a step that leaves the iterate exactly unchanged ends it early
+    opts = (replace(cfg.svp, max_iters=pass_iters, rel_tol=math.ulp(0.0))
+            if pass_iters else cfg.svp)
 
     X_cur = np.where(mask_in, X_in, 0.0)
     full = np.ones_like(mask_in)

@@ -1,18 +1,20 @@
 """Recover columns from their completed lifted vectors.
 
-For p=2 each lifted vector is unfolded into the symmetric d x d matrix S it
-came from, and the principal eigenpair gives the column up to sign.  It is
-taken from a few power steps batched over the columns, each started at the
-column of S that holds its largest |diagonal| entry (for a rank-one lift
-lam x x^T that column is proportional to x); a column whose Ritz pair fails
-the acceptance test takes a stacked ``eigh`` instead.  For p=3 the cubical
-symmetric tensor is gathered and its best rank-one approximation is found
-with the symmetric higher-order power method, run for all columns at once.
+Each lifted vector is folded into the symmetric tensor L it came from (a
+d x d matrix for p=2, a d x d x d cube for p=3), and the column is read
+back from a rank-one pair (lam, u) of L.  Every column starts from its own
+lift: the fiber L[:, i, ..., i] at L's largest |diagonal| entry, which is
+proportional to x for a rank-one lift lam x^(x)p.  For p=2 a few power
+steps batched over the columns follow, and a column whose Ritz pair fails
+the acceptance test takes a stacked ``eigh`` instead.  For p=3 one run of
+the symmetric higher-order power method follows, batched over the columns.
 The sign is fixed from an observed entry.  Each column's rank-one gap is
 read from its one decomposition.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -23,10 +25,11 @@ SIGN_TOL_SCALE = 1e-9
 
 HOPM_ITERS = 100
 HOPM_TOL = 1e-12
-HOPM_RESTARTS = 5
-HOPM_SEED = 0x1AD
-# columns whose gathered cubes are held at once stay below this many floats
-_CUBE_FLOATS = 1 << 20
+# unlift folds the lift in column blocks of at most this many floats (8 MB)
+# at both orders: a folded block is about p! times its slice of the lift,
+# and at p=2 the eigh fallback copies the rejected matrices and returns as
+# many eigenvectors.
+_BLOCK_FLOATS = 1 << 20
 
 # Power steps of the p=2 pre-image.  A column is accepted when its Ritz
 # residual |S u - lam u| is at most _POWER_TOL |lam| and 2 lam^2 > |S|_F^2,
@@ -47,10 +50,20 @@ def assemble_symmetric(T: np.ndarray, imap: TensorIndexMap) -> np.ndarray:
     T = np.asarray(T, dtype=float)
     if T.shape[0] != imap.D:
         raise ValueError(f"lifted vector length {T.shape[0]} != D={imap.D}")
-    S = np.zeros(T.shape[1:] + (imap.d, imap.d))
-    rows, cols = imap.entries[:, 0], imap.entries[:, 1]
-    S[..., rows, cols] = T.T
-    S[..., cols, rows] = T.T
+    return _fold(T, imap)
+
+
+def _fold(T: np.ndarray, imap: TensorIndexMap) -> np.ndarray:
+    """The symmetric tensors of lifted vectors T (D, or D x n), as a
+    C-contiguous d^p array or n x d^p stack.
+
+    Each lifted coordinate is written at every ordering of its multi-index,
+    which covers every entry.  A gather from T.T would copy the whole lift
+    first or give a strided stack, whose batched products round otherwise.
+    """
+    S = np.empty(T.shape[1:] + (imap.d,) * imap.p)
+    for perm in itertools.permutations(range(imap.p)):
+        S[(...,) + tuple(imap.entries[:, perm].T)] = T.T
     return S
 
 
@@ -119,18 +132,27 @@ def _rank1_gaps(L: np.ndarray, lam: np.ndarray, U: np.ndarray) -> np.ndarray:
     return gaps
 
 
-def _unlift_p2(T: np.ndarray, imap: TensorIndexMap):
-    """Pre-images and gaps of all columns: _POWER_STEPS power steps on each
-    unfolded lift S, batched over columns and started at the column of S
-    holding its largest |diagonal| entry, with ``_eigh_p2`` for every
-    column whose Ritz pair is not accepted (among them every zero lift)."""
-    S = assemble_symmetric(T, imap)
-    cols = np.arange(S.shape[0])
-    start = np.argmax(np.abs(np.diagonal(S, axis1=1, axis2=2)), axis=1)
-    U = S[cols, :, start]  # N x d
+def _fiber_start(L: np.ndarray) -> np.ndarray:
+    """Unit start vectors (n x d) for stacked symmetric tensors L (n x d^p):
+    each tensor's fiber L[n, :, i, ..., i] at its largest |diagonal| entry
+    L[n, i, ..., i], which for a rank-one lift lam x^(x)p is proportional
+    to x.  A zero fiber gives a zero start."""
+    n, d = L.shape[:2]
+    cols, p = np.arange(n), L.ndim - 1
+    diag = L[(cols[:, None],) + (np.arange(d),) * p]
+    top = np.argmax(np.abs(diag), axis=1)
+    U = L[(cols, slice(None)) + (top,) * (p - 1)]
+    norm = np.linalg.norm(U, axis=1, keepdims=True)
+    return np.divide(U, norm, out=U, where=norm > 0.0)
+
+
+def _power_p2(S: np.ndarray, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dominant eigenpairs (n, n x d) of stacked symmetric matrices S
+    (n x d x d): _POWER_STEPS power steps from the starts U (n x d),
+    batched over the matrices, with ``_eigh_p2`` for every matrix whose
+    Ritz pair is not accepted (among them every zero lift and zero start)."""
     # a zero start or a zero step leaves NaN, which fails the test below
     with np.errstate(invalid="ignore", divide="ignore"):
-        U /= np.linalg.norm(U, axis=1, keepdims=True)
         for _ in range(_POWER_STEPS):
             U = np.matmul(S, U[..., None])[..., 0]
             U /= np.linalg.norm(U, axis=1, keepdims=True)
@@ -143,65 +165,26 @@ def _unlift_p2(T: np.ndarray, imap: TensorIndexMap):
     rest = np.flatnonzero(~ok)
     if rest.size:
         lam[rest], U[rest] = _eigh_p2(S[rest])
-    X = np.ascontiguousarray((np.sqrt(np.abs(lam))[:, None] * U).T)
-    return X, _rank1_gaps(S, lam, U)
+    return lam, U
 
 
-def _cube_index(imap: TensorIndexMap) -> np.ndarray:
-    """Lifted coordinate of every ordered triple, as a d x d x d array:
-    ``t[_cube_index(imap)]`` is the symmetric cube of a p=3 lift t."""
-    d = imap.d
-    pos = np.empty((d,) * 3, dtype=np.intp)
-    pos[tuple(imap.entries.T)] = np.arange(imap.D)
-    return pos[tuple(np.sort(np.indices((d,) * 3), axis=0))]
-
-
-def _hopm(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Best-of-restarts symmetric higher-order power method, order 3, on
-    stacked cubes C (n x d x d x d); the dominant pairs (n, n x d).
-
-    Every column runs the same HOPM_RESTARTS seeded starts.  A column stops
-    a restart once its step vanishes or moves it by less than HOPM_TOL, and
-    keeps a restart's pair only if it beats the best so far in |lam|.
-    """
-    n, d = C.shape[:2]
-    rng = np.random.default_rng(HOPM_SEED)
-    best_lam, best_U = np.zeros(n), np.zeros((n, d))
-    for _ in range(HOPM_RESTARTS):
-        u = rng.standard_normal(d)
-        U = np.tile(u / np.linalg.norm(u), (n, 1))
-        live = np.ones(n, dtype=bool)
-        for _ in range(HOPM_ITERS):
-            V = np.einsum("nijk,nj,nk->ni", C, U, U)
-            nv = np.linalg.norm(V, axis=1)
-            live &= nv != 0.0
-            V /= np.where(live, nv, 1.0)[:, None]
-            moved = np.linalg.norm(V - U, axis=1)
-            U[live] = V[live]
-            live &= moved >= HOPM_TOL
-            if not live.any():
-                break
-        lam = np.einsum("nijk,ni,nj,nk->n", C, U, U, U)
-        better = np.abs(lam) > np.abs(best_lam)
-        best_lam[better], best_U[better] = lam[better], U[better]
-    return best_lam, best_U
-
-
-def _unlift_p3(T: np.ndarray, imap: TensorIndexMap):
-    """Pre-images and gaps from one batched HOPM run over the columns, in
-    blocks whose gathered cubes stay below _CUBE_FLOATS."""
-    idx = _cube_index(imap)
-    d, N = imap.d, T.shape[1]
-    X = np.zeros((d, N))
-    gaps = np.zeros(N)
-    block = max(1, _CUBE_FLOATS // d**3)
-    for lo in range(0, N, block):
-        cols = slice(lo, min(lo + block, N))
-        C = T.T[cols][:, idx]  # n x d x d x d
-        lam, U = _hopm(C)
-        X[:, cols] = (np.cbrt(lam)[:, None] * U).T
-        gaps[cols] = _rank1_gaps(C, lam, U)
-    return X, gaps
+def _hopm(C: np.ndarray, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Symmetric higher-order power method, order 3, on stacked cubes C
+    (n x d x d x d) from the starts U (n x d, overwritten): the pairs
+    (n, n x d) where each column stops, once its step vanishes (a zero
+    start stays zero, with lam = 0) or moves it by less than HOPM_TOL."""
+    live = np.ones(U.shape[0], dtype=bool)
+    for _ in range(HOPM_ITERS):
+        V = np.einsum("nijk,nj,nk->ni", C, U, U)
+        nv = np.linalg.norm(V, axis=1)
+        live &= nv != 0.0
+        V /= np.where(live, nv, 1.0)[:, None]
+        moved = np.linalg.norm(V - U, axis=1)
+        U[live] = V[live]
+        live &= moved >= HOPM_TOL
+        if not live.any():
+            break
+    return np.einsum("nijk,ni,nj,nk->n", C, U, U, U), U
 
 
 def unlift(
@@ -212,12 +195,14 @@ def unlift(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Map each completed lifted column back to R^d, with its rank-one gap.
 
-    ``T`` is D x N; returns the d x N pre-images and the N gaps.  For p=2
-    a column's pre-image is sqrt(|lam|) u for the principal eigenpair
-    (lam, u) of its unfolded lift L; for p=3 it is cbrt(lam) u for the
-    dominant HOPM pair of its symmetric cube L.  The gap is
+    ``T`` is D x N; returns the d x N pre-images and the N gaps.  Each
+    column's lift is folded into its symmetric tensor L and started at
+    ``_fiber_start``.  For p=2 the pre-image is sqrt(|lam|) u for the
+    principal eigenpair (lam, u) of L from ``_power_p2``; for p=3 it is
+    cbrt(lam) u for the pair where one ``_hopm`` run stops.  The gap is
     |L - lam u^(x)p|_F / |lam|, 0 for an exact rank-one lift.  An all-zero
-    lift gives the zero column and gap 0.
+    lift gives the zero column and gap 0, a nonzero cube with a zero start
+    the zero column and gap inf.  No result depends on the column blocks.
 
     ``X_obs``/``mask`` (d x N) give the observed entries of the original
     columns and are used only for sign resolution.
@@ -225,12 +210,22 @@ def unlift(
     T = np.asarray(T, dtype=float)
     if T.ndim != 2 or T.shape[0] != imap.D:
         raise ValueError(f"lifted matrix shape {T.shape} needs {imap.D} rows")
-    if imap.p == 2:
-        X, gaps = _unlift_p2(T, imap)
-    elif imap.p == 3:
-        X, gaps = _unlift_p3(T, imap)
-    else:
+    if imap.p not in (2, 3):
         raise ValueError(f"pre-image supports p in {{2, 3}}, got p={imap.p}")
+    N = T.shape[1]
+    X, gaps = np.empty((imap.d, N)), np.empty(N)
+    block = max(1, _BLOCK_FLOATS // imap.d**imap.p)
+    for lo in range(0, N, block):
+        cols = slice(lo, lo + block)
+        L = _fold(T[:, cols], imap)
+        if imap.p == 2:
+            lam, U = _power_p2(L, _fiber_start(L))
+            root = np.sqrt(np.abs(lam))
+        else:
+            lam, U = _hopm(L, _fiber_start(L))
+            root = np.cbrt(lam)
+        X[:, cols] = (root[:, None] * U).T
+        gaps[cols] = _rank1_gaps(L, lam, U)
     if X_obs is not None and mask is not None:
         X = resolve_sign(X, X_obs, mask)
     return X, gaps

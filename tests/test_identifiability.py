@@ -271,11 +271,18 @@ def test_build_A_matches_svd_reference_on_mixed_patterns(monkeypatch):
     Omega = np.zeros((d, 30), dtype=bool)
     for i, m in enumerate(rng.choice([3, 4, 5, 6], size=30)):
         Omega[rng.choice(d, m, replace=False), i] = True
+    # rows 0-4 and all six rows lift to the same first R rows, so with
+    # rows 1-5 between them one head recurs in runs that are not adjacent
+    Omega = np.column_stack([Omega, np.arange(d) < 5, np.arange(d) > 0,
+                             np.ones(d, dtype=bool)])
     U = np.column_stack([tensorize_mask(Omega[:, i], imap)
                          for i in range(Omega.shape[1])])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # duplicate draws
         cp = build_constraint_patterns(U, R)
+    heads = [tuple(np.flatnonzero(c)[:R]) for c in cp.columns.T]
+    runs = [h for j, h in enumerate(heads) if j == 0 or h != heads[j - 1]]
+    assert len(runs) > len(set(runs))
     B = rng.standard_normal((imap.D, R))
     expected, skipped = _build_A_by_svd(B, cp)
     assert skipped == 0

@@ -234,6 +234,14 @@ def test_iladmc_result_does_not_depend_on_power_steps(monkeypatch, augment):
                                atol=1e-10)
 
 
+def test_iladmc_bursts_run_all_their_steps():
+    # a loose rel_tol would end most 5-step bursts after a step or two
+    X, mask = _two_lines_instance()
+    cfg = _cfg(iters=100, tol=1e-2, iladmc_inner_T=5)
+    rep = iladmc(np.where(mask, X, 0.0), mask, 2, cfg)
+    assert rep.solver.iterations_run == 5 * rep.outer_iterations
+
+
 def test_iladmc_restarts_sum_over_passes(monkeypatch):
     X, mask = _two_lines_instance()
     bursts = _record_bursts(monkeypatch)

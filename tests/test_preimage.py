@@ -1,3 +1,7 @@
+import itertools
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -170,36 +174,41 @@ def test_unlift_matches_column_reference(monkeypatch):
     assert np.any(X != unlift(T, m)[0])
 
 
+def _reference_cube(t, m):
+    """The symmetric cube of a p=3 lift t, entry by entry."""
+    cube = np.zeros((m.d,) * 3)
+    for q, e in enumerate(m.entries):
+        for perm in itertools.permutations(e):
+            cube[perm] = t[q]
+    return cube
+
+
 def _reference_hopm(cube):
-    """Best-of-restarts symmetric HOPM on one cube: the per-column loop
+    """Symmetric HOPM on one cube from its fiber start: the per-column loop
     that the batched ``_hopm`` replaced."""
     d = cube.shape[0]
-    rng = np.random.default_rng(preimage.HOPM_SEED)
-    best_lam, best_u = 0.0, np.zeros(d)
-    for _ in range(preimage.HOPM_RESTARTS):
-        u = rng.standard_normal(d)
-        u /= np.linalg.norm(u)
-        for _ in range(preimage.HOPM_ITERS):
-            v = np.einsum("ijk,j,k->i", cube, u, u)
-            nv = np.linalg.norm(v)
-            if nv == 0.0:
-                break
-            u_new = v / nv
-            if np.linalg.norm(u_new - u) < preimage.HOPM_TOL:
-                u = u_new
-                break
+    i = int(np.argmax(np.abs(cube[np.arange(d), np.arange(d), np.arange(d)])))
+    u = cube[:, i, i].copy()
+    if not np.any(u):
+        return 0.0, u
+    u /= np.linalg.norm(u)
+    for _ in range(preimage.HOPM_ITERS):
+        v = np.einsum("ijk,j,k->i", cube, u, u)
+        nv = np.linalg.norm(v)
+        if nv == 0.0:
+            break
+        u_new = v / nv
+        if np.linalg.norm(u_new - u) < preimage.HOPM_TOL:
             u = u_new
-        lam = float(np.einsum("ijk,i,j,k->", cube, u, u, u))
-        if abs(lam) > abs(best_lam):
-            best_lam, best_u = lam, u
-    return best_lam, best_u
+            break
+        u = u_new
+    return float(np.einsum("ijk,i,j,k->", cube, u, u, u)), u
 
 
 def _reference_unlift_p3(T, m):
-    idx = preimage._cube_index(m)
     X, gaps = np.zeros((m.d, T.shape[1])), np.zeros(T.shape[1])
     for n in range(T.shape[1]):
-        cube = T[idx, n]
+        cube = _reference_cube(T[:, n], m)
         lam, u = _reference_hopm(cube)
         X[:, n] = np.cbrt(lam) * u
         if lam == 0.0:
@@ -210,6 +219,24 @@ def _reference_unlift_p3(T, m):
     return X, gaps
 
 
+@pytest.mark.parametrize("p", [2, 3])
+def test_fold_is_a_contiguous_symmetric_stack(p):
+    rng = np.random.default_rng(30 + p)
+    m = build_index_map(4, p)
+    T = rng.standard_normal((m.D, 7))[:, 1:6]  # a strided block of a lift
+    L = preimage._fold(T, m)
+    assert L.shape == (5,) + (4,) * p and L.flags.c_contiguous
+    if p == 2:  # the zero-filled two-way scatter of assemble_symmetric
+        ref = np.zeros((5, 4, 4))
+        rows, cols = m.entries[:, 0], m.entries[:, 1]
+        ref[:, rows, cols] = T.T
+        ref[:, cols, rows] = T.T
+    else:
+        ref = np.stack([_reference_cube(T[:, n], m) for n in range(5)])
+    np.testing.assert_array_equal(L, ref)
+    np.testing.assert_array_equal(preimage._fold(T[:, 0], m), ref[0])
+
+
 @pytest.mark.parametrize("block_columns", [None, 2],
                          ids=["one-block", "two-column-blocks"])
 def test_unlift_p3_batched_hopm_matches_per_column(monkeypatch, block_columns):
@@ -217,36 +244,75 @@ def test_unlift_p3_batched_hopm_matches_per_column(monkeypatch, block_columns):
     rng = np.random.default_rng(12)
     xs = rng.standard_normal((4, 6))
     T_rank1, _ = tensorize_matrix(xs, np.ones_like(xs, dtype=bool), m)
-    # the gathered cube is the symmetric tensor of x
+    # the folded cube is the symmetric tensor of x
     np.testing.assert_allclose(
-        T_rank1[preimage._cube_index(m), 0],
+        preimage._fold(T_rank1[:, 0], m),
         np.einsum("i,j,k->ijk", xs[:, 0], xs[:, 0], xs[:, 0]), atol=1e-12)
     # Columns on which HOPM converges: on a generic cube it may wander for
-    # all its steps, and where it ends is then decided by rounding.  On an
-    # orthogonally decomposable cube the restarts reach different terms,
-    # so the pick of the best restart is exercised.
+    # all its steps, and where it ends is then decided by rounding.  An
+    # orthogonally decomposable cube has several stable terms, and the
+    # fiber start decides which one a column reaches.
     odeco = []
     for _ in range(3):
         Q = np.linalg.qr(rng.standard_normal((4, 4)))[0]
         cube = sum(w * np.einsum("i,j,k->ijk", q, q, q)
                    for w, q in zip((2.0, 1.6, -1.8), Q.T))
         odeco.append(cube[tuple(m.entries.T)])
+    # every fiber C[:, i, i] of this cube is zero, so its start is zero
+    zero_diagonal = np.zeros(m.D)
+    zero_diagonal[m.index_of((0, 1, 2))] = 1.0
     T = np.column_stack([
         T_rank1,                                  # stop in a few steps
         T_rank1[:, :3] + 1e-3 * rng.standard_normal((m.D, 3)),  # near
         *odeco,
+        zero_diagonal,                            # zero pre-image, gap inf
         np.zeros(m.D),                            # zero step at once
     ])
     if block_columns:
-        monkeypatch.setattr(preimage, "_CUBE_FLOATS", block_columns * 4**3)
+        monkeypatch.setattr(preimage, "_BLOCK_FLOATS", block_columns * 4**3)
     X, gaps = unlift(T, m)
     X_ref, gaps_ref = _reference_unlift_p3(T, m)
     np.testing.assert_allclose(X, X_ref, rtol=0, atol=1e-10)
     np.testing.assert_allclose(gaps, gaps_ref, rtol=1e-10, atol=1e-10)
+    assert gaps[-2] == np.inf and np.all(X[:, -2] == 0.0)
     assert gaps[-1] == 0.0 and np.all(X[:, -1] == 0.0)
     X, gaps = unlift(T_rank1, m, xs, np.ones_like(xs, dtype=bool))
     np.testing.assert_allclose(X, xs, atol=1e-8)
     assert np.all(gaps < 1e-12)
+
+
+def test_unlift_p2_blocks_match_one_block(monkeypatch):
+    rng = np.random.default_rng(13)
+    d, N = 5, 23
+    m = build_index_map(d, 2)
+    xs = rng.standard_normal((d, N))
+    T = tensorize_matrix(xs, np.ones_like(xs, dtype=bool), m)[0]
+    T[:, ::4] = rng.standard_normal((m.D, 6))  # columns for the eigh path
+    T[:, 7] = 0.0
+    mask = rng.random(xs.shape) < 0.5
+    X, gaps = unlift(T, m, xs, mask)
+    # blocks of 5 columns, the last one of 3
+    monkeypatch.setattr(preimage, "_BLOCK_FLOATS", 5 * d * d)
+    stacks = _spy_eigh(monkeypatch)
+    X_blocks, gaps_blocks = unlift(T, m, xs, mask)
+    assert len(stacks) > 1
+    np.testing.assert_array_equal(X_blocks, X)
+    np.testing.assert_array_equal(gaps_blocks, gaps)
+
+
+def test_p3_unlift_loads_no_numpy_random():
+    # numpy imports numpy.random on first use; the pre-image draws nothing
+    code = (
+        "import sys\n"
+        "from ladmc.preimage import unlift\n"
+        "from ladmc.tensorize import build_index_map, tensorize_column\n"
+        "m = build_index_map(4, 3)\n"
+        "unlift(tensorize_column([1.0, -2.0, 0.5, 3.0], m)[:, None], m)\n"
+        "print('numpy.random' in sys.modules)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False", out.stdout
 
 
 def _spy_eigh(monkeypatch):
