@@ -19,10 +19,6 @@ def _int_list(text: str) -> list:
     return [int(v) for v in text.replace(":", ",").split(",") if v]
 
 
-def _rank_arg(text: str):
-    return "auto" if text == "auto" else int(text)
-
-
 def _load_config_tokens(argv, parser):
     if "--config" not in argv:
         return argv
@@ -87,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--input", required=True)
     sp.add_argument("--mask", help="0/1 CSV; default: blank/NaN cells missing")
     sp.add_argument("--truth", help="ground-truth CSV for error reporting")
-    sp.add_argument("--rank", type=_rank_arg, default="auto")
+    sp.add_argument("--rank", type=int, required=True)
     sp.add_argument("--order", type=int, default=2)
     sp.add_argument("--algorithm", choices=pipeline.ALGORITHMS,
                     default="ladmc")

@@ -11,7 +11,7 @@ import numpy as np
 
 from .identifiability import minimal_samples, uos_tensor_rank
 from .io import write_pgm, write_report
-from .pipeline import ALGORITHMS, LadmcConfig, completer
+from .pipeline import ALGORITHMS, LadmcConfig, check_rank, completer
 from .synth import gen_mask_uniform, gen_uos
 from .tensorize import build_index_map, tensorize_matrix
 
@@ -42,6 +42,18 @@ class PhaseGridConfig:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
         if self.N_fixed is None and self.N_per_K is None:
             raise ValueError("need N_fixed or N_per_K")
+        if not 1 <= self.r <= self.d:
+            raise ValueError(f"r must be in 1..d={self.d}, got {self.r}")
+        if not self.K_range or min(self.K_range) < 1:
+            raise ValueError("K_range must be a non-empty list of K >= 1, "
+                             f"got {self.K_range}")
+        if not self.m_range or not all(1 <= m <= self.d for m in self.m_range):
+            raise ValueError("m_range must be a non-empty list of m in "
+                             f"1..d={self.d}, got {self.m_range}")
+        for name in ("N_fixed", "N_per_K", "N_cap"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
 
     def columns_for(self, K: int) -> int:
         N = self.N_fixed if self.N_fixed is not None else self.N_per_K * K
@@ -230,6 +242,8 @@ def run_real_experiment(
     elif len(counts) != 2 or min(counts) < 0:
         raise ValueError("counts must be two non-negative entry counts "
                          f"(train, val), got {tuple(counts)}")
+    for R in ranks:
+        check_rank(R)
     X, observed = read_matrix_csv(data_path)
     rng = np.random.default_rng(seed)
     train, val, test = _split_entries(observed, fractions, counts, rng)

@@ -66,29 +66,17 @@ def nrmse(X_hat: np.ndarray, X_true: np.ndarray) -> float:
     return float(np.linalg.norm(X_hat - X_true) / denom)
 
 
-def auto_rank(T_obs: np.ndarray) -> int:
-    """Rank at the largest relative spectral gap of the zero-filled lift."""
-    s = np.linalg.svd(T_obs, compute_uv=False)
-    if s.size <= 1 or s[0] == 0.0:
-        return 1
-    # floor tiny values instead of dropping them so the gap at the true
-    # rank of an exactly low-rank matrix stays visible
-    s = np.maximum(s, 1e-14 * s[0])
-    ratios = s[:-1] / s[1:]
-    return int(np.argmax(ratios)) + 1
-
-
-def _resolve_rank(rank, T_obs: np.ndarray) -> int:
-    return auto_rank(T_obs) if rank == "auto" else int(rank)
+def check_rank(rank) -> None:
+    """Raise unless ``rank`` is an int >= 1."""
+    # bool is an int subclass, but True is no rank
+    if not (isinstance(rank, (int, np.integer))
+            and not isinstance(rank, bool) and rank >= 1):
+        raise ValueError(f"rank must be an int >= 1, got {rank!r}")
 
 
 def _checked_input(X_obs, mask, rank):
     """The input as arrays; a bad rank or non-finite observation raises."""
-    # bool is an int subclass, but True is no rank
-    if not (isinstance(rank, str) and rank == "auto"
-            or isinstance(rank, (int, np.integer))
-            and not isinstance(rank, bool) and rank >= 1):
-        raise ValueError(f"rank must be 'auto' or an int >= 1, got {rank!r}")
+    check_rank(rank)
     X_obs = np.asarray(X_obs, dtype=float)
     mask = np.asarray(mask, dtype=bool)
     if X_obs.shape != mask.shape:
@@ -128,7 +116,7 @@ def _complete_lifted(X_obs, mask, rank, cfg, X_true, max_passes, pass_iters):
                      else (X_obs, mask))
     imap = build_index_map(X_in.shape[0], cfg.p)
     T_obs, T_mask = tensorize_matrix(X_in, mask_in, imap)
-    R = _resolve_rank(rank, T_obs)
+    R = int(rank)
     # a burst runs its pass_iters steps whatever cfg.svp.rel_tol says: only
     # a step that leaves the iterate exactly unchanged ends it early
     opts = (replace(cfg.svp, max_iters=pass_iters, rel_tol=math.ulp(0.0))
@@ -169,12 +157,12 @@ def _complete_lifted(X_obs, mask, rank, cfg, X_true, max_passes, pass_iters):
 def ladmc(
     X_obs: np.ndarray,
     mask: np.ndarray,
-    rank: int | str,
+    rank: int,
     cfg: LadmcConfig | None = None,
     X_true: np.ndarray | None = None,
 ) -> CompletionReport:
     """One pass of lift / low-rank complete / unlift / refill known entries
-    at lifted rank ``rank``: an int, or "auto" (``auto_rank`` of the lift)."""
+    at lifted rank ``rank``."""
     return _complete_lifted(X_obs, mask, rank, cfg or LadmcConfig(), X_true,
                             max_passes=1, pass_iters=None)
 
@@ -182,7 +170,7 @@ def ladmc(
 def iladmc(
     X_obs: np.ndarray,
     mask: np.ndarray,
-    rank: int | str,
+    rank: int,
     cfg: LadmcConfig | None = None,
     X_true: np.ndarray | None = None,
 ) -> CompletionReport:
@@ -198,19 +186,19 @@ def iladmc(
 def lrmc_baseline(
     X_obs: np.ndarray,
     mask: np.ndarray,
-    rank: int | str,
+    rank: int,
     cfg: LadmcConfig | None = None,
     X_true: np.ndarray | None = None,
 ) -> CompletionReport:
     """Plain low-rank completion of the raw matrix, without lifting.
 
-    ``rank`` is the raw matrix's (an int, or "auto"); of ``cfg`` only
-    ``svp`` applies.  The report has no rank-one ratios.
+    ``rank`` is the raw matrix's; of ``cfg`` only ``svp`` applies.  The
+    report has no rank-one ratios.
     """
     cfg = cfg or LadmcConfig()
     X_obs, mask = _checked_input(X_obs, mask, rank)
     X_zero = np.where(mask, X_obs, 0.0)
-    R = _resolve_rank(rank, X_zero)
+    R = int(rank)
     Z, diag = svp_complete(X_zero, mask, R, cfg.svp)
     report = CompletionReport(
         X_hat=Z, outer_iterations=1, per_column_rank1_ratio=np.zeros(0),

@@ -1,4 +1,5 @@
 import importlib.util
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -6,7 +7,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ladmc.cli import _completion, _load_config_tokens, build_parser, main
+from ladmc.cli import (
+    _COMMANDS,
+    _completion,
+    _load_config_tokens,
+    build_parser,
+    main,
+)
 from ladmc.io import read_mask_csv, read_matrix_csv, write_matrix_csv
 from ladmc.synth import gen_uos
 
@@ -135,7 +142,7 @@ def test_complete_and_phase_share_solver_flags():
     defaults = {"inner_T": 30, "step_size": 1.0, "max_iters": 500,
                 "rel_tol": 1e-6, "accel": False, "accel_restart": 300,
                 "success_tol": 1e-4}
-    for argv in (["complete", "--input", "x.csv"],
+    for argv in (["complete", "--input", "x.csv", "--rank", "2"],
                  ["phase", "--d", "6", "--r", "1", "--K-list", "2",
                   "--m-list", "4"]):
         args = vars(parser.parse_args(argv))
@@ -173,6 +180,30 @@ def test_bench_command_lines_build_their_method():
     args = parser.parse_args(workloads["check-9of15"][1])
     assert (args.all_patterns, args.d, args.m, args.rank, args.order,
             args.trials) == (True, 15, 9, 30, 2, 1)
+
+
+def _readme_commands():
+    # the ladmc lines of README's "Command line" block, continuations joined
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text().split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:]
+            for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("ladmc ")]
+
+
+def test_readme_commands_parse():
+    # parses only: an example that keeps a removed flag or leaves out a
+    # required one fails here
+    parser = build_parser()
+    commands = _readme_commands()
+    assert sorted(argv[0] for argv in commands) == sorted(_COMMANDS)
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail("README command does not parse: "
+                        f"ladmc {shlex.join(argv)}")
 
 
 def test_check_two_of_three(tmp_path):
@@ -283,12 +314,21 @@ def test_config_file_flags_override(tmp_path):
 def test_config_file_switch_lines(tmp_path):
     # a line that holds only a key sets a switch
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("input=X.csv\naccel\naugment-ones\naccel-restart=500\n")
+    cfg.write_text("input=X.csv\nrank=2\naccel\naugment-ones\n"
+                   "accel-restart=500\n")
     parser = build_parser()
     args = parser.parse_args(
         _load_config_tokens(["complete", "--config", str(cfg)], parser))
     assert args.accel and args.augment_ones
     assert _completion(args, args.augment_ones).svp.accel_restart == 500
+
+
+def test_complete_without_rank_is_a_usage_error(capsys):
+    # the lifted rank is the caller's, as for check; nothing guesses it
+    with pytest.raises(SystemExit) as exc:
+        main(["complete", "--input", "X.csv"])
+    assert exc.value.code == 2
+    assert "--rank" in capsys.readouterr().err
 
 
 def test_config_flag_without_path_is_a_usage_error(capsys):

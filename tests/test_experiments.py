@@ -33,6 +33,19 @@ def test_config_validation():
         _small_grid(algorithm="nope")
     with pytest.raises(ValueError):
         _small_grid(N_fixed=None, N_per_K=None)
+    # a bad grid fails at construction, not at its first bad cell or as
+    # failed trials
+    for kw, field in ((dict(r=0), "r"), (dict(r=7), "r"),
+                      (dict(K_range=[]), "K_range"),
+                      (dict(K_range=[2, 0]), "K_range"),
+                      (dict(m_range=[]), "m_range"),
+                      (dict(m_range=[4, 9]), "m_range"),
+                      (dict(m_range=[0]), "m_range"),
+                      (dict(N_fixed=0), "N_fixed"),
+                      (dict(N_per_K=0), "N_per_K"),
+                      (dict(N_cap=0), "N_cap")):
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            _small_grid(**kw)
 
 
 def test_config_rejects_workers_below_one():
@@ -198,6 +211,21 @@ def test_real_experiment_rejects_ranks_without_a_usable_one(tmp_path,
     with pytest.raises(ValueError, match=r"lrmc: no usable rank in \[50\]; "
                                          r"ranks must be <= 8"):
         run_real_experiment(path, ranks=[50])
+    assert solves == []
+
+
+def test_real_experiment_rejects_a_bad_rank_before_any_solve(tmp_path,
+                                                            monkeypatch):
+    path = tmp_path / "data.csv"
+    _write_uos_csv(path)
+    solves = []
+    monkeypatch.setattr(experiments, "completer",
+                        lambda name: lambda *a: solves.append(name))
+    for ranks, bad in (([2, 0], "0"), ([1, "auto"], "'auto'"),
+                       ([True], "True")):
+        with pytest.raises(ValueError,
+                           match=f"rank must be an int >= 1, got {bad}"):
+            run_real_experiment(path, ranks=ranks)
     assert solves == []
 
 

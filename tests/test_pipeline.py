@@ -5,7 +5,6 @@ from ladmc import pipeline, preimage
 from ladmc.lrmc import SvpOptions
 from ladmc.pipeline import (
     LadmcConfig,
-    auto_rank,
     iladmc,
     ladmc,
     lrmc_baseline,
@@ -61,12 +60,6 @@ def test_nrmse_errors():
         nrmse(np.ones((2, 2)), np.zeros((2, 2)))
 
 
-def test_auto_rank_picks_spectral_gap():
-    rng = np.random.default_rng(1)
-    M = rng.standard_normal((20, 4)) @ rng.standard_normal((4, 30))
-    assert auto_rank(M) == 4
-
-
 def test_config_validation():
     with pytest.raises(ValueError):
         LadmcConfig(iladmc_inner_T=0)
@@ -75,12 +68,25 @@ def test_config_validation():
         LadmcConfig(p=4)
     X = np.ones((3, 4))
     mask = np.ones_like(X, dtype=bool)
-    for bad in (0, -1, "3", "max", 2.0, None, True, False):
-        with pytest.raises(ValueError, match="rank must be 'auto' or an int"):
+    for bad in (0, -1, "3", "max", "auto", 2.0, None, True, False):
+        with pytest.raises(ValueError, match="rank must be an int >= 1"):
             ladmc(X, mask, bad)
     assert ladmc(X, mask, np.int64(3)).rank_used == 3
     with pytest.raises(ValueError):
         ladmc(X, mask, 100)
+
+
+@pytest.mark.parametrize("algo", [ladmc, iladmc, lrmc_baseline])
+def test_every_completion_rejects_rank_auto(algo, monkeypatch):
+    # the rank is the caller's: "auto" fails before any lift or solve
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("lifted or solved with a bad rank")
+
+    monkeypatch.setattr(pipeline, "tensorize_matrix", must_not_run)
+    monkeypatch.setattr(pipeline, "svp_complete", must_not_run)
+    X, mask = _two_lines_instance()
+    with pytest.raises(ValueError, match="rank must be an int >= 1"):
+        algo(np.where(mask, X, 0.0), mask, "auto")
 
 
 def test_fully_observed_identity():
@@ -284,19 +290,6 @@ def test_ladmc_single_subspace_recovery():
     mask = gen_mask_uniform(25, 1300, 12, seed=6)
     rep = ladmc(np.where(mask, X, 0.0), mask, 6, _cfg(iters=900), X_true=X)
     assert rep.nrmse < 1e-4
-
-
-def test_auto_rank_through_pipeline():
-    X, mask = _two_lines_instance()
-    cfg = LadmcConfig(
-        p=2, svp=SvpOptions(step_size=2.0, max_iters=3000, rel_tol=1e-9),
-    )
-    rep = ladmc(np.where(mask, X, 0.0), mask, "auto", cfg, X_true=X)
-    assert rep.rank_used >= 1
-    # the auto rule may over- or under-shoot on a zero-filled spectrum, but
-    # it must still produce a finite, observed-faithful estimate
-    np.testing.assert_array_equal(rep.X_hat[mask], X[mask])
-    assert np.all(np.isfinite(rep.X_hat))
 
 
 def test_augment_ones_fully_observed_identity():
