@@ -21,13 +21,8 @@ from .identifiability import (
 )
 from .lrmc import SolveDiagnostics, SvpOptions, svp_complete, truncated_svd_project
 from .pipeline import CompletionReport, LadmcConfig, iladmc, ladmc, nrmse
-from .preimage import (
-    assemble_symmetric,
-    preimage_column,
-    resolve_sign,
-    unlift,
-)
-from .synth import UoSModel, gen_all_patterns, gen_mask_uniform, gen_single_subspace, gen_uos
+from .preimage import preimage_column, resolve_sign, unlift
+from .synth import UoSModel, gen_all_patterns, gen_mask_uniform, gen_uos
 from .tensorize import (
     TensorIndexMap,
     augment_ones,

@@ -19,6 +19,10 @@ def _int_list(text: str) -> list:
     return [int(v) for v in text.replace(":", ",").split(",") if v]
 
 
+def _float_list(text: str) -> list:
+    return [float(v) for v in text.split(",") if v]
+
+
 def _load_config_tokens(argv, parser):
     if "--config" not in argv:
         return argv
@@ -50,13 +54,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--seed", type=int, default=0)
+    def common(sp, seed_help=None):
+        sp.add_argument("--seed", type=int, default=0, help=seed_help)
         sp.add_argument("--out-dir", default=".")
         sp.add_argument("--config", help=argparse.SUPPRESS)
 
     def solver_flags(sp):
-        # shared by complete and phase; each default is its dataclass's own
+        # complete, phase and real: each default is its dataclass's own
         sp.add_argument("--inner-T", type=int,
                         default=pipeline.LadmcConfig.iladmc_inner_T)
         sp.add_argument("--step-size", type=float,
@@ -68,8 +72,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--accel-restart", type=int,
                         default=SvpOptions.accel_restart,
                         help="longest momentum run between restarts")
-        sp.add_argument("--success-tol", type=float,
-                        default=experiments.PhaseGridConfig.success_tol)
 
     sp = sub.add_parser("synth", help="generate synthetic UoS data + mask")
     sp.add_argument("--d", type=int, required=True)
@@ -88,8 +90,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--algorithm", choices=pipeline.ALGORITHMS,
                     default="ladmc")
     solver_flags(sp)
+    sp.add_argument("--success-tol", type=float,
+                    default=experiments.PhaseGridConfig.success_tol)
     sp.add_argument("--augment-ones", action="store_true")
-    common(sp)
+    common(sp, seed_help="changes nothing; only copied into report.txt")
 
     sp = sub.add_parser("check", help="sampling-pattern identifiability")
     sp.add_argument("--pattern", help="0/1 CSV of sampling patterns (d x n)")
@@ -115,6 +119,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--algorithm", choices=pipeline.ALGORITHMS,
                     default="ladmc")
     solver_flags(sp)
+    sp.add_argument("--success-tol", type=float,
+                    default=experiments.PhaseGridConfig.success_tol)
     sp.add_argument("--workers", type=int, default=1)
     common(sp)
 
@@ -130,14 +136,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("real", help="train/val/test benchmark on a CSV")
     sp.add_argument("--input", required=True)
     sp.add_argument("--ranks", type=_int_list, required=True)
-    sp.add_argument("--fractions", default="0.5,0.25,0.25")
+    sp.add_argument("--fractions", type=_float_list, default="0.5,0.25,0.25")
     sp.add_argument("--counts", type=_int_list,
                     help="absolute train,val entry counts per column")
     sp.add_argument("--order", type=int, default=2)
-    sp.add_argument("--inner-T", type=int,
-                    default=pipeline.LadmcConfig.iladmc_inner_T)
-    sp.add_argument("--max-iters", type=int, default=SvpOptions.max_iters)
-    sp.add_argument("--rel-tol", type=float, default=SvpOptions.rel_tol)
+    solver_flags(sp)
     common(sp)
     return parser
 
@@ -179,7 +182,7 @@ def _cmd_complete(args):
     rep = pipeline.completer(args.algorithm)(X, mask, args.rank, cfg,
                                              X_true=X_true)
     report_items = {"algorithm": args.algorithm, "order": args.order,
-                    "seed": args.seed, "rank_used": rep.rank_used,
+                    "seed": args.seed, "rank_used": args.rank,
                     "iterations": rep.solver.iterations_run,
                     "restarts": rep.solver.restarts,
                     "full_eigh": rep.solver.full_eigh,
@@ -267,13 +270,10 @@ def _cmd_rank_verify(args):
 
 
 def _cmd_real(args):
-    fractions = tuple(float(v) for v in args.fractions.split(","))
     counts = tuple(args.counts) if args.counts else None
     results = experiments.run_real_experiment(
-        args.input, ranks=args.ranks, fractions=fractions, counts=counts,
-        seed=args.seed, completion=pipeline.LadmcConfig(
-            p=args.order, iladmc_inner_T=args.inner_T,
-            svp=SvpOptions(max_iters=args.max_iters, rel_tol=args.rel_tol)),
+        args.input, ranks=args.ranks, fractions=tuple(args.fractions),
+        counts=counts, seed=args.seed, completion=_completion(args),
         out_dir=args.out_dir,
     )
     print(f"excluded_columns={results['excluded_columns']}")

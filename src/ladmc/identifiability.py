@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,15 +36,11 @@ _GRAM_REL_FLOOR = 1e-8
 
 @dataclass
 class ConstraintPatterns:
-    """Columns with exactly R+1 observed rows, one linear constraint each.
-
-    ``provenance[j]`` is (source pattern index, offset kappa >= 1).
-    """
+    """Columns with exactly R+1 observed rows, one linear constraint each."""
 
     D: int
     R: int
     columns: np.ndarray  # bool, D x n_constraints
-    provenance: list = field(default_factory=list)
 
 
 @dataclass
@@ -153,9 +149,7 @@ def build_constraint_patterns(Upsilon: np.ndarray, R: int) -> ConstraintPatterns
     src, extra = np.nonzero((Upsilon & (position > R)).T)
     columns = head[:, src]
     columns[extra, np.arange(src.size)] = True
-    kappa = position[extra, src] - R
-    provenance = list(zip(src.tolist(), kappa.tolist()))
-    return ConstraintPatterns(D=D, R=R, columns=columns, provenance=provenance)
+    return ConstraintPatterns(D=D, R=R, columns=columns)
 
 
 def _kernel_vector_svd(block: np.ndarray) -> np.ndarray | None:

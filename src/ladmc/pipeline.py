@@ -51,7 +51,6 @@ class CompletionReport:
     nrmse: float | None = None
     solver: SolveDiagnostics | None = None
     zero_columns: list = field(default_factory=list)
-    rank_used: int = 0
 
 
 def nrmse(X_hat: np.ndarray, X_true: np.ndarray) -> float:
@@ -116,7 +115,6 @@ def _complete_lifted(X_obs, mask, rank, cfg, X_true, max_passes, pass_iters):
                      else (X_obs, mask))
     imap = build_index_map(X_in.shape[0], cfg.p)
     T_obs, T_mask = tensorize_matrix(X_in, mask_in, imap)
-    R = int(rank)
     # a burst runs its pass_iters steps whatever cfg.svp.rel_tol says: only
     # a step that leaves the iterate exactly unchanged ends it early
     opts = (replace(cfg.svp, max_iters=pass_iters, rel_tol=math.ulp(0.0))
@@ -129,7 +127,7 @@ def _complete_lifted(X_obs, mask, rank, cfg, X_true, max_passes, pass_iters):
     for outer in range(1, max_passes + 1):
         if outer > 1:
             Z0, _ = tensorize_matrix(X_cur, full, imap)
-        T_hat, diag = svp_complete(T_obs, T_mask, R, opts, Z0=Z0)
+        T_hat, diag = svp_complete(T_obs, T_mask, int(rank), opts, Z0=Z0)
         total_iters += diag.iterations_run
         total_eigh += diag.full_eigh
         total_restarts += diag.restarts
@@ -149,7 +147,6 @@ def _complete_lifted(X_obs, mask, rank, cfg, X_true, max_passes, pass_iters):
         X_hat=X_hat, outer_iterations=outer, per_column_rank1_ratio=ratios,
         solver=replace(diag, iterations_run=total_iters, full_eigh=total_eigh,
                        restarts=total_restarts, converged=converged),
-        rank_used=R,
     )
     return _finalize(X_hat, X_obs, mask, report, X_true)
 
@@ -198,11 +195,10 @@ def lrmc_baseline(
     cfg = cfg or LadmcConfig()
     X_obs, mask = _checked_input(X_obs, mask, rank)
     X_zero = np.where(mask, X_obs, 0.0)
-    R = int(rank)
-    Z, diag = svp_complete(X_zero, mask, R, cfg.svp)
+    Z, diag = svp_complete(X_zero, mask, int(rank), cfg.svp)
     report = CompletionReport(
         X_hat=Z, outer_iterations=1, per_column_rank1_ratio=np.zeros(0),
-        solver=diag, rank_used=R,
+        solver=diag,
     )
     return _finalize(Z, X_obs, mask, report, X_true)
 

@@ -39,20 +39,6 @@ _POWER_STEPS = 8
 _POWER_TOL = 1e-12
 
 
-def assemble_symmetric(T: np.ndarray, imap: TensorIndexMap) -> np.ndarray:
-    """Unfold p=2 lifted vectors into the symmetric matrices they came from.
-
-    A lifted vector of length D gives a d x d matrix; a D x N matrix of
-    lifted columns gives an N x d x d stack.
-    """
-    if imap.p != 2:
-        raise ValueError(f"symmetric matrix assembly requires p=2, got p={imap.p}")
-    T = np.asarray(T, dtype=float)
-    if T.shape[0] != imap.D:
-        raise ValueError(f"lifted vector length {T.shape[0]} != D={imap.D}")
-    return _fold(T, imap)
-
-
 def _fold(T: np.ndarray, imap: TensorIndexMap) -> np.ndarray:
     """The symmetric tensors of lifted vectors T (D, or D x n), as a
     C-contiguous d^p array or n x d^p stack.
@@ -172,7 +158,10 @@ def _hopm(C: np.ndarray, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Symmetric higher-order power method, order 3, on stacked cubes C
     (n x d x d x d) from the starts U (n x d, overwritten): the pairs
     (n, n x d) where each column stops, once its step vanishes (a zero
-    start stays zero, with lam = 0) or moves it by less than HOPM_TOL."""
+    start stays zero, with lam = 0) or moves it by less than HOPM_TOL.
+    A column still moving after HOPM_ITERS steps returns its last unit
+    iterate u with lam = C(u, u, u) there.  That is not a settled
+    eigenpair, and only the column's rank-one gap shows it."""
     live = np.ones(U.shape[0], dtype=bool)
     for _ in range(HOPM_ITERS):
         V = np.einsum("nijk,nj,nk->ni", C, U, U)

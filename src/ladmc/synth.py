@@ -51,11 +51,6 @@ def gen_uos(
     return X, UoSModel(d=d, K=K, r=r, bases=bases, labels=labels)
 
 
-def gen_single_subspace(d: int, r: int, N: int, seed: int = 0) -> np.ndarray:
-    X, _ = gen_uos(d, 1, r, N, seed)
-    return X
-
-
 def gen_mask_uniform(d: int, N: int, m: int, seed: int = 0) -> np.ndarray:
     """Exactly m observed rows per column, uniform without replacement."""
     if not 1 <= m <= d:

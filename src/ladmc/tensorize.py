@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,15 +46,10 @@ class TensorIndexMap:
     d: int
     p: int
     entries: np.ndarray
-    _lookup: dict = field(repr=False)
 
     @property
     def D(self) -> int:
         return self.entries.shape[0]
-
-    def index_of(self, multi) -> int:
-        """Coordinate of a sorted multi-index; raises KeyError if unsorted."""
-        return self._lookup[tuple(multi)]
 
 
 @functools.lru_cache(maxsize=32)
@@ -72,8 +67,7 @@ def build_index_map(d: int, p: int) -> TensorIndexMap:
         count=D * p,
     ).reshape(D, p)
     entries.flags.writeable = False
-    lookup = {tuple(row): q for q, row in enumerate(map(tuple, entries))}
-    return TensorIndexMap(d=d, p=p, entries=entries, _lookup=lookup)
+    return TensorIndexMap(d=d, p=p, entries=entries)
 
 
 def _check_length(v, imap: TensorIndexMap, name: str) -> None:

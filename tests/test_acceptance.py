@@ -97,7 +97,7 @@ def test_criterion_5_sufficiency_instances():
     cols = np.zeros((D, D - R), dtype=bool)
     cols[:R] = True
     cols[R:][np.arange(D - R), np.arange(D - R)] = True
-    fixture = ConstraintPatterns(D=D, R=R, columns=cols, provenance=[])
+    fixture = ConstraintPatterns(D=D, R=R, columns=cols)
     comb = check_identifiable_combinatorial(fixture, R, D)
     ok = ok_alg and comb.identifiable
     record_acceptance(5, "4-of-6 patterns identify rank 2; block fixture", ok,

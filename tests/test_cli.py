@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ladmc import experiments
 from ladmc.cli import (
     _COMMANDS,
     _completion,
@@ -140,13 +141,34 @@ def test_complete_rejects_zero_max_iters(tmp_path):
 def test_complete_and_phase_share_solver_flags():
     parser = build_parser()
     defaults = {"inner_T": 30, "step_size": 1.0, "max_iters": 500,
-                "rel_tol": 1e-6, "accel": False, "accel_restart": 300,
-                "success_tol": 1e-4}
+                "rel_tol": 1e-6, "accel": False, "accel_restart": 300}
     for argv in (["complete", "--input", "x.csv", "--rank", "2"],
                  ["phase", "--d", "6", "--r", "1", "--K-list", "2",
-                  "--m-list", "4"]):
+                  "--m-list", "4"],
+                 ["real", "--input", "x.csv", "--ranks", "3"]):
         args = vars(parser.parse_args(argv))
         assert {k: args[k] for k in defaults} == defaults, argv[0]
+        # real judges no success, so it takes no success tolerance
+        assert args.get("success_tol") == (
+            None if argv[0] == "real" else 1e-4), argv[0]
+
+
+def test_real_runs_the_solver_complete_builds(monkeypatch):
+    seen = {}
+
+    def fake_real(path, **kwargs):
+        seen.update(kwargs)
+        row = {"rank": 3, "val_rmse": 0.0, "test_rmse": 0.0}
+        return {"excluded_columns": [], "mean_fill": row, "lrmc": row,
+                "ladmc": row, "iladmc": row}
+
+    monkeypatch.setattr(experiments, "run_real_experiment", fake_real)
+    argv = ["real", "--input", "x.csv", "--ranks", "3", "--accel",
+            "--accel-restart", "500"]
+    assert main(argv) == 0
+    assert seen["completion"] == _completion(build_parser().parse_args(argv))
+    assert seen["completion"].svp.accel
+    assert seen["completion"].svp.accel_restart == 500
 
 
 def _bench_workloads():
@@ -329,6 +351,16 @@ def test_complete_without_rank_is_a_usage_error(capsys):
         main(["complete", "--input", "X.csv"])
     assert exc.value.code == 2
     assert "--rank" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", [["--success-tol", "1e-3"],
+                                  ["--fractions", "0.5,x,0.25"]],
+                         ids=["success-tol", "fractions"])
+def test_real_bad_flag_is_a_usage_error(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["real", "--input", "x.csv", "--ranks", "3", *flag])
+    assert exc.value.code == 2
+    assert flag[0] in capsys.readouterr().err
 
 
 def test_config_flag_without_path_is_a_usage_error(capsys):

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from ladmc import preimage
 from ladmc.preimage import (
     SIGN_TOL_SCALE,
-    assemble_symmetric,
     preimage_column,
     rank1_gap,
     resolve_sign,
@@ -51,48 +50,22 @@ def _reference_unlift_p2(T, m, X_obs, mask):
     return X, gaps
 
 
-def test_assemble_symmetric_values():
+def test_fold_values():
     m = build_index_map(3, 2)
-    S = assemble_symmetric([1, -2, 3, 4, -6, 9], m)
+    S = preimage._fold(np.array([1.0, -2, 3, 4, -6, 9]), m)
     np.testing.assert_allclose(S, [[1, -2, 3], [-2, 4, -6], [3, -6, 9]])
     assert np.array_equal(S, S.T)
-
-
-def test_assemble_symmetric_is_outer_product():
-    rng = np.random.default_rng(0)
-    m = build_index_map(5, 2)
-    x = rng.standard_normal(5)
-    S = assemble_symmetric(tensorize_column(x, m), m)
-    np.testing.assert_allclose(S, np.outer(x, x), atol=1e-12)
-
-
-def test_assemble_symmetric_basis_vector():
-    m = build_index_map(3, 2)
+    # the fold of a lifted column is its outer product
+    x = np.random.default_rng(0).standard_normal(5)
+    m5 = build_index_map(5, 2)
+    np.testing.assert_allclose(preimage._fold(tensorize_column(x, m5), m5),
+                               np.outer(x, x), atol=1e-12)
+    # a basis vector of the lift: the x1^2 coordinate
     t = np.zeros(6)
-    t[0] = 1.0  # the x1^2 coordinate
-    S = assemble_symmetric(t, m)
+    t[0] = 1.0
     expected = np.zeros((3, 3))
     expected[0, 0] = 1.0
-    np.testing.assert_array_equal(S, expected)
-
-
-def test_assemble_symmetric_requires_p2():
-    m = build_index_map(3, 3)
-    with pytest.raises(ValueError):
-        assemble_symmetric(np.zeros(m.D), m)
-    m2 = build_index_map(3, 2)
-    with pytest.raises(ValueError):
-        assemble_symmetric(np.zeros(5), m2)
-
-
-def test_assemble_symmetric_stack():
-    rng = np.random.default_rng(5)
-    m = build_index_map(4, 2)
-    T = rng.standard_normal((m.D, 3))
-    S = assemble_symmetric(T, m)
-    assert S.shape == (3, 4, 4)
-    for n in range(3):
-        np.testing.assert_array_equal(S[n], assemble_symmetric(T[:, n], m))
+    np.testing.assert_array_equal(preimage._fold(t, m), expected)
 
 
 def test_unlift_known_pair():
@@ -158,7 +131,7 @@ def test_unlift_matches_column_reference(monkeypatch):
     X_ref, gaps_ref = _reference_unlift_p2(T, m, X_obs, mask)
     # columns the power steps settle agree to 1e-10, column-relative; the
     # rest (ties, zero lifts) take the eigh path and agree bit for bit
-    S = assemble_symmetric(T, m)
+    S = preimage._fold(T, m)
     fell_back = [n for n in range(T.shape[1])
                  if any(np.array_equal(S[n], s) for s in np.vstack(stacks))]
     assert {8, 9} <= set(fell_back)
@@ -226,7 +199,7 @@ def test_fold_is_a_contiguous_symmetric_stack(p):
     T = rng.standard_normal((m.D, 7))[:, 1:6]  # a strided block of a lift
     L = preimage._fold(T, m)
     assert L.shape == (5,) + (4,) * p and L.flags.c_contiguous
-    if p == 2:  # the zero-filled two-way scatter of assemble_symmetric
+    if p == 2:  # a zero-filled two-way scatter
         ref = np.zeros((5, 4, 4))
         rows, cols = m.entries[:, 0], m.entries[:, 1]
         ref[:, rows, cols] = T.T
@@ -234,7 +207,8 @@ def test_fold_is_a_contiguous_symmetric_stack(p):
     else:
         ref = np.stack([_reference_cube(T[:, n], m) for n in range(5)])
     np.testing.assert_array_equal(L, ref)
-    np.testing.assert_array_equal(preimage._fold(T[:, 0], m), ref[0])
+    for n in range(5):  # one column folds to its slice of the stack
+        np.testing.assert_array_equal(preimage._fold(T[:, n], m), ref[n])
 
 
 @pytest.mark.parametrize("block_columns", [None, 2],
@@ -260,7 +234,7 @@ def test_unlift_p3_batched_hopm_matches_per_column(monkeypatch, block_columns):
         odeco.append(cube[tuple(m.entries.T)])
     # every fiber C[:, i, i] of this cube is zero, so its start is zero
     zero_diagonal = np.zeros(m.D)
-    zero_diagonal[m.index_of((0, 1, 2))] = 1.0
+    zero_diagonal[m.entries.tolist().index([0, 1, 2])] = 1.0
     T = np.column_stack([
         T_rank1,                                  # stop in a few steps
         T_rank1[:, :3] + 1e-3 * rng.standard_normal((m.D, 3)),  # near
@@ -362,14 +336,14 @@ def test_unlift_p2_power_steps_match_eigh(monkeypatch):
     X_obs = np.where(rng.random(T.shape[1]) < 0.5, -1.0, 1.0) * np.column_stack(
         [xs] + [np.zeros(d)] * len(special))
     mask = rng.random(X_obs.shape) < 0.5
-    w, U = preimage._eigh_p2(assemble_symmetric(T, m))
+    w, U = preimage._eigh_p2(preimage._fold(T, m))
     X_eigh = resolve_sign((np.sqrt(np.abs(w))[:, None] * U).T, X_obs, mask)
     stacks = _spy_eigh(monkeypatch)
     X, gaps = unlift(T, m, X_obs, mask)
     fell_back = [N + list(special).index(k) for k in must_fall_back]
     assert len(stacks) == 1
     np.testing.assert_array_equal(stacks[0],
-                                  assemble_symmetric(T[:, fell_back], m))
+                                  preimage._fold(T[:, fell_back], m))
     scale = np.maximum(np.linalg.norm(X_eigh, axis=0), 1e-300)
     assert np.all(np.linalg.norm(X - X_eigh, axis=0) <= 1e-10 * scale)
     np.testing.assert_array_equal(X[:, fell_back], X_eigh[:, fell_back])

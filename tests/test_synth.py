@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from ladmc.synth import gen_all_patterns, gen_mask_uniform, gen_single_subspace, gen_uos
+from ladmc.synth import gen_all_patterns, gen_mask_uniform, gen_uos
 from ladmc.tensorize import build_index_map, tensorize_matrix
 
 
@@ -58,12 +58,13 @@ def test_gen_uos_determinism_and_noise():
 
 
 def test_gen_single_subspace():
-    X = gen_single_subspace(25, 1, 500, seed=0)
+    # K=1: every column lies in one r-dimensional subspace
+    X, _ = gen_uos(25, 1, 1, 500, seed=0)
     s = np.linalg.svd(X, compute_uv=False)
     assert np.sum(s > 1e-8 * s[0]) == 1
-    Xf = gen_single_subspace(5, 5, 50, seed=0)
+    Xf, _ = gen_uos(5, 1, 5, 50, seed=0)
     assert np.linalg.matrix_rank(Xf) == 5
-    X3 = gen_single_subspace(8, 3, 100, seed=1)
+    X3, _ = gen_uos(8, 1, 3, 100, seed=1)
     imap = build_index_map(8, 2)
     T, _ = tensorize_matrix(X3, np.ones_like(X3, dtype=bool), imap)
     sT = np.linalg.svd(T, compute_uv=False)

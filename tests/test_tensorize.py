@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -50,11 +51,11 @@ def test_index_map_shared_and_read_only():
 def test_index_map_roundtrip(d, p):
     m = build_index_map(d, p)
     assert m.D == tensor_dimension(d, p)
-    for q in range(m.D):
-        assert m.index_of(m.entries[q]) == q
-    # strict lexicographic order, no duplicates
-    rows = list(map(tuple, m.entries))
-    assert rows == sorted(set(rows))
+    # coordinate q holds the q-th sorted multi-index in lexicographic
+    # order: every sorted multi-index once, so the map is a bijection
+    sorted_multis = {tuple(sorted(t))
+                     for t in itertools.product(range(d), repeat=p)}
+    assert list(map(tuple, m.entries.tolist())) == sorted(sorted_multis)
 
 
 def test_tensorize_column_values():
