@@ -50,22 +50,41 @@ def _reference_unlift_p2(T, m, X_obs, mask):
     return X, gaps
 
 
-def test_fold_values():
+# `_fold` is the symmetric assembly of a p=2 lift: these tests keep the names
+# of the checks on the wrapper it once had
+def test_assemble_symmetric_values():
     m = build_index_map(3, 2)
     S = preimage._fold(np.array([1.0, -2, 3, 4, -6, 9]), m)
     np.testing.assert_allclose(S, [[1, -2, 3], [-2, 4, -6], [3, -6, 9]])
     assert np.array_equal(S, S.T)
-    # the fold of a lifted column is its outer product
-    x = np.random.default_rng(0).standard_normal(5)
-    m5 = build_index_map(5, 2)
-    np.testing.assert_allclose(preimage._fold(tensorize_column(x, m5), m5),
-                               np.outer(x, x), atol=1e-12)
-    # a basis vector of the lift: the x1^2 coordinate
+
+
+def test_assemble_symmetric_is_outer_product():
+    rng = np.random.default_rng(0)
+    m = build_index_map(5, 2)
+    x = rng.standard_normal(5)
+    S = preimage._fold(tensorize_column(x, m), m)
+    np.testing.assert_allclose(S, np.outer(x, x), atol=1e-12)
+
+
+def test_assemble_symmetric_basis_vector():
+    m = build_index_map(3, 2)
     t = np.zeros(6)
-    t[0] = 1.0
+    t[0] = 1.0  # the x1^2 coordinate
+    S = preimage._fold(t, m)
     expected = np.zeros((3, 3))
     expected[0, 0] = 1.0
-    np.testing.assert_array_equal(preimage._fold(t, m), expected)
+    np.testing.assert_array_equal(S, expected)
+
+
+def test_assemble_symmetric_stack():
+    rng = np.random.default_rng(5)
+    m = build_index_map(4, 2)
+    T = rng.standard_normal((m.D, 3))
+    S = preimage._fold(T, m)
+    assert S.shape == (3, 4, 4)
+    for n in range(3):
+        np.testing.assert_array_equal(S[n], preimage._fold(T[:, n], m))
 
 
 def test_unlift_known_pair():
