@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Subcommands: synth, complete, check, phase, rank-verify, real.
-An optional ``--config`` file holds ``key=value`` lines (keys are flag
-names without the leading dashes); explicit flags override the file.
+Each ``--config FILE`` (or ``--config=FILE``) holds ``key=value`` lines,
+keys being flag names without the leading dashes; the files are read in
+order, and explicit flags override them.
 """
 
 from __future__ import annotations
@@ -23,26 +24,34 @@ def _float_list(text: str) -> list:
     return [float(v) for v in text.split(",") if v]
 
 
-def _load_config_tokens(argv, parser):
-    if "--config" not in argv:
-        return argv
-    i = argv.index("--config")
-    if i + 1 == len(argv):
-        parser.error("argument --config: expected a file path")
-    path = argv[i + 1]
-    rest = argv[:i] + argv[i + 2:]
+def _checked(parse, check):
+    """An argparse type that makes ``check``'s ValueError a usage error."""
+    def arg_type(text):
+        try:
+            check(value := parse(text))
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return value
+    return arg_type
+
+
+def _splice_config(argv) -> list:
+    """argv with its --config flags replaced by their files' lines, read in
+    order and put after the subcommand, before the explicit flags."""
+    pre = argparse.ArgumentParser(prog="ladmc", add_help=False,
+                                  allow_abbrev=False)
+    pre.add_argument("--config", action="append", default=[])
+    known, rest = pre.parse_known_args(argv)
     tokens = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            # a line with only a key is a switch such as accel
-            key, eq, value = line.partition("=")
-            tokens.append(f"--{key.strip()}")
-            if eq:
-                tokens.append(value.strip())
-    # subcommand first, then config defaults, then explicit flags (override)
+    for path in known.config:
+        with open(path) as fh:
+            for line in map(str.strip, fh):
+                if line and not line.startswith("#"):
+                    # a line with only a key is a switch such as accel
+                    key, eq, value = line.partition("=")
+                    tokens.append(f"--{key.strip()}")
+                    if eq:
+                        tokens.append(value.strip())
     return rest[:1] + tokens + rest[1:]
 
 
@@ -57,7 +66,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp, seed_help=None):
         sp.add_argument("--seed", type=int, default=0, help=seed_help)
         sp.add_argument("--out-dir", default=".")
-        sp.add_argument("--config", help=argparse.SUPPRESS)
 
     def solver_flags(sp):
         # complete, phase and real: each default is its dataclass's own
@@ -136,8 +144,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("real", help="train/val/test benchmark on a CSV")
     sp.add_argument("--input", required=True)
     sp.add_argument("--ranks", type=_int_list, required=True)
-    sp.add_argument("--fractions", type=_float_list, default="0.5,0.25,0.25")
-    sp.add_argument("--counts", type=_int_list,
+    sp.add_argument("--fractions", default="0.5,0.25,0.25",
+                    type=_checked(_float_list, experiments.check_fractions))
+    sp.add_argument("--counts",
+                    type=_checked(_int_list, experiments.check_counts),
                     help="absolute train,val entry counts per column")
     sp.add_argument("--order", type=int, default=2)
     solver_flags(sp)
@@ -206,15 +216,12 @@ def _cmd_complete(args):
 def _cmd_check(args):
     if args.pattern:
         Omega = io.read_mask_csv(args.pattern)
-        d = Omega.shape[0]
     elif args.all_patterns:
         if args.d is None or args.m is None:
             raise SystemExit("--all-patterns requires --d and --m")
-        d = args.d
-        Omega = synth.gen_all_patterns(d, args.m, 1)
+        Omega = synth.gen_all_patterns(args.d, args.m, 1)
     elif args.d is not None:
         Omega = None
-        d = args.d
     else:
         raise SystemExit("need --pattern, or --all-patterns with --d/--m")
 
@@ -270,10 +277,9 @@ def _cmd_rank_verify(args):
 
 
 def _cmd_real(args):
-    counts = tuple(args.counts) if args.counts else None
     results = experiments.run_real_experiment(
-        args.input, ranks=args.ranks, fractions=tuple(args.fractions),
-        counts=counts, seed=args.seed, completion=_completion(args),
+        args.input, ranks=args.ranks, fractions=args.fractions,
+        counts=args.counts, seed=args.seed, completion=_completion(args),
         out_dir=args.out_dir,
     )
     print(f"excluded_columns={results['excluded_columns']}")
@@ -295,9 +301,7 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    args = parser.parse_args(_load_config_tokens(argv, parser))
+    args = build_parser().parse_args(_splice_config(argv))
     return _COMMANDS[args.command](args)
 
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .identifiability import minimal_samples, uos_tensor_rank
-from .io import write_pgm, write_report
+from .io import read_matrix_csv, write_pgm, write_report
 from .pipeline import ALGORITHMS, LadmcConfig, check_rank, completer
 from .synth import gen_mask_uniform, gen_uos
 from .tensorize import build_index_map, tensorize_matrix
@@ -188,10 +188,7 @@ def rank_verify(
 
 
 def _rmse(pred: np.ndarray, truth: np.ndarray, mask: np.ndarray) -> float:
-    n = int(mask.sum())
-    if n == 0:
-        return float("nan")
-    return float(np.linalg.norm((pred - truth)[mask]) / np.sqrt(n))
+    return float(np.linalg.norm((pred - truth)[mask]) / np.sqrt(mask.sum()))
 
 
 def _split_entries(observed, fractions, counts, rng):
@@ -214,6 +211,21 @@ def _split_entries(observed, fractions, counts, rng):
     return train, val, test
 
 
+def check_fractions(fractions):
+    """Reject anything but three non-negative shares summing to 1."""
+    if (len(fractions) != 3 or min(fractions) < 0
+            or abs(sum(fractions) - 1) > 1e-9):
+        raise ValueError("fractions must be three non-negative shares "
+                         f"summing to 1, got {tuple(fractions)}")
+
+
+def check_counts(counts):
+    """Reject anything but two non-negative entry counts."""
+    if len(counts) != 2 or min(counts) < 0:
+        raise ValueError("counts must be two non-negative entry counts "
+                         f"(train, val), got {tuple(counts)}")
+
+
 def run_real_experiment(
     data_path,
     ranks,
@@ -232,26 +244,18 @@ def run_real_experiment(
     rank is chosen from ``ranks`` (at most ``min(d, N)`` raw, ``min(D, N)``
     lifted) by validation RMSE and scored on the test entries.
     """
-    from .io import read_matrix_csv
-
     if counts is None:
-        if (len(fractions) != 3 or min(fractions) < 0
-                or abs(sum(fractions) - 1) > 1e-9):
-            raise ValueError("fractions must be three non-negative shares "
-                             f"summing to 1, got {tuple(fractions)}")
-    elif len(counts) != 2 or min(counts) < 0:
-        raise ValueError("counts must be two non-negative entry counts "
-                         f"(train, val), got {tuple(counts)}")
+        check_fractions(fractions)
+    else:
+        check_counts(counts)
     for R in ranks:
         check_rank(R)
     X, observed = read_matrix_csv(data_path)
     rng = np.random.default_rng(seed)
     train, val, test = _split_entries(observed, fractions, counts, rng)
 
-    empty = np.nonzero(train.sum(axis=0) == 0)[0]
-    if empty.size:
-        keep = train.sum(axis=0) > 0
-        X, train, val, test = X[:, keep], train[:, keep], val[:, keep], test[:, keep]
+    keep = train.any(axis=0)
+    X, train, val, test = X[:, keep], train[:, keep], val[:, keep], test[:, keep]
     d, N = X.shape
     # an empty share gives a nan RMSE for every rank: fail before any solve
     split = (f"counts={tuple(counts)}" if counts is not None
@@ -263,11 +267,9 @@ def run_real_experiment(
         raise ValueError(f"{split} leaves no {' or '.join(empty_shares)} "
                          "entries")
 
-    results = {"excluded_columns": int(empty.size)}
+    results = {"excluded_columns": int(keep.size - keep.sum())}
 
-    col_mean = np.where(
-        train.sum(axis=0) > 0,
-        (X * train).sum(axis=0) / np.maximum(train.sum(axis=0), 1), 0.0)
+    col_mean = (X * train).sum(axis=0) / train.sum(axis=0)
     mean_hat = np.broadcast_to(col_mean, (d, N))
     results["mean_fill"] = {
         "rank": 0,

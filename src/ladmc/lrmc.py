@@ -2,7 +2,7 @@
 
 Each iteration takes a gradient step on the observed-entry residual and
 hard-thresholds back to the target rank.  The rank-R projection reads the
-top-R eigenvectors of the small-side Gram matrix.  From the second
+top-R eigenvectors of the row Gram matrix.  From the second
 iteration on they come from two warm-started subspace steps and a
 Rayleigh–Ritz extraction, seeded with the previous iteration's basis plus
 a few extra vectors; whenever the Ritz residual fails a fixed bound the
@@ -144,15 +144,11 @@ def _row_blocks(shape) -> list[slice]:
 
 
 def _gradient_step(out, Z, dZ, beta, keep, target):
-    """out = (Z + beta * dZ) * keep + target, or Z * keep + target when
-    beta is None: the gradient step Z + step * P_mask(M_obs - Z) taken at
-    the point Z extrapolated by beta along dZ."""
-    if beta is None:
-        np.multiply(Z, keep, out=out)
-    else:
-        np.multiply(dZ, beta, out=out)
-        out += Z
-        out *= keep
+    """out = (Z + beta * dZ) * keep + target, the gradient step
+    Z + step * P_mask(M_obs - Z) at Z extrapolated by beta along dZ."""
+    np.multiply(dZ, beta, out=out)
+    out += Z
+    out *= keep
     out += target
 
 
@@ -160,13 +156,12 @@ def _sweep(blocks, Z, Y, dZ, beta, keep, target) -> tuple[float, float]:
     """One pass over the row blocks after the projection has written the
     new iterate into Y.  Writes the change Y - Z into Z's buffer and the
     next gradient step, at momentum beta, into dZ's buffer; returns
-    <dZ, Y - Z> (0 without momentum) and |Y - Z|^2."""
+    <dZ, Y - Z> and |Y - Z|^2."""
     inner = sq = 0.0
     for b in blocks:
         z, d = Z[b], dZ[b]
         np.subtract(Y[b], z, out=z)
-        if beta is not None:
-            inner += float(np.vdot(d, z))
+        inner += float(np.vdot(d, z))
         sq += float(np.vdot(z, z))
         _gradient_step(d, Y[b], z, beta, keep[b], target[b])
     return inner, sq
@@ -193,13 +188,13 @@ def svp_complete(
     Starts from the zero-filled observed matrix (or Z0 when supplied) and
     iterates Z <- project(Z + step * P_mask(M_obs - Z), rank) until the
     relative change |Z_new - Z| / |Z| drops below rel_tol or max_iters is
-    hit.  With opts.accel the gradient step is taken at the
-    Nesterov-extrapolated point E = Z + beta * (Z - Z_prev) instead.  The
-    momentum sequence restarts (beta back to 0) after any step that points
-    against the gradient mapping, <E - Z_new, Z_new - Z> > 0 (O'Donoghue &
-    Candes, 2015), and after accel_restart iterations without one; the
-    diagnostics count both kinds in ``restarts``.  A rank outside
-    1..min(M_obs.shape) is rejected.
+    hit, each step taken at E = Z + beta * (Z - Z_prev): beta is 0, the
+    plain step, without opts.accel and follows Nesterov's sequence with it,
+    restarting at 0 after any step against the gradient mapping,
+    <E - Z_new, Z_new - Z> > 0 (O'Donoghue & Candes, 2015), and after
+    accel_restart iterations without one; ``restarts`` counts both kinds.
+    A rank outside 1..min(M_obs.shape) is rejected; a tall input is
+    completed as its transpose, whose iterate comes back transposed.
 
     The projection is the one ``truncated_svd_project`` computes.  The
     first iteration, any iteration whose warm-started Ritz basis fails
@@ -229,7 +224,12 @@ def svp_complete(
     if not 1 <= R <= min(M_obs.shape):
         raise ValueError(f"rank {R} infeasible for shape {M_obs.shape}: "
                          f"need 1 <= rank <= {min(M_obs.shape)}")
-    wide = M_obs.shape[0] <= M_obs.shape[1]
+    if M_obs.shape[0] > M_obs.shape[1]:
+        # C-order copies keep the sweep's row blocks contiguous
+        flip = np.ascontiguousarray
+        Z0_t = None if Z0 is None else flip(np.transpose(Z0), dtype=float)
+        Z, diag = svp_complete(flip(M_obs.T), flip(mask.T), R, opts, Z0_t)
+        return Z.T, diag
     n_basis = min(R + _OVERSAMPLE, min(M_obs.shape))
 
     Z = np.where(mask, M_obs, 0.0) if Z0 is None else np.array(Z0, dtype=float)
@@ -247,17 +247,15 @@ def svp_complete(
     V = None
     full_eigh = restarts = backoff = 0
     # the momentum counter of the iteration about to run and its beta
-    k = 1
-    beta = 0.0 if opts.accel else None
+    k, beta = 1, 0.0
     iters = 0
     converged = False
     # a diverging iterate overflows the Gram first: a stop, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
         z_norm = float(np.linalg.norm(Z))
-        for b in blocks:
-            _gradient_step(Y[b], Z[b], dZ[b], beta, keep[b], target[b])
+        _gradient_step(Y, Z, dZ, beta, keep, target)
         for iters in range(1, opts.max_iters + 1):
-            G = Y @ Y.T if wide else Y.T @ Y
+            G = Y @ Y.T
             if not np.isfinite(np.trace(G)):
                 break  # step size too large; report as unconverged
             warm = None
@@ -273,17 +271,13 @@ def svp_complete(
             else:
                 V = warm
             U = V[:, :R]
-            if wide:
-                W = U.T @ Y
-                np.matmul(U, W, out=Y)
-            else:
-                W = Y @ U
-                np.matmul(W, U.T, out=Y)
+            W = U.T @ Y
+            np.matmul(U, W, out=Y)
             # a run that reaches accel_restart restarts whatever the sweep
             # finds, so the next step's beta is known before it
             capped = opts.accel and k >= opts.accel_restart
             k_next = 1 if capped else k + 1
-            beta_next = (k_next - 1) / (k_next + 2) if opts.accel else None
+            beta_next = (k_next - 1) / (k_next + 2) if opts.accel else 0.0
             inner, sq = _sweep(blocks, Z, Y, dZ, beta_next, keep, target)
             change = math.sqrt(sq) / max(z_norm, _EPS)
             z_norm = float(np.linalg.norm(W))
@@ -296,16 +290,14 @@ def svp_complete(
             # restart the momentum when the step just taken points against
             # the gradient mapping, <E - Z_new, Z_new - Z_old> > 0 at the
             # point E = Z_old + beta * dZ_old, i.e.
-            # beta <dZ_old, dZ_new> > |dZ_new|^2; the sweep took the next
-            # step with momentum, so take it again without
+            # beta <dZ_old, dZ_new> > |dZ_new|^2 (never at beta = 0); the
+            # sweep took the next step with momentum, so take it again without
             if capped:
                 restarts += 1
-            elif opts.accel and beta * inner > sq:
+            elif beta * inner > sq:
                 restarts += 1
                 k_next, beta_next = 1, 0.0
-                for b in blocks:
-                    _gradient_step(Y[b], Z[b], dZ[b], beta_next, keep[b],
-                                   target[b])
+                _gradient_step(Y, Z, dZ, beta_next, keep, target)
             k, beta = k_next, beta_next
 
     diag = SolveDiagnostics(

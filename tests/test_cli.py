@@ -11,7 +11,7 @@ from ladmc import experiments
 from ladmc.cli import (
     _COMMANDS,
     _completion,
-    _load_config_tokens,
+    _splice_config,
     build_parser,
     main,
 )
@@ -338,11 +338,39 @@ def test_config_file_switch_lines(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("input=X.csv\nrank=2\naccel\naugment-ones\n"
                    "accel-restart=500\n")
-    parser = build_parser()
-    args = parser.parse_args(
-        _load_config_tokens(["complete", "--config", str(cfg)], parser))
+    args = build_parser().parse_args(
+        _splice_config(["complete", "--config", str(cfg)]))
     assert args.accel and args.augment_ones
     assert _completion(args, args.augment_ones).svp.accel_restart == 500
+
+
+@pytest.mark.parametrize("spelling", ["equals", "two-files"])
+def test_config_equals_and_several_files(tmp_path, spelling):
+    # --config=FILE is read as --config FILE is, and several files are
+    # read in order, a later file overriding an earlier one
+    data = _synth_instance(tmp_path)
+    first = tmp_path / "first.cfg"
+    first.write_text(f"input={data / 'X.csv'}\nrank=2\nmax-iters=5\nseed=4\n")
+    last = tmp_path / "last.cfg"
+    last.write_text("max-iters=7\n")
+    configs = {"equals": [f"--config={first}", f"--config={last}"],
+               "two-files": ["--config", str(first), "--config", str(last)]}
+    out = tmp_path / "run"
+    assert main(["complete", *configs[spelling], "--out-dir", str(out)]) == 0
+    report = _read_report(out / "report.txt")
+    assert (report["iterations"], report["seed"]) == ("7", "4")
+
+
+def test_config_lines_go_between_subcommand_and_flags(tmp_path):
+    first = tmp_path / "first.cfg"
+    first.write_text("# solver\nrank=2\naccel\n")
+    last = tmp_path / "last.cfg"
+    last.write_text("step-size = -0.5\n")
+    argv = ["--config", str(first), "complete", "--step-size", "-1",
+            f"--config={last}", "--rel-tol=1e-3", "--seed", "-2"]
+    assert _splice_config(argv) == [
+        "complete", "--rank", "2", "--accel", "--step-size", "-0.5",
+        "--step-size", "-1", "--rel-tol=1e-3", "--seed", "-2"]
 
 
 def test_complete_without_rank_is_a_usage_error(capsys):
@@ -361,6 +389,20 @@ def test_real_bad_flag_is_a_usage_error(capsys, flag):
         main(["real", "--input", "x.csv", "--ranks", "3", *flag])
     assert exc.value.code == 2
     assert flag[0] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag,message", [
+    (["--fractions", "0.6,0.2,0.3"],
+     "fractions must be three non-negative shares summing to 1"),
+    (["--counts", "2"], "counts must be two non-negative entry counts"),
+    (["--counts", "3,-1"], "counts must be two non-negative entry counts"),
+], ids=["fractions-sum", "counts-length", "counts-negative"])
+def test_real_bad_split_is_a_usage_error(capsys, flag, message):
+    # the library's rule and message, reported as a usage error
+    with pytest.raises(SystemExit) as exc:
+        main(["real", "--input", "x.csv", "--ranks", "3", *flag])
+    assert exc.value.code == 2
+    assert f"argument {flag[0]}: {message}" in capsys.readouterr().err
 
 
 def test_config_flag_without_path_is_a_usage_error(capsys):

@@ -349,6 +349,28 @@ def test_svp_matches_reference_loop(monkeypatch, shape, R, variant):
                                   Z0=Z0)
 
 
+@pytest.mark.parametrize("given_Z0", [False, True], ids=["zero-fill", "Z0"])
+@pytest.mark.parametrize("variant", ["plain-0.7", "momentum"])
+def test_svp_tall_is_its_transpose_solved(monkeypatch, variant, given_Z0):
+    # a tall matrix is completed as its transpose: the transposed iterate
+    # bit for bit and the same diagnostics, with the wide solve's row
+    # blocks split as in test_svp_matches_reference_loop
+    M, mask, rng = _low_rank_problem((300, 40), 4, seed=21)
+    opts = SvpOptions(max_iters=400, rel_tol=1e-9, **_VARIANTS[variant])
+    Z0 = None
+    if given_Z0:
+        Z0 = truncated_svd_project(M + 0.1 * rng.standard_normal(M.shape), 4)
+    monkeypatch.setattr(lrmc, "_SWEEP_FLOATS", _SPLIT_FLOATS)
+    assert len(lrmc._row_blocks(M.T.shape)) > 1
+    Z, diag = svp_complete(M, mask, 4, opts, Z0=Z0)
+    flip = np.ascontiguousarray
+    Z_t, diag_t = svp_complete(flip(M.T), flip(mask.T), 4, opts,
+                               Z0=None if Z0 is None else flip(Z0.T))
+    assert Z.shape == M.shape
+    assert Z.T.tobytes() == Z_t.tobytes()
+    assert diag == diag_t
+
+
 def _spy_warm(monkeypatch):
     calls = []
     warm = lrmc._warm_basis
