@@ -145,10 +145,13 @@ def _row_blocks(shape) -> list[slice]:
 
 def _gradient_step(out, Z, dZ, beta, keep, target):
     """out = (Z + beta * dZ) * keep + target, the gradient step
-    Z + step * P_mask(M_obs - Z) at Z extrapolated by beta along dZ."""
-    np.multiply(dZ, beta, out=out)
-    out += Z
-    out *= keep
+    Z + step * P_mask(M_obs - Z) at Z extrapolated by beta along dZ; at
+    beta = 0 the extrapolation's two passes are skipped."""
+    if beta:
+        np.multiply(dZ, beta, out=out)
+        out += Z
+        Z = out
+    np.multiply(Z, keep, out=out)
     out += target
 
 
@@ -156,23 +159,16 @@ def _sweep(blocks, Z, Y, dZ, beta, keep, target) -> tuple[float, float]:
     """One pass over the row blocks after the projection has written the
     new iterate into Y.  Writes the change Y - Z into Z's buffer and the
     next gradient step, at momentum beta, into dZ's buffer; returns
-    <dZ, Y - Z> and |Y - Z|^2."""
+    <dZ, Y - Z>, left 0 at beta = 0 (a plain solve or a capped restart,
+    whose restart tests do not need it), and |Y - Z|^2."""
     inner = sq = 0.0
     for b in blocks:
         z, d = Z[b], dZ[b]
         np.subtract(Y[b], z, out=z)
-        inner += float(np.vdot(d, z))
+        inner += float(np.vdot(d, z)) if beta else 0.0
         sq += float(np.vdot(z, z))
         _gradient_step(d, Y[b], z, beta, keep[b], target[b])
     return inner, sq
-
-
-def _observed_rms(M_obs, mask, Z, n_obs, out):
-    """RMS of M_obs - Z over the observed entries, formed in the spare
-    buffer out rather than in a gathered temporary."""
-    out.fill(0.0)
-    np.subtract(M_obs, Z, out=out, where=mask)
-    return float(np.linalg.norm(out) / np.sqrt(n_obs))
 
 
 def svp_complete(
@@ -200,8 +196,8 @@ def svp_complete(
     first iteration, any iteration whose warm-started Ritz basis fails
     the residual bound, and the _WARM_BACKOFF iterations after such a
     failure run the full eigendecomposition; the diagnostics count those
-    iterations in ``full_eigh``.  A step whose iterate
-    overflows stops the solve unconverged.
+    iterations in ``full_eigh``.  A step whose iterate overflows stops
+    the solve unconverged.
 
     Outside the projection each iteration makes one pass over its D x N
     buffers, in row blocks of at most _SWEEP_FLOATS entries: the change
@@ -225,18 +221,19 @@ def svp_complete(
         raise ValueError(f"rank {R} infeasible for shape {M_obs.shape}: "
                          f"need 1 <= rank <= {min(M_obs.shape)}")
     if M_obs.shape[0] > M_obs.shape[1]:
-        # C-order copies keep the sweep's row blocks contiguous
-        flip = np.ascontiguousarray
-        Z0_t = None if Z0 is None else flip(np.transpose(Z0), dtype=float)
-        Z, diag = svp_complete(flip(M_obs.T), flip(mask.T), R, opts, Z0_t)
+        Z, diag = svp_complete(M_obs.T, mask.T, R, opts,
+                               None if Z0 is None else np.transpose(Z0))
         return Z.T, diag
     n_basis = min(R + _OVERSAMPLE, min(M_obs.shape))
 
-    Z = np.where(mask, M_obs, 0.0) if Z0 is None else np.array(Z0, dtype=float)
+    # C order, also for transposed inputs, keeps the sweep's blocks contiguous
+    target = np.array(M_obs, order="C")
+    target[~mask] = 0.0
+    Z = target.copy() if Z0 is None else np.array(Z0, dtype=float, order="C")
     # the gradient step Y + step * P_mask(M_obs - Y) as two dense passes:
     # Y * keep + target, keep = 1 - step on observed entries and 1 elsewhere
-    keep = 1.0 - opts.step_size * mask
-    target = np.where(mask, opts.step_size * M_obs, 0.0)
+    target *= opts.step_size
+    keep = np.subtract(1.0, opts.step_size * mask, order="C")
     # Y: the gradient step, then the projected iterate; dZ: Z - Z_prev, the
     # stop test's change and the next momentum term.  Each sweep turns Z
     # into the new change and dZ into the next gradient step, and the three
@@ -300,9 +297,13 @@ def svp_complete(
                 _gradient_step(Y, Z, dZ, beta_next, keep, target)
             k, beta = k_next, beta_next
 
+    # the RMS of M_obs - Z over the observed entries, formed in the spare
+    # buffer Y rather than in a gathered temporary
+    Y.fill(0.0)
+    np.subtract(M_obs, Z, out=Y, where=mask)
     diag = SolveDiagnostics(
         iterations_run=iters,
-        final_residual=_observed_rms(M_obs, mask, Z, n_obs, out=Y),
+        final_residual=float(np.linalg.norm(Y) / np.sqrt(n_obs)),
         converged=converged,
         full_eigh=full_eigh,
         restarts=restarts,

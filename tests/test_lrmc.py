@@ -305,6 +305,31 @@ def test_svp_momentum_keeps_no_extra_buffer():
     assert max(peaks.values()) <= 5.5 * M.nbytes, peaks
 
 
+@pytest.mark.parametrize("given_Z0", [False, True], ids=["zero-fill", "Z0"])
+@pytest.mark.parametrize("accel", [False, True], ids=["plain", "momentum"])
+def test_svp_tall_holds_no_copy(accel, given_Z0):
+    # a tall solve runs on transposed views of its inputs and allocates
+    # only the wide solve's buffers: no copy of the observations, the mask
+    # or Z0 joins them.  The slack is far below one D x N array and covers
+    # allocations of a few kilobytes that vary between calls.
+    M, mask, _ = _low_rank_problem((2000, 60), 4, seed=13)
+    Z0 = np.where(mask, M, 0.0) if given_Z0 else None
+    wide = [np.ascontiguousarray(a.T) for a in (M, mask)]
+    wide.append(None if Z0 is None else np.ascontiguousarray(Z0.T))
+    opts = SvpOptions(max_iters=20, accel=accel)
+    svp_complete(M, mask, 4, opts, Z0=Z0)
+    peaks = []
+    for args in ((M, mask, Z0), wide):
+        tracemalloc.start()
+        try:
+            svp_complete(args[0], args[1], 4, opts, Z0=args[2])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= peaks[1] + M.nbytes // 100, peaks
+    assert peaks[0] <= 5.5 * M.nbytes, peaks
+
+
 _SHAPES = [((40, 300), 4), ((300, 40), 4), ((60, 60), 6)]
 _VARIANTS = {
     "plain-1.0": dict(step_size=1.0),
