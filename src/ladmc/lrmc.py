@@ -145,8 +145,7 @@ def _row_blocks(shape) -> list[slice]:
 
 def _gradient_step(out, Z, dZ, beta, keep, target):
     """out = (Z + beta * dZ) * keep + target, the gradient step
-    Z + step * P_mask(M_obs - Z) at Z extrapolated by beta along dZ; at
-    beta = 0 the extrapolation's two passes are skipped."""
+    Z + step * P_mask(M_obs - Z) at Z extrapolated by beta along dZ."""
     if beta:
         np.multiply(dZ, beta, out=out)
         out += Z
@@ -227,13 +226,14 @@ def svp_complete(
     n_basis = min(R + _OVERSAMPLE, min(M_obs.shape))
 
     # C order, also for transposed inputs, keeps the sweep's blocks contiguous
-    target = np.array(M_obs, order="C")
-    target[~mask] = 0.0
-    Z = target.copy() if Z0 is None else np.array(Z0, dtype=float, order="C")
+    Z = np.array(M_obs if Z0 is None else Z0, dtype=float, order="C")
+    if Z0 is None:
+        Z[~mask] = 0.0
     # the gradient step Y + step * P_mask(M_obs - Y) as two dense passes:
     # Y * keep + target, keep = 1 - step on observed entries and 1 elsewhere
-    target *= opts.step_size
     keep = np.subtract(1.0, opts.step_size * mask, order="C")
+    target = np.zeros(M_obs.shape)
+    np.multiply(M_obs, opts.step_size, out=target, where=mask)
     # Y: the gradient step, then the projected iterate; dZ: Z - Z_prev, the
     # stop test's change and the next momentum term.  Each sweep turns Z
     # into the new change and dZ into the next gradient step, and the three
@@ -297,8 +297,7 @@ def svp_complete(
                 _gradient_step(Y, Z, dZ, beta_next, keep, target)
             k, beta = k_next, beta_next
 
-    # the RMS of M_obs - Z over the observed entries, formed in the spare
-    # buffer Y rather than in a gathered temporary
+    # the observed-entry RMS, formed in the spare buffer Y, not a gathered copy
     Y.fill(0.0)
     np.subtract(M_obs, Z, out=Y, where=mask)
     diag = SolveDiagnostics(
