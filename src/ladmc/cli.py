@@ -44,6 +44,8 @@ def _splice_config(argv) -> list:
     known, rest = pre.parse_known_args(argv)
     tokens = []
     for path in known.config:
+        if not os.path.isfile(path):
+            pre.exit(2, f"ladmc: error: --config {path}: no such file\n")
         with open(path) as fh:
             for line in map(str.strip, fh):
                 if line and not line.startswith("#"):
@@ -94,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--mask", help="0/1 CSV; default: blank/NaN cells missing")
     sp.add_argument("--truth", help="ground-truth CSV for error reporting")
     sp.add_argument("--rank", type=int, required=True)
-    sp.add_argument("--order", type=int, default=2)
+    sp.add_argument("--order", type=int, choices=(2, 3), default=2)
     sp.add_argument("--algorithm", choices=pipeline.ALGORITHMS,
                     default="ladmc")
     solver_flags(sp)
@@ -117,7 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("phase", help="phase-transition success grid")
     sp.add_argument("--d", type=int, required=True)
     sp.add_argument("--r", type=int, required=True)
-    sp.add_argument("--order", type=int, default=2)
+    sp.add_argument("--order", type=int, choices=(2, 3), default=2)
     sp.add_argument("--K-list", type=_int_list, required=True)
     sp.add_argument("--m-list", type=_int_list, required=True)
     sp.add_argument("--N", type=int, help="fixed column count")
@@ -149,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--counts",
                     type=_checked(_int_list, experiments.check_counts),
                     help="absolute train,val entry counts per column")
-    sp.add_argument("--order", type=int, default=2)
+    sp.add_argument("--order", type=int, choices=(2, 3), default=2)
     solver_flags(sp)
     common(sp)
     return parser
@@ -301,8 +303,20 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(_splice_config(argv))
-    return _COMMANDS[args.command](args)
+    parser = build_parser()
+    args = parser.parse_args(_splice_config(argv))
+    try:
+        return _COMMANDS[args.command](args)
+    except FileNotFoundError as exc:
+        # a missing data file is the caller's mistake: name its flag.  The
+        # commands open their files at different depths, so this is caught
+        # here and matched to the flag by its path
+        for flag in ("input", "mask", "truth", "pattern"):
+            path = getattr(args, flag, None)
+            if path is not None and path == exc.filename:
+                parser.exit(2, f"ladmc: error: --{flag} {path}: "
+                               "no such file\n")
+        raise
 
 
 if __name__ == "__main__":

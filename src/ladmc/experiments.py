@@ -64,7 +64,6 @@ class PhaseGridConfig:
 class ExperimentRecord:
     config: PhaseGridConfig
     success_fraction: np.ndarray  # len(m_range) x len(K_range)
-    mean_nrmse: np.ndarray
     cell_seconds: np.ndarray
     ell_overlay: list = field(default_factory=list)  # one l per K
 
@@ -79,10 +78,9 @@ def run_phase_trial(cfg: PhaseGridConfig, K: int, m: int, trial: int) -> float:
     """One seeded completion instance; returns its reconstruction error."""
     data_seed, mask_seed = _trial_seeds(cfg.seed, K, m, trial)
     N = cfg.columns_for(K)
-    if cfg.algorithm == "lrmc":
-        R = min(K * cfg.r, cfg.d)
-    else:
-        R = uos_tensor_rank(K, cfg.r, cfg.d, cfg.completion.p)
+    # lrmc completes the raw matrix, the order-1 lift
+    order = 1 if cfg.algorithm == "lrmc" else cfg.completion.p
+    R = uos_tensor_rank(K, cfg.r, cfg.d, order)
     if R > N:
         return float("inf")  # fewer columns than the rank: no completion
     X, _ = gen_uos(cfg.d, K, cfg.r, N, seed=data_seed)
@@ -127,18 +125,15 @@ def run_phase_grid(cfg: PhaseGridConfig, out_dir=None) -> ExperimentRecord:
     ki = {K: i for i, K in enumerate(cfg.K_range)}
     shape = (len(cfg.m_range), len(cfg.K_range))
     successes = np.zeros(shape, dtype=int)
-    err_sum = np.zeros(shape)
     secs = np.zeros(shape)
     for K, m, _, err, dt in results:
         cell = (mi[m], ki[K])
         successes[cell] += err < cfg.success_tol
-        err_sum[cell] += err if np.isfinite(err) else 1.0
         secs[cell] += dt
     p = cfg.completion.p
     record = ExperimentRecord(
         config=cfg,
         success_fraction=successes / cfg.trials,
-        mean_nrmse=err_sum / cfg.trials,
         cell_seconds=secs,
         ell_overlay=[
             minimal_samples(uos_tensor_rank(K, cfg.r, cfg.d, p), p)
@@ -277,15 +272,6 @@ def run_real_experiment(
         "test_rmse": _rmse(mean_hat, X, test),
     }
 
-    def pick_best(run_for_rank, feasible):
-        best = None
-        for R in feasible:
-            X_hat = run_for_rank(R)
-            v = _rmse(X_hat, X, val)
-            if best is None or v < best[1]:
-                best = (R, v, X_hat)
-        return best
-
     lifted_D = build_index_map(d + completion.augment_ones, completion.p).D
     usable = {}
     for name, top in (("lrmc", d), ("ladmc", lifted_D), ("iladmc", lifted_D)):
@@ -293,11 +279,14 @@ def run_real_experiment(
         if not usable[name]:
             raise ValueError(f"{name}: no usable rank in {list(ranks)}; "
                              f"ranks must be <= {min(top, N)}")
+    X_train = np.where(train, X, 0.0)
     for name, feasible in usable.items():
-        def run(R, algo=completer(name)):
-            return algo(np.where(train, X, 0.0), train, R, completion).X_hat
-
-        best = pick_best(run, feasible)
+        best = None  # the first rank with the least validation RMSE
+        for R in feasible:
+            X_hat = completer(name)(X_train, train, R, completion).X_hat
+            v = _rmse(X_hat, X, val)
+            if best is None or v < best[1]:
+                best = (R, v, X_hat)
         results[name] = {"rank": best[0], "val_rmse": best[1],
                          "test_rmse": _rmse(best[2], X, test)}
 

@@ -70,7 +70,8 @@ class IdentifiabilityVerdict:
 
 
 def uos_tensor_rank(K: int, r: int, d: int, p: int) -> int:
-    """Generic-position dimension of the lifted span of K r-dim subspaces."""
+    """Generic-position dimension of the lifted span of K r-dim subspaces;
+    at p=1, the identity lift, min(K r, d)."""
     if K < 1 or r < 1 or r > d:
         raise ValueError(f"invalid UoS shape K={K}, r={r}, d={d}")
     return min(K * math.comb(r + p - 1, p), tensor_dimension(d, p))

@@ -2,9 +2,9 @@
 
 ``ladmc`` runs the three stages once; ``iladmc`` alternates short bursts
 of hard thresholding in the lifted space with unlifting and known-entry
-refill until the estimate stabilizes.  Both are passes of one driver.
-``lrmc_baseline`` completes the raw matrix without lifting, for
-comparison.
+refill until the estimate stabilizes.  ``lrmc_baseline`` completes the
+raw matrix, for comparison, as one pass at lift order 1, the identity
+lift.  All three are passes of one driver.
 """
 
 from __future__ import annotations
@@ -88,37 +88,27 @@ def _checked_input(X_obs, mask, rank):
     return X_obs, mask
 
 
-def _finalize(X_hat, X_obs_orig, mask_orig, report, X_true):
-    X_hat[mask_orig] = X_obs_orig[mask_orig]
-    zero_cols = np.nonzero(mask_orig.sum(axis=0) == 0)[0]
-    X_hat[:, zero_cols] = 0.0
-    report.X_hat = X_hat
-    report.zero_columns = list(map(int, zero_cols))
-    if X_true is not None:
-        report.nrmse = nrmse(X_hat, X_true)
-    return report
-
-
-def _complete_lifted(X_obs, mask, rank, cfg, X_true, max_passes, pass_iters):
+def _complete_lifted(X_obs, mask, rank, svp, X_true, *, order, ones,
+                     max_passes=1, pass_iters=None):
     """Up to max_passes rounds of lift / SVP / unlift / refill known entries.
 
-    Each pass runs pass_iters SVP iterations (None: cfg.svp.max_iters).
-    The first pass starts SVP from the zero-filled lift; each later pass
-    starts it from the lift of the previous estimate.  With augment_ones
-    the constant row is refilled to 1 on every pass like any observed
-    entry and dropped from the result.  Every pass unlifts its own lifted
-    estimate with ``unlift``; the last pass gives the result and the
-    rank-one gaps.
+    The lift has order ``order``; at order 1, the identity lift, one pass is
+    plain SVP of the raw matrix.  Each pass runs pass_iters SVP iterations
+    (None: svp.max_iters).  The first pass starts SVP from the zero-filled
+    lift; each later pass starts it from the lift of the previous estimate.
+    With ``ones`` a constant row is prepended, refilled to 1 on every pass
+    like any observed entry and dropped from the result.  Every pass
+    unlifts its own lifted estimate with ``unlift``; the last pass gives
+    the result and the rank-one gaps.  Unobserved columns come back zero.
     """
     X_obs, mask = _checked_input(X_obs, mask, rank)
-    X_in, mask_in = (augment_ones(X_obs, mask) if cfg.augment_ones
-                     else (X_obs, mask))
-    imap = build_index_map(X_in.shape[0], cfg.p)
+    X_in, mask_in = augment_ones(X_obs, mask) if ones else (X_obs, mask)
+    imap = build_index_map(X_in.shape[0], order)
     T_obs, T_mask = tensorize_matrix(X_in, mask_in, imap)
-    # a burst runs its pass_iters steps whatever cfg.svp.rel_tol says: only
+    # a burst runs its pass_iters steps whatever svp.rel_tol says: only
     # a step that leaves the iterate exactly unchanged ends it early
-    opts = (replace(cfg.svp, max_iters=pass_iters, rel_tol=math.ulp(0.0))
-            if pass_iters else cfg.svp)
+    opts = (replace(svp, max_iters=pass_iters, rel_tol=math.ulp(0.0))
+            if pass_iters else svp)
 
     X_cur = np.where(mask_in, X_in, 0.0)
     full = np.ones_like(mask_in)
@@ -137,18 +127,21 @@ def _complete_lifted(X_obs, mask, rank, cfg, X_true, max_passes, pass_iters):
         X_cur = X_new
         if change < ILADMC_REL_TOL:
             break
-    X_hat = X_cur[1:] if cfg.augment_ones else X_cur
+    X_hat = X_cur[1:] if ones else X_cur
+    zero_cols = np.flatnonzero(~mask.any(axis=0))
+    X_hat[:, zero_cols] = 0.0
     # the solver fields describe the whole run, not the last pass: a
     # single pass converges with its SVP solve, several passes once a
     # pass meets ILADMC_REL_TOL
     converged = (diag.converged if max_passes == 1
                  else bool(change < ILADMC_REL_TOL))
-    report = CompletionReport(
+    return CompletionReport(
         X_hat=X_hat, outer_iterations=outer, per_column_rank1_ratio=ratios,
+        nrmse=None if X_true is None else nrmse(X_hat, X_true),
         solver=replace(diag, iterations_run=total_iters, full_eigh=total_eigh,
                        restarts=total_restarts, converged=converged),
+        zero_columns=zero_cols.tolist(),
     )
-    return _finalize(X_hat, X_obs, mask, report, X_true)
 
 
 def ladmc(
@@ -160,8 +153,9 @@ def ladmc(
 ) -> CompletionReport:
     """One pass of lift / low-rank complete / unlift / refill known entries
     at lifted rank ``rank``."""
-    return _complete_lifted(X_obs, mask, rank, cfg or LadmcConfig(), X_true,
-                            max_passes=1, pass_iters=None)
+    cfg = cfg or LadmcConfig()
+    return _complete_lifted(X_obs, mask, rank, cfg.svp, X_true, order=cfg.p,
+                            ones=cfg.augment_ones)
 
 
 def iladmc(
@@ -175,7 +169,8 @@ def iladmc(
     thresholding steps, unlift, refill the known entries, until the outer
     estimate stops changing."""
     cfg = cfg or LadmcConfig()
-    return _complete_lifted(X_obs, mask, rank, cfg, X_true,
+    return _complete_lifted(X_obs, mask, rank, cfg.svp, X_true, order=cfg.p,
+                            ones=cfg.augment_ones,
                             max_passes=ILADMC_MAX_OUTER,
                             pass_iters=cfg.iladmc_inner_T)
 
@@ -187,20 +182,14 @@ def lrmc_baseline(
     cfg: LadmcConfig | None = None,
     X_true: np.ndarray | None = None,
 ) -> CompletionReport:
-    """Plain low-rank completion of the raw matrix, without lifting.
+    """Plain low-rank completion of the raw matrix: one pass of the driver
+    at lift order 1, the identity lift, without a constant row.
 
     ``rank`` is the raw matrix's; of ``cfg`` only ``svp`` applies.  The
-    report has no rank-one ratios.
+    rank-one gaps are all zero.
     """
-    cfg = cfg or LadmcConfig()
-    X_obs, mask = _checked_input(X_obs, mask, rank)
-    X_zero = np.where(mask, X_obs, 0.0)
-    Z, diag = svp_complete(X_zero, mask, int(rank), cfg.svp)
-    report = CompletionReport(
-        X_hat=Z, outer_iterations=1, per_column_rank1_ratio=np.zeros(0),
-        solver=diag,
-    )
-    return _finalize(Z, X_obs, mask, report, X_true)
+    return _complete_lifted(X_obs, mask, rank, (cfg or LadmcConfig()).svp,
+                            X_true, order=1, ones=False)
 
 
 def completer(algorithm: str):

@@ -9,7 +9,8 @@ steps batched over the columns follow, and a column whose Ritz pair fails
 the acceptance test takes a stacked ``eigh`` instead.  For p=3 one run of
 the symmetric higher-order power method follows, batched over the columns.
 The sign is fixed from an observed entry.  Each column's rank-one gap is
-read from its one decomposition.
+read from its one decomposition.  At p=1, the identity lift, each column
+is its own pre-image.
 """
 
 from __future__ import annotations
@@ -184,7 +185,8 @@ def unlift(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Map each completed lifted column back to R^d, with its rank-one gap.
 
-    ``T`` is D x N; returns the d x N pre-images and the N gaps.  Each
+    ``T`` is D x N; returns the d x N pre-images and the N gaps.  At p=1,
+    the identity lift, they are a copy of T, unflipped, and zero gaps.  Each
     column's lift is folded into its symmetric tensor L and started at
     ``_fiber_start``.  For p=2 the pre-image is sqrt(|lam|) u for the
     principal eigenpair (lam, u) of L from ``_power_p2``; for p=3 it is
@@ -199,9 +201,11 @@ def unlift(
     T = np.asarray(T, dtype=float)
     if T.ndim != 2 or T.shape[0] != imap.D:
         raise ValueError(f"lifted matrix shape {T.shape} needs {imap.D} rows")
-    if imap.p not in (2, 3):
-        raise ValueError(f"pre-image supports p in {{2, 3}}, got p={imap.p}")
+    if imap.p > 3:
+        raise ValueError(f"pre-image supports p <= 3, got p={imap.p}")
     N = T.shape[1]
+    if imap.p == 1:
+        return T.copy(), np.zeros(N)
     X, gaps = np.empty((imap.d, N)), np.empty(N)
     block = max(1, _BLOCK_FLOATS // imap.d**imap.p)
     for lo in range(0, N, block):

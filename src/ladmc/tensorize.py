@@ -2,9 +2,10 @@
 
 A column x in R^d is lifted to the vector of its degree-p monomials,
 one coordinate per sorted multi-index (i_1 <= ... <= i_p), so the lifted
-vector lives in R^D with D = C(d+p-1, p).  Off-diagonal coordinates are
-kept at their raw product value (no symmetry rescaling); the lift of an
-observation mask marks a monomial observed iff all of its factors are.
+vector lives in R^D with D = C(d+p-1, p); order 1 is the identity lift.
+Off-diagonal coordinates are kept at their raw product value (no symmetry
+rescaling); the lift of an observation mask marks a monomial observed iff
+all of its factors are.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ def tensor_dimension(d: int, p: int) -> int:
     """Dimension C(d+p-1, p) of the order-p lifted space over R^d."""
     if d < 1:
         raise ValueError(f"ambient dimension must be >= 1, got {d}")
-    if p < 2:
-        raise ValueError(f"tensor order must be >= 2, got {p}")
+    if p < 1:
+        raise ValueError(f"tensor order must be >= 1, got {p}")
     D = math.comb(d + p - 1, p)
     if D > MAX_TENSOR_DIM:
         raise OverflowError(

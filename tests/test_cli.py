@@ -424,3 +424,82 @@ def test_cli_import_loads_no_process_pool():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "[]", out.stdout
+
+
+@pytest.mark.parametrize("case", [
+    "config", "complete-input", "complete-mask", "complete-truth",
+    "check-pattern", "real-input"])
+def test_missing_file_is_a_usage_error(tmp_path, capsys, case):
+    # one line naming the flag and the path, not a traceback
+    data = _synth_instance(tmp_path)
+    missing = str(tmp_path / "nofile.csv")
+    x_csv = str(data / "X.csv")
+    argv, flag = {
+        "config": (["complete", "--rank", "2", "--config", missing],
+                   "--config"),
+        "complete-input": (["complete", "--rank", "2", "--input", missing],
+                           "--input"),
+        "complete-mask": (["complete", "--rank", "2", "--input", x_csv,
+                           "--mask", missing], "--mask"),
+        "complete-truth": (["complete", "--rank", "2", "--input", x_csv,
+                            "--truth", missing], "--truth"),
+        "check-pattern": (["check", "--rank", "2", "--pattern", missing],
+                          "--pattern"),
+        "real-input": (["real", "--ranks", "2", "--input", missing],
+                       "--input"),
+    }[case]
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out-dir", str(tmp_path / "run")])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == (
+        f"ladmc: error: {flag} {missing}: no such file\n")
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["complete", "--input", "X.csv", "--rank", "2"],
+    ["phase", "--d", "6", "--r", "1", "--K-list", "2", "--m-list", "4"],
+    ["real", "--input", "X.csv", "--ranks", "3"]],
+    ids=["complete", "phase", "real"])
+@pytest.mark.parametrize("order", ["1", "4"])
+def test_completion_order_is_two_or_three(capsys, command, order):
+    # order 1 is the raw matrix, reached only through --algorithm lrmc
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args([*command, "--order", order])
+    assert exc.value.code == 2
+    assert (f"argument --order: invalid choice: {order} (choose from 2, 3)"
+            in capsys.readouterr().err)
+
+
+def test_check_and_rank_verify_take_order_one(tmp_path):
+    # order 1 is the linear case: low-rank completion's sampling condition
+    out = tmp_path / "v"
+    assert main(["check", "--all-patterns", "--d", "6", "--m", "3",
+                 "--rank", "2", "--order", "1", "--out-dir", str(out)]) == 0
+    report = _read_report(out / "verdict.txt")
+    assert (report["identifiable"], report["kernel_dim"], report["ell"]) == (
+        "yes", "2", "2")
+    assert main(["rank-verify", "--K", "2", "--r", "1", "--d", "5", "--N",
+                 "40", "--order", "1", "--out-dir", str(tmp_path)]) == 0
+    report = _read_report(tmp_path / "rank_verify.txt")
+    assert (report["formula_rank"], report["pass"]) == ("2", "True")
+
+
+def test_complete_truth_with_a_missing_cell(tmp_path):
+    data = _synth_instance(tmp_path)
+    X0, _ = read_matrix_csv(data / "X0.csv")
+    holed = np.ones_like(X0, dtype=bool)
+    holed[2, 5] = False
+    write_matrix_csv(tmp_path / "truth.csv", X0, mask=holed)
+    with pytest.raises(SystemExit, match="^truth file has missing cells$"):
+        main(["complete", "--input", str(data / "X.csv"), "--rank", "2",
+              "--truth", str(tmp_path / "truth.csv"),
+              "--out-dir", str(tmp_path / "run")])
+
+
+def test_check_needs_patterns_or_d():
+    with pytest.raises(SystemExit,
+                       match=r"^need --pattern, or --all-patterns with "
+                             r"--d/--m$"):
+        main(["check", "--rank", "2"])

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -87,6 +89,41 @@ def test_phase_grid_lrmc_baseline():
                           step_size=1.0, max_iters=2000, rel_tol=1e-10)))
     rec = run_phase_grid(cfg)
     assert rec.success_fraction[0, 0] == 1.0
+
+
+def test_phase_trial_rank_is_the_uos_rank_at_its_order(monkeypatch):
+    # lrmc completes the order-1 lift, the lifted methods their own order
+    ranks = []
+
+    def fake(name):
+        def complete(X_obs, mask, R, cfg, X_true=None):
+            ranks.append((name, R))
+            return type("Report", (), {"nrmse": 0.0})
+        return complete
+
+    monkeypatch.setattr(experiments, "completer", fake)
+    for algorithm, p in (("lrmc", 2), ("ladmc", 2), ("iladmc", 3)):
+        cfg = _small_grid(r=2, K_range=[4], algorithm=algorithm,
+                          completion=LadmcConfig(p=p))
+        run_phase_trial(cfg, 4, 4, 0)
+    # min(K r, d), K C(r+1, 2) and K C(r+2, 3)
+    assert ranks == [("lrmc", 6), ("ladmc", 12), ("iladmc", 16)]
+
+
+def test_phase_grid_same_with_a_process_pool(tmp_path):
+    # trials are keyed by (seed, K, m, trial), not by the schedule
+    cfg = _small_grid(K_range=[1, 2], m_range=[3, 4], N_per_K=60,
+                      completion=LadmcConfig(svp=SvpOptions(
+                          step_size=2.0, max_iters=200, rel_tol=1e-9)))
+    serial = run_phase_grid(cfg, out_dir=tmp_path / "serial")
+    pooled = run_phase_grid(replace(cfg, workers=2),
+                            out_dir=tmp_path / "pooled")
+    np.testing.assert_array_equal(pooled.success_fraction,
+                                  serial.success_fraction)
+    assert pooled.ell_overlay == serial.ell_overlay
+    for name in ("phase_ladmc.csv", "phase_ladmc.pgm", "ell_overlay.csv"):
+        assert ((tmp_path / "pooled" / name).read_bytes()
+                == (tmp_path / "serial" / name).read_bytes()), name
 
 
 def test_phase_grid_infeasible_cell_recorded_not_raised():

@@ -38,6 +38,14 @@ def test_uos_tensor_rank_values():
         uos_tensor_rank(1, 5, 3, 2)
 
 
+def test_uos_tensor_rank_order_one():
+    # order 1 is the raw span: K r dimensions, at most d
+    for K in range(1, 6):
+        for r in range(1, 5):
+            for d in range(r, 10):
+                assert uos_tensor_rank(K, r, d, 1) == min(K * r, d)
+
+
 def test_minimal_samples_values():
     assert minimal_samples(30, 2) == 8
     assert minimal_samples(2, 2) == 2
@@ -385,6 +393,16 @@ def test_algebraic_accepts_explicit_basis():
     assert v.trials == 1
 
 
+def test_algebraic_order_one_is_the_lrmc_sampling_condition():
+    # at order 1 the check decides low-rank completion's own sampling
+    # condition: every 3-of-6 pattern constrains a rank-2 subspace once,
+    # and together they pin it down; a 2-of-6 pattern constrains nothing
+    v = check_identifiable_algebraic(gen_all_patterns(6, 3), R=2, p=1)
+    assert v.identifiable and v.kernel_dim == 2
+    v = check_identifiable_algebraic(gen_all_patterns(6, 2), R=2, p=1)
+    assert not v.identifiable and v.kernel_dim == 6
+
+
 def test_algebraic_rank_exceeds_dimension():
     with pytest.raises(ValueError):
         check_identifiable_algebraic(gen_all_patterns(3, 2), R=7, p=2)
@@ -709,6 +727,16 @@ def test_variety_membership():
     assert np.max(np.abs(res)) > 0.5
     assert abs(res[1] - (-2 / 3)) < 1e-12
     assert not in_variety(V, off, m)
+
+
+def test_evaluate_variety_rejects_a_mismatched_index_map():
+    # the wrong lifted dimension, and the right one at the wrong order
+    for V, m in ((_axis_union_quadratics(), build_index_map(4, 2)),
+                 (VarietyCoefficients(D=10, p=2, vectors=np.ones(10)),
+                  build_index_map(3, 3))):
+        with pytest.raises(ValueError, match="coefficient vectors do not "
+                                             "match the index map"):
+            evaluate_variety(V, np.ones(m.d), m)
 
 
 def test_variety_coefficients_validation():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ladmc import pipeline, preimage
-from ladmc.lrmc import SvpOptions
+from ladmc.lrmc import SvpOptions, svp_complete
 from ladmc.pipeline import (
     LadmcConfig,
     iladmc,
@@ -325,6 +325,39 @@ def test_lrmc_baseline_completes_low_rank_matrix():
     assert rep.solver.converged
     assert rep.nrmse < 1e-6
     np.testing.assert_array_equal(rep.X_hat[mask], X[mask])
+
+
+@pytest.mark.parametrize("accel", [False, True], ids=["plain", "momentum"])
+def test_lrmc_baseline_is_svp_on_the_raw_matrix(accel):
+    # one driver pass at the identity lift: the solve of the zero-filled
+    # matrix with its observed entries refilled, bitwise, and the solver's
+    # own diagnostics; an unobserved column comes back zero
+    rng = np.random.default_rng(9)
+    X = rng.standard_normal((12, 3)) @ rng.standard_normal((3, 50))
+    mask = rng.random(X.shape) < 0.5
+    mask[:, 7] = False
+    svp = SvpOptions(accel=accel, max_iters=300, rel_tol=1e-9)
+    X_zero = np.where(mask, X, 0.0)
+    Z, diag = svp_complete(X_zero, mask, 3, svp)
+    Z[mask] = X[mask]
+    Z[:, 7] = 0.0
+    rep = lrmc_baseline(np.where(mask, X, np.nan), mask, 3,
+                        LadmcConfig(p=3, svp=svp, augment_ones=True),
+                        X_true=X)
+    np.testing.assert_array_equal(rep.X_hat, Z)
+    assert rep.solver == diag
+    assert rep.outer_iterations == 1
+    assert rep.zero_columns == [7]
+    assert rep.nrmse == nrmse(Z, X)
+    np.testing.assert_array_equal(rep.per_column_rank1_ratio, np.zeros(50))
+
+
+@pytest.mark.parametrize("algo", [ladmc, iladmc, lrmc_baseline])
+def test_input_shape_mismatch_rejected(algo):
+    X, mask = _two_lines_instance(N=20)
+    with pytest.raises(ValueError,
+                       match=r"shape mismatch \(6, 20\) vs \(6, 19\)"):
+        algo(X, mask[:, :19], 2)
 
 
 @pytest.mark.parametrize("algo", [ladmc, iladmc, lrmc_baseline])

@@ -376,6 +376,18 @@ def test_unlift_p2_power_steps_match_eigh(monkeypatch):
     assert np.any(np.sign(flipped) != np.sign(X))
 
 
+def test_unlift_order_one_returns_its_input():
+    # the identity lift: every column is its own pre-image, gap 0, and the
+    # observed entries flip no sign
+    rng = np.random.default_rng(6)
+    T = rng.standard_normal((4, 9))
+    m = build_index_map(4, 1)
+    X, gaps = unlift(T, m, -T, np.ones_like(T, dtype=bool))
+    np.testing.assert_array_equal(X, T)
+    assert not np.shares_memory(X, T)
+    np.testing.assert_array_equal(gaps, np.zeros(9))
+
+
 def test_unlift_shape_errors():
     m = build_index_map(3, 2)
     with pytest.raises(ValueError):

@@ -25,10 +25,25 @@ def test_tensor_dimension_values():
 def test_tensor_dimension_validation():
     with pytest.raises(ValueError):
         tensor_dimension(0, 2)
-    with pytest.raises(ValueError):
-        tensor_dimension(3, 1)
+    # order 1 is the identity lift; below it there is no lift
+    with pytest.raises(ValueError, match="tensor order must be >= 1, got 0"):
+        tensor_dimension(3, 0)
     with pytest.raises(OverflowError):
         tensor_dimension(10**6, 4)
+
+
+def test_order_one_lift_is_the_identity():
+    rng = np.random.default_rng(4)
+    X = rng.standard_normal((5, 7))
+    mask = rng.random(X.shape) < 0.6
+    assert tensor_dimension(15, 1) == 15
+    m = build_index_map(5, 1)
+    assert m.entries.tolist() == [[i] for i in range(5)]
+    np.testing.assert_array_equal(tensorize_column(X[:, 0], m), X[:, 0])
+    np.testing.assert_array_equal(tensorize_mask(mask, m), mask)
+    T, T_mask = tensorize_matrix(np.where(mask, X, np.nan), mask, m)
+    np.testing.assert_array_equal(T, np.where(mask, X, 0.0))
+    np.testing.assert_array_equal(T_mask, mask)
 
 
 def test_index_map_entries():
