@@ -64,8 +64,10 @@ def test_config_validation():
     with pytest.raises(ValueError):
         LadmcConfig(iladmc_inner_T=0)
     # p and the rank are checked before any lift or solve runs
-    with pytest.raises(ValueError, match="p must be 2 or 3, got 4"):
-        LadmcConfig(p=4)
+    # order 1, the raw matrix, is lrmc_baseline's alone
+    for p in (1, 4):
+        with pytest.raises(ValueError, match=f"p must be 2 or 3, got {p}"):
+            LadmcConfig(p=p)
     X = np.ones((3, 4))
     mask = np.ones_like(X, dtype=bool)
     for bad in (0, -1, "3", "max", "auto", 2.0, None, True, False):
