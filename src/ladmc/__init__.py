@@ -12,9 +12,7 @@ from .identifiability import (
     build_constraint_patterns,
     check_identifiable_algebraic,
     check_identifiable_combinatorial,
-    coupon_collector_columns,
     evaluate_variety,
-    in_variety,
     minimal_samples,
     spanning_set_uos,
     uos_tensor_rank,
@@ -22,7 +20,7 @@ from .identifiability import (
 from .lrmc import SolveDiagnostics, SvpOptions, svp_complete, truncated_svd_project
 from .pipeline import CompletionReport, LadmcConfig, iladmc, ladmc, nrmse
 from .preimage import preimage_column, resolve_sign, unlift
-from .synth import UoSModel, gen_all_patterns, gen_mask_uniform, gen_uos
+from .synth import gen_all_patterns, gen_mask_uniform, gen_uos
 from .tensorize import (
     TensorIndexMap,
     augment_ones,

@@ -35,6 +35,26 @@ def _checked(parse, check):
     return arg_type
 
 
+def _at_least_one(name):
+    """A check that rejects a value below 1, naming ``name``."""
+    def check(value):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
+    return check
+
+
+def _usage_error(message):
+    """Exit 2 with the one line ``ladmc: error: message``."""
+    sys.stderr.write(f"ladmc: error: {message}\n")
+    raise SystemExit(2)
+
+
+def _check_m(args):
+    """Reject an --m outside 1..--d as a usage error."""
+    if not 1 <= args.m <= args.d:
+        _usage_error(f"--m {args.m}: must be in 1..{args.d} (--d)")
+
+
 def _splice_config(argv) -> list:
     """argv with its --config flags replaced by their files' lines, read in
     order and put after the subcommand, before the explicit flags."""
@@ -45,7 +65,7 @@ def _splice_config(argv) -> list:
     tokens = []
     for path in known.config:
         if not os.path.isfile(path):
-            pre.exit(2, f"ladmc: error: --config {path}: no such file\n")
+            _usage_error(f"--config {path}: no such file")
         with open(path) as fh:
             for line in map(str.strip, fh):
                 if line and not line.startswith("#"):
@@ -73,8 +93,6 @@ def build_parser() -> argparse.ArgumentParser:
         # complete, phase and real: each default is its dataclass's own
         sp.add_argument("--inner-T", type=int,
                         default=pipeline.LadmcConfig.iladmc_inner_T)
-        sp.add_argument("--step-size", type=float,
-                        default=SvpOptions.step_size)
         sp.add_argument("--max-iters", type=int, default=SvpOptions.max_iters)
         sp.add_argument("--rel-tol", type=float, default=SvpOptions.rel_tol)
         sp.add_argument("--accel", action="store_true",
@@ -91,11 +109,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--m", type=int, help="observed rows per column")
     common(sp)
 
+    rank = _checked(int, pipeline.check_rank)
+    order = _checked(int, _at_least_one("order"))
+
     sp = sub.add_parser("complete", help="complete a matrix from CSV")
     sp.add_argument("--input", required=True)
     sp.add_argument("--mask", help="0/1 CSV; default: blank/NaN cells missing")
     sp.add_argument("--truth", help="ground-truth CSV for error reporting")
-    sp.add_argument("--rank", type=int, required=True)
+    sp.add_argument("--rank", type=rank, required=True)
     sp.add_argument("--order", type=int, choices=(2, 3), default=2)
     sp.add_argument("--algorithm", choices=pipeline.ALGORITHMS,
                     default="ladmc")
@@ -111,9 +132,10 @@ def build_parser() -> argparse.ArgumentParser:
                     help="use all C(d, m) patterns")
     sp.add_argument("--d", type=int)
     sp.add_argument("--m", type=int)
-    sp.add_argument("--rank", type=int, required=True)
-    sp.add_argument("--order", type=int, default=2)
-    sp.add_argument("--trials", type=int, default=3)
+    sp.add_argument("--rank", type=rank, required=True)
+    sp.add_argument("--order", type=order, default=2)
+    sp.add_argument("--trials", type=_checked(int, _at_least_one("trials")),
+                    default=3)
     common(sp)
 
     sp = sub.add_parser("phase", help="phase-transition success grid")
@@ -139,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--K", type=int, required=True)
     sp.add_argument("--r", type=int, required=True)
     sp.add_argument("--d", type=int, required=True)
-    sp.add_argument("--order", type=int, default=2)
+    sp.add_argument("--order", type=order, default=2)
     sp.add_argument("--N", type=int, required=True)
     common(sp)
 
@@ -158,17 +180,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _completion(args, augment_ones=False) -> pipeline.LadmcConfig:
-    svp = SvpOptions(step_size=args.step_size, max_iters=args.max_iters,
-                     rel_tol=args.rel_tol, accel=args.accel,
-                     accel_restart=args.accel_restart)
+    svp = SvpOptions(max_iters=args.max_iters, rel_tol=args.rel_tol,
+                     accel=args.accel, accel_restart=args.accel_restart)
     return pipeline.LadmcConfig(p=args.order, svp=svp,
                                 iladmc_inner_T=args.inner_T,
                                 augment_ones=augment_ones)
 
 
 def _cmd_synth(args):
+    if args.m is not None:
+        _check_m(args)
     os.makedirs(args.out_dir, exist_ok=True)
-    X, _ = synth.gen_uos(args.d, args.K, args.r, args.N, seed=args.seed)
+    X = synth.gen_uos(args.d, args.K, args.r, args.N, seed=args.seed)
     io.write_matrix_csv(os.path.join(args.out_dir, "X0.csv"), X)
     if args.m is not None:
         mask = synth.gen_mask_uniform(args.d, args.N, args.m, seed=args.seed)
@@ -193,7 +216,8 @@ def _cmd_complete(args):
     cfg = _completion(args, augment_ones=args.augment_ones)
     rep = pipeline.completer(args.algorithm)(X, mask, args.rank, cfg,
                                              X_true=X_true)
-    report_items = {"algorithm": args.algorithm, "order": args.order,
+    order, _ = pipeline.lift_of(args.algorithm, cfg)
+    report_items = {"algorithm": args.algorithm, "order": order,
                     "seed": args.seed, "rank_used": args.rank,
                     "iterations": rep.solver.iterations_run,
                     "restarts": rep.solver.restarts,
@@ -221,6 +245,7 @@ def _cmd_check(args):
     elif args.all_patterns:
         if args.d is None or args.m is None:
             raise SystemExit("--all-patterns requires --d and --m")
+        _check_m(args)
         Omega = synth.gen_all_patterns(args.d, args.m, 1)
     elif args.d is not None:
         Omega = None
@@ -303,8 +328,7 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_splice_config(argv))
+    args = build_parser().parse_args(_splice_config(argv))
     try:
         return _COMMANDS[args.command](args)
     except FileNotFoundError as exc:
@@ -314,8 +338,7 @@ def main(argv=None) -> int:
         for flag in ("input", "mask", "truth", "pattern"):
             path = getattr(args, flag, None)
             if path is not None and path == exc.filename:
-                parser.exit(2, f"ladmc: error: --{flag} {path}: "
-                               "no such file\n")
+                _usage_error(f"--{flag} {path}: no such file")
         raise
 
 

@@ -11,9 +11,9 @@ import numpy as np
 
 from .identifiability import minimal_samples, uos_tensor_rank
 from .io import read_matrix_csv, write_pgm, write_report
-from .pipeline import ALGORITHMS, LadmcConfig, check_rank, completer
+from .pipeline import ALGORITHMS, LadmcConfig, check_rank, completer, lift_of
 from .synth import gen_mask_uniform, gen_uos
-from .tensorize import build_index_map, tensorize_matrix
+from .tensorize import build_index_map, tensor_dimension, tensorize_matrix
 
 @dataclass
 class PhaseGridConfig:
@@ -78,12 +78,11 @@ def run_phase_trial(cfg: PhaseGridConfig, K: int, m: int, trial: int) -> float:
     """One seeded completion instance; returns its reconstruction error."""
     data_seed, mask_seed = _trial_seeds(cfg.seed, K, m, trial)
     N = cfg.columns_for(K)
-    # lrmc completes the raw matrix, the order-1 lift
-    order = 1 if cfg.algorithm == "lrmc" else cfg.completion.p
+    order, _ = lift_of(cfg.algorithm, cfg.completion)
     R = uos_tensor_rank(K, cfg.r, cfg.d, order)
     if R > N:
         return float("inf")  # fewer columns than the rank: no completion
-    X, _ = gen_uos(cfg.d, K, cfg.r, N, seed=data_seed)
+    X = gen_uos(cfg.d, K, cfg.r, N, seed=data_seed)
     mask = gen_mask_uniform(cfg.d, N, m, seed=mask_seed)
     return completer(cfg.algorithm)(np.where(mask, X, 0.0), mask, R,
                                     cfg.completion, X_true=X).nrmse
@@ -130,7 +129,7 @@ def run_phase_grid(cfg: PhaseGridConfig, out_dir=None) -> ExperimentRecord:
         cell = (mi[m], ki[K])
         successes[cell] += err < cfg.success_tol
         secs[cell] += dt
-    p = cfg.completion.p
+    p, _ = lift_of(cfg.algorithm, cfg.completion)
     record = ExperimentRecord(
         config=cfg,
         success_fraction=successes / cfg.trials,
@@ -166,7 +165,7 @@ def rank_verify(
     K: int, r: int, d: int, p: int, N: int, seed: int = 0
 ) -> dict:
     """Numerical rank of lifted UoS data against the closed-form value."""
-    X, _ = gen_uos(d, K, r, N, seed=seed)
+    X = gen_uos(d, K, r, N, seed=seed)
     imap = build_index_map(d, p)
     T, _ = tensorize_matrix(X, np.ones_like(X, dtype=bool), imap)
     s = np.linalg.svd(T, compute_uv=False)
@@ -272,9 +271,10 @@ def run_real_experiment(
         "test_rmse": _rmse(mean_hat, X, test),
     }
 
-    lifted_D = build_index_map(d + completion.augment_ones, completion.p).D
     usable = {}
-    for name, top in (("lrmc", d), ("ladmc", lifted_D), ("iladmc", lifted_D)):
+    for name in ("lrmc", "ladmc", "iladmc"):
+        order, ones = lift_of(name, completion)
+        top = tensor_dimension(d + ones, order)
         usable[name] = [R for R in ranks if R <= min(top, N)]
         if not usable[name]:
             raise ValueError(f"{name}: no usable rank in {list(ranks)}; "

@@ -5,7 +5,7 @@ can be pinned down by the canonical projections that a set of original
 sampling patterns generates: the rank formula for unions of subspaces,
 the constraint-pattern expansion and its kernel-vector matrix, a
 combinatorial cover test and a randomized algebraic test, sample-count
-bounds, and membership checks against explicit polynomial varieties.
+bounds, and the residuals of explicit polynomial varieties.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from .tensorize import (TensorIndexMap, build_index_map, tensor_dimension,
 RANK_REL_TOL = 1e-8
 COMBINATORIAL_MAX = 22  # exhaustive subset check is 2^(D-R)
 COMBINATORIAL_RETRIES = 50
-MEMBERSHIP_TOL = 1e-10
 # float64 elements per batched work array in build_A (8 MB)
 _CHUNK_FLOATS = 1 << 20
 # constraint blocks per chunk of the streamed identifiability check
@@ -81,6 +80,8 @@ def minimal_samples(R: int, p: int) -> int:
     """Smallest l with C(l+p-1, p) >= R; below this no column can help."""
     if R < 1:
         raise ValueError("R must be >= 1")
+    if p < 1:
+        raise ValueError(f"order must be >= 1, got {p}")
     ell = 1
     while math.comb(ell + p - 1, p) < R:
         ell += 1
@@ -458,18 +459,6 @@ def check_identifiable_combinatorial(
     )
 
 
-def coupon_collector_columns(d: int, m: int, R: int) -> int:
-    """Estimated column count for R copies of every m-of-d sampling pattern
-    under uniform pattern draws (coupon-collector heuristic; the additive
-    O(n) term is taken as n)."""
-    if not 1 <= m <= d:
-        raise ValueError(f"need 1 <= m <= d, got m={m}, d={d}")
-    n = math.comb(d, m)
-    if n < 3:
-        return R * n
-    return math.ceil(n * math.log(n) + (R - 1) * n * math.log(math.log(n)) + n)
-
-
 def evaluate_variety(
     V: VarietyCoefficients, x: np.ndarray, imap: TensorIndexMap
 ) -> np.ndarray:
@@ -478,14 +467,3 @@ def evaluate_variety(
     if V.D != imap.D or V.p != imap.p:
         raise ValueError("coefficient vectors do not match the index map")
     return V.vectors.T @ tensorize_column(x, imap)
-
-
-def in_variety(
-    V: VarietyCoefficients, x: np.ndarray, imap: TensorIndexMap
-) -> bool:
-    res = np.abs(evaluate_variety(V, x, imap))
-    x = np.asarray(x, dtype=float)
-    scale = (np.linalg.norm(V.vectors, axis=0)
-             * max(np.linalg.norm(x), 1e-300) ** imap.p)
-    return bool(np.all(res < MEMBERSHIP_TOL * scale))
-

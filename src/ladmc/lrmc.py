@@ -49,7 +49,6 @@ _SWEEP_FLOATS = 1 << 15
 class SvpOptions:
     """SVP solver settings; the rank is an argument of ``svp_complete``."""
 
-    step_size: float = 1.0
     max_iters: int = 500
     rel_tol: float = 1e-6
     # Nesterov momentum with adaptive restart: the momentum sequence starts
@@ -61,8 +60,6 @@ class SvpOptions:
     accel_restart: int = 300
 
     def __post_init__(self):
-        if self.step_size <= 0:
-            raise ValueError("step_size must be positive")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
         if self.rel_tol <= 0:
@@ -145,7 +142,7 @@ def _row_blocks(shape) -> list[slice]:
 
 def _gradient_step(out, Z, dZ, beta, keep, target):
     """out = (Z + beta * dZ) * keep + target, the gradient step
-    Z + step * P_mask(M_obs - Z) at Z extrapolated by beta along dZ."""
+    Z + P_mask(M_obs - Z) at Z extrapolated by beta along dZ."""
     if beta:
         np.multiply(dZ, beta, out=out)
         out += Z
@@ -181,7 +178,7 @@ def svp_complete(
     thresholding.
 
     Starts from the zero-filled observed matrix (or Z0 when supplied) and
-    iterates Z <- project(Z + step * P_mask(M_obs - Z), rank) until the
+    iterates Z <- project(Z + P_mask(M_obs - Z), rank) until the
     relative change |Z_new - Z| / |Z| drops below rel_tol or max_iters is
     hit, each step taken at E = Z + beta * (Z - Z_prev): beta is 0, the
     plain step, without opts.accel and follows Nesterov's sequence with it,
@@ -229,11 +226,12 @@ def svp_complete(
     Z = np.array(M_obs if Z0 is None else Z0, dtype=float, order="C")
     if Z0 is None:
         Z[~mask] = 0.0
-    # the gradient step Y + step * P_mask(M_obs - Y) as two dense passes:
-    # Y * keep + target, keep = 1 - step on observed entries and 1 elsewhere
-    keep = np.subtract(1.0, opts.step_size * mask, order="C")
+    # the gradient step Y + P_mask(M_obs - Y), which refills the observed
+    # entries, as two dense passes: Y * keep + target, keep = 1 - mask and
+    # target the zero-filled observations
+    keep = np.subtract(1.0, mask, order="C")
     target = np.zeros(M_obs.shape)
-    np.multiply(M_obs, opts.step_size, out=target, where=mask)
+    np.copyto(target, M_obs, where=mask)
     # Y: the gradient step, then the projected iterate; dZ: Z - Z_prev, the
     # stop test's change and the next momentum term.  Each sweep turns Z
     # into the new change and dZ into the next gradient step, and the three
@@ -254,7 +252,7 @@ def svp_complete(
         for iters in range(1, opts.max_iters + 1):
             G = Y @ Y.T
             if not np.isfinite(np.trace(G)):
-                break  # step size too large; report as unconverged
+                break  # the iterate overflowed; report as unconverged
             warm = None
             if backoff:
                 backoff -= 1

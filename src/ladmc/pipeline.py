@@ -50,7 +50,6 @@ class CompletionReport:
     per_column_rank1_ratio: np.ndarray
     nrmse: float | None = None
     solver: SolveDiagnostics | None = None
-    zero_columns: list = field(default_factory=list)
 
 
 def nrmse(X_hat: np.ndarray, X_true: np.ndarray) -> float:
@@ -88,27 +87,38 @@ def _checked_input(X_obs, mask, rank):
     return X_obs, mask
 
 
-def _complete_lifted(X_obs, mask, rank, svp, X_true, *, order, ones,
+def lift_of(algorithm: str, cfg: LadmcConfig) -> tuple[int, bool]:
+    """The lift ``algorithm`` completes in: its order and whether a constant
+    row is prepended.  ``lrmc`` completes the raw matrix, the order-1 lift
+    without the row; the lifted methods take both from ``cfg``."""
+    if algorithm == "lrmc":
+        return 1, False
+    return cfg.p, cfg.augment_ones
+
+
+def _complete_lifted(X_obs, mask, rank, cfg, X_true, algorithm, *,
                      max_passes=1, pass_iters=None):
     """Up to max_passes rounds of lift / SVP / unlift / refill known entries.
 
-    The lift has order ``order``; at order 1, the identity lift, one pass is
-    plain SVP of the raw matrix.  Each pass runs pass_iters SVP iterations
-    (None: svp.max_iters).  The first pass starts SVP from the zero-filled
-    lift; each later pass starts it from the lift of the previous estimate.
-    With ``ones`` a constant row is prepended, refilled to 1 on every pass
-    like any observed entry and dropped from the result.  Every pass
-    unlifts its own lifted estimate with ``unlift``; the last pass gives
-    the result and the rank-one gaps.  Unobserved columns come back zero.
+    The lift is ``lift_of(algorithm, cfg)``; at order 1, the identity lift,
+    one pass is plain SVP of the raw matrix.  Each pass runs pass_iters SVP
+    iterations (None: cfg.svp.max_iters).  The first pass starts SVP from
+    the zero-filled lift; each later pass starts it from the lift of the
+    previous estimate.  A constant row, when the lift has one, is refilled
+    to 1 on every pass like any observed entry and dropped from the result.
+    Every pass unlifts its own lifted estimate with ``unlift``; the last
+    pass gives the result and the rank-one gaps.  Unobserved columns come
+    back zero.
     """
     X_obs, mask = _checked_input(X_obs, mask, rank)
+    order, ones = lift_of(algorithm, cfg)
     X_in, mask_in = augment_ones(X_obs, mask) if ones else (X_obs, mask)
     imap = build_index_map(X_in.shape[0], order)
     T_obs, T_mask = tensorize_matrix(X_in, mask_in, imap)
     # a burst runs its pass_iters steps whatever svp.rel_tol says: only
     # a step that leaves the iterate exactly unchanged ends it early
-    opts = (replace(svp, max_iters=pass_iters, rel_tol=math.ulp(0.0))
-            if pass_iters else svp)
+    opts = (replace(cfg.svp, max_iters=pass_iters, rel_tol=math.ulp(0.0))
+            if pass_iters else cfg.svp)
 
     X_cur = np.where(mask_in, X_in, 0.0)
     full = np.ones_like(mask_in)
@@ -128,8 +138,7 @@ def _complete_lifted(X_obs, mask, rank, svp, X_true, *, order, ones,
         if change < ILADMC_REL_TOL:
             break
     X_hat = X_cur[1:] if ones else X_cur
-    zero_cols = np.flatnonzero(~mask.any(axis=0))
-    X_hat[:, zero_cols] = 0.0
+    X_hat[:, ~mask.any(axis=0)] = 0.0
     # the solver fields describe the whole run, not the last pass: a
     # single pass converges with its SVP solve, several passes once a
     # pass meets ILADMC_REL_TOL
@@ -140,7 +149,6 @@ def _complete_lifted(X_obs, mask, rank, svp, X_true, *, order, ones,
         nrmse=None if X_true is None else nrmse(X_hat, X_true),
         solver=replace(diag, iterations_run=total_iters, full_eigh=total_eigh,
                        restarts=total_restarts, converged=converged),
-        zero_columns=zero_cols.tolist(),
     )
 
 
@@ -153,9 +161,8 @@ def ladmc(
 ) -> CompletionReport:
     """One pass of lift / low-rank complete / unlift / refill known entries
     at lifted rank ``rank``."""
-    cfg = cfg or LadmcConfig()
-    return _complete_lifted(X_obs, mask, rank, cfg.svp, X_true, order=cfg.p,
-                            ones=cfg.augment_ones)
+    return _complete_lifted(X_obs, mask, rank, cfg or LadmcConfig(), X_true,
+                            "ladmc")
 
 
 def iladmc(
@@ -169,8 +176,7 @@ def iladmc(
     thresholding steps, unlift, refill the known entries, until the outer
     estimate stops changing."""
     cfg = cfg or LadmcConfig()
-    return _complete_lifted(X_obs, mask, rank, cfg.svp, X_true, order=cfg.p,
-                            ones=cfg.augment_ones,
+    return _complete_lifted(X_obs, mask, rank, cfg, X_true, "iladmc",
                             max_passes=ILADMC_MAX_OUTER,
                             pass_iters=cfg.iladmc_inner_T)
 
@@ -188,8 +194,8 @@ def lrmc_baseline(
     ``rank`` is the raw matrix's; of ``cfg`` only ``svp`` applies.  The
     rank-one gaps are all zero.
     """
-    return _complete_lifted(X_obs, mask, rank, (cfg or LadmcConfig()).svp,
-                            X_true, order=1, ones=False)
+    return _complete_lifted(X_obs, mask, rank, cfg or LadmcConfig(), X_true,
+                            "lrmc")
 
 
 def completer(algorithm: str):

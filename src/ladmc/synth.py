@@ -4,30 +4,18 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 
-@dataclass
-class UoSModel:
-    d: int
-    K: int
-    r: int
-    bases: list  # K arrays of shape d x r
-    labels: np.ndarray  # per-column subspace index
-
-
-def gen_uos(
-    d: int, K: int, r: int, N: int, seed: int = 0,
-    noise_std: float = 0.0,
-) -> tuple[np.ndarray, UoSModel]:
-    """Columns drawn from K random r-dimensional subspaces of R^d.
+def gen_uos(d: int, K: int, r: int, N: int, seed: int = 0) -> np.ndarray:
+    """The d x N matrix of N columns drawn from K random r-dimensional
+    subspaces of R^d.
 
     Subspace bases have i.i.d. standard normal entries (regenerated in the
     probability-zero event of rank deficiency); coefficients are standard
-    normal; labels are assigned round-robin so each subspace gets its share
-    of columns exactly.
+    normal.  Column j lies in subspace j mod K, so each subspace gets its
+    share of columns exactly and ``X[:, k::K]`` are the columns of the k-th.
     """
     if r > d:
         raise ValueError(f"subspace dimension r={r} exceeds ambient d={d}")
@@ -46,9 +34,7 @@ def gen_uos(
     for k in range(K):
         sel = labels == k
         X[:, sel] = bases[k] @ coeffs[:, sel]
-    if noise_std > 0.0:
-        X = X + noise_std * rng.standard_normal((d, N))
-    return X, UoSModel(d=d, K=K, r=r, bases=bases, labels=labels)
+    return X
 
 
 def gen_mask_uniform(d: int, N: int, m: int, seed: int = 0) -> np.ndarray:

@@ -43,7 +43,7 @@ def _numerical_rank_thresholds(X, p, R):
 
 def test_criterion_1_tensorized_rank_uos():
     t0 = time.perf_counter()
-    X, _ = gen_uos(15, 10, 2, 1000, seed=0)
+    X = gen_uos(15, 10, 2, 1000, seed=0)
     sig_R, sig_next = _numerical_rank_thresholds(X, p=2, R=30)
     elapsed = time.perf_counter() - t0
     ok = sig_R > 1e-6 and sig_next < 1e-8 and elapsed < 10.0
@@ -55,7 +55,7 @@ def test_criterion_1_tensorized_rank_uos():
 
 def test_criterion_2_tensorized_rank_order3():
     t0 = time.perf_counter()
-    X, _ = gen_uos(8, 2, 2, 500, seed=0)
+    X = gen_uos(8, 2, 2, 500, seed=0)
     sig_R, sig_next = _numerical_rank_thresholds(X, p=3, R=8)
     elapsed = time.perf_counter() - t0
     ok = sig_R > 1e-6 and sig_next < 1e-8 and elapsed < 10.0
@@ -115,12 +115,12 @@ def recovery_family():
     ladmc_cfg = PhaseGridConfig(
         algorithm="ladmc",
         completion=LadmcConfig(svp=SvpOptions(
-            step_size=1.0, max_iters=4000, rel_tol=1e-9, accel=True,
+            max_iters=4000, rel_tol=1e-9, accel=True,
             accel_restart=500)), **base)
     lrmc_cfg = PhaseGridConfig(
         algorithm="lrmc",
         completion=LadmcConfig(svp=SvpOptions(
-            step_size=1.0, max_iters=500, rel_tol=1e-6)), **base)
+            max_iters=500, rel_tol=1e-6)), **base)
     t0 = time.perf_counter()
     ladmc_errs = []
     for trial in range(10):

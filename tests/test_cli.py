@@ -1,4 +1,5 @@
 import importlib.util
+import os
 import shlex
 import subprocess
 import sys
@@ -59,7 +60,7 @@ def test_complete_ladmc_end_to_end(tmp_path, capsys):
     out = tmp_path / "run"
     rc = main(["complete", "--input", str(data / "X.csv"),
                "--truth", str(data / "X0.csv"),
-               "--rank", "2", "--step-size", "2.0", "--max-iters", "3000",
+               "--rank", "2", "--accel", "--max-iters", "3000",
                "--rel-tol", "1e-9", "--out-dir", str(out)])
     assert rc == 0
     report = _read_report(out / "report.txt")
@@ -79,7 +80,7 @@ def test_complete_iladmc_echoes_inner_T(tmp_path):
     out = tmp_path / "run"
     main(["complete", "--input", str(data / "X.csv"),
           "--truth", str(data / "X0.csv"), "--algorithm", "iladmc",
-          "--rank", "2", "--step-size", "2.0", "--max-iters", "100",
+          "--rank", "2", "--max-iters", "100",
           "--inner-T", "30", "--out-dir", str(out)])
     report = _read_report(out / "report.txt")
     assert report["inner_T"] == "30"
@@ -140,8 +141,8 @@ def test_complete_rejects_zero_max_iters(tmp_path):
 
 def test_complete_and_phase_share_solver_flags():
     parser = build_parser()
-    defaults = {"inner_T": 30, "step_size": 1.0, "max_iters": 500,
-                "rel_tol": 1e-6, "accel": False, "accel_restart": 300}
+    defaults = {"inner_T": 30, "max_iters": 500, "rel_tol": 1e-6,
+                "accel": False, "accel_restart": 300}
     for argv in (["complete", "--input", "x.csv", "--rank", "2"],
                  ["phase", "--d", "6", "--r", "1", "--K-list", "2",
                   "--m-list", "4"],
@@ -278,10 +279,13 @@ def test_check_missing_args():
         main(["check", "--all-patterns", "--rank", "2"])
 
 
-def test_check_rejects_zero_trials(tmp_path):
-    with pytest.raises(ValueError, match="trials must be >= 1"):
+def test_check_rejects_zero_trials(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
         main(["check", "--all-patterns", "--d", "6", "--m", "4",
               "--rank", "2", "--trials", "0", "--out-dir", str(tmp_path)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        "argument --trials: trials must be >= 1, got 0\n")
 
 
 def test_phase_cli(tmp_path, capsys):
@@ -305,7 +309,7 @@ def test_rank_verify_cli(tmp_path):
 
 
 def test_real_cli(tmp_path, capsys):
-    X, _ = gen_uos(8, 1, 2, 80, seed=0)
+    X = gen_uos(8, 1, 2, 80, seed=0)
     write_matrix_csv(tmp_path / "data.csv", X)
     rc = main(["real", "--input", str(tmp_path / "data.csv"),
                "--ranks", "3", "--max-iters", "200",
@@ -320,7 +324,7 @@ def test_config_file_flags_override(tmp_path):
     data = _synth_instance(tmp_path)
     cfg = tmp_path / "run.cfg"
     cfg.write_text(
-        "input={}\ntruth={}\nrank=2\nstep-size=2.0\n"
+        "input={}\ntruth={}\nrank=2\naccel\n"
         "max-iters=3000\nrel-tol=1e-9\nseed=5\n".format(
             data / "X.csv", data / "X0.csv")
     )
@@ -365,12 +369,12 @@ def test_config_lines_go_between_subcommand_and_flags(tmp_path):
     first = tmp_path / "first.cfg"
     first.write_text("# solver\nrank=2\naccel\n")
     last = tmp_path / "last.cfg"
-    last.write_text("step-size = -0.5\n")
-    argv = ["--config", str(first), "complete", "--step-size", "-1",
+    last.write_text("max-iters = -0.5\n")
+    argv = ["--config", str(first), "complete", "--max-iters", "-1",
             f"--config={last}", "--rel-tol=1e-3", "--seed", "-2"]
     assert _splice_config(argv) == [
-        "complete", "--rank", "2", "--accel", "--step-size", "-0.5",
-        "--step-size", "-1", "--rel-tol=1e-3", "--seed", "-2"]
+        "complete", "--rank", "2", "--accel", "--max-iters", "-0.5",
+        "--max-iters", "-1", "--rel-tol=1e-3", "--seed", "-2"]
 
 
 def test_complete_without_rank_is_a_usage_error(capsys):
@@ -503,3 +507,65 @@ def test_check_needs_patterns_or_d():
                        match=r"^need --pattern, or --all-patterns with "
                              r"--d/--m$"):
         main(["check", "--rank", "2"])
+
+
+def test_complete_lrmc_reports_order_one(tmp_path):
+    # the baseline completes the raw matrix, whatever --order says
+    data = _synth_instance(tmp_path)
+    out = tmp_path / "run"
+    assert main(["complete", "--input", str(data / "X.csv"), "--rank", "2",
+                 "--algorithm", "lrmc", "--order", "3", "--max-iters", "5",
+                 "--out-dir", str(out)]) == 0
+    assert _read_report(out / "report.txt")["order"] == "1"
+
+
+def test_phase_lrmc_overlay_is_the_order_one_bound(tmp_path):
+    # rank min(K r, d) = 4 at order 1 needs 4 samples a column
+    out = tmp_path / "phase"
+    assert main(["phase", "--d", "6", "--r", "2", "--K-list", "2",
+                 "--m-list", "5", "--N-per-K", "20", "--trials", "1",
+                 "--max-iters", "5", "--algorithm", "lrmc",
+                 "--out-dir", str(out)]) == 0
+    assert (out / "ell_overlay.csv").read_text() == "K,ell\n2,4\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--all-patterns", "--d", "3", "--m", "2", "--rank", "2",
+     "--order", "0"],
+    ["check", "--d", "3", "--rank", "2", "--order", "-1"],
+    ["rank-verify", "--K", "2", "--r", "1", "--d", "3", "--N", "20",
+     "--order", "0"],
+], ids=["check-0", "check-negative", "rank-verify-0"])
+def test_order_below_one_is_a_usage_error(tmp_path, argv):
+    # a subprocess with a timeout, because the sample bound at order 0
+    # looped forever
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run(
+        [sys.executable, "-m", "ladmc.cli", *argv,
+         "--out-dir", str(tmp_path)],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.returncode == 2
+    assert out.stderr.endswith(
+        f"argument --order: order must be >= 1, got {argv[-1]}\n")
+    assert "Traceback" not in out.stderr
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["check", "--d", "6", "--rank", "0"],
+     "argument --rank: rank must be an int >= 1, got 0"),
+    (["check", "--all-patterns", "--d", "6", "--m", "7", "--rank", "2"],
+     "ladmc: error: --m 7: must be in 1..6 (--d)"),
+    (["check", "--all-patterns", "--d", "6", "--m", "0", "--rank", "2"],
+     "ladmc: error: --m 0: must be in 1..6 (--d)"),
+    (["synth", "--d", "6", "--r", "1", "--N", "10", "--m", "7"],
+     "ladmc: error: --m 7: must be in 1..6 (--d)"),
+], ids=["check-rank", "check-m-above-d", "check-m-zero", "synth-m"])
+def test_bad_check_and_synth_input_is_a_usage_error(tmp_path, capsys, argv,
+                                                   message):
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out-dir", str(tmp_path / "run")])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(message + "\n")
+    assert not (tmp_path / "run").exists()

@@ -21,7 +21,7 @@ from ladmc.synth import gen_uos
 def _small_grid(**kw):
     base = dict(d=6, r=1, K_range=[2], m_range=[4, 6], N_per_K=100, trials=2,
                 completion=LadmcConfig(svp=SvpOptions(
-                    step_size=2.0, max_iters=3000, rel_tol=1e-9)))
+                    max_iters=3000, rel_tol=1e-9)))
     base.update(kw)
     return PhaseGridConfig(**base)
 
@@ -86,7 +86,7 @@ def test_phase_grid_trial_determinism():
 def test_phase_grid_lrmc_baseline():
     cfg = _small_grid(d=6, r=1, K_range=[1], m_range=[4], algorithm="lrmc",
                       completion=LadmcConfig(svp=SvpOptions(
-                          step_size=1.0, max_iters=2000, rel_tol=1e-10)))
+                          max_iters=2000, rel_tol=1e-10)))
     rec = run_phase_grid(cfg)
     assert rec.success_fraction[0, 0] == 1.0
 
@@ -114,7 +114,7 @@ def test_phase_grid_same_with_a_process_pool(tmp_path):
     # trials are keyed by (seed, K, m, trial), not by the schedule
     cfg = _small_grid(K_range=[1, 2], m_range=[3, 4], N_per_K=60,
                       completion=LadmcConfig(svp=SvpOptions(
-                          step_size=2.0, max_iters=200, rel_tol=1e-9)))
+                          max_iters=200, rel_tol=1e-9)))
     serial = run_phase_grid(cfg, out_dir=tmp_path / "serial")
     pooled = run_phase_grid(replace(cfg, workers=2),
                             out_dir=tmp_path / "pooled")
@@ -156,7 +156,7 @@ def test_phase_grid_code_error_raised(monkeypatch):
 
 def test_phase_grid_outputs_byte_identical(tmp_path):
     cfg = _small_grid(m_range=[6], completion=LadmcConfig(svp=SvpOptions(
-        step_size=2.0, max_iters=50, rel_tol=1e-9)))
+        max_iters=50, rel_tol=1e-9)))
     out1, out2 = tmp_path / "a", tmp_path / "b"
     run_phase_grid(cfg, out_dir=out1)
     run_phase_grid(cfg, out_dir=out2)
@@ -176,7 +176,7 @@ def test_rank_verify_cases():
 
 
 def _write_uos_csv(path, d=8, r=2, N=80, seed=0):
-    X, _ = gen_uos(d, 1, r, N, seed=seed)
+    X = gen_uos(d, 1, r, N, seed=seed)
     write_matrix_csv(path, X)
     return X
 

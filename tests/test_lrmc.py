@@ -12,9 +12,9 @@ from ladmc.lrmc import SvpOptions, svp_complete, truncated_svd_project
 
 def _reference_svp(M_obs, mask, R, opts, Z0=None):
     """The SVP loop before the warm-started projection and in-place
-    buffers: a fancy-indexed gradient step and the exact projection of
-    ``truncated_svd_project`` on every iteration.  With momentum it
-    restarts when the step points against the gradient mapping at the
+    buffers: a fancy-indexed refill of the observed entries and the exact
+    projection of ``truncated_svd_project`` on every iteration.  With
+    momentum it restarts when the step points against the gradient mapping at the
     extrapolated point E, or when a run reaches ``accel_restart``."""
     Z = np.where(mask, M_obs, 0.0) if Z0 is None else np.array(Z0, dtype=float)
     obs = np.nonzero(mask.ravel())[0]
@@ -32,7 +32,7 @@ def _reference_svp(M_obs, mask, R, opts, Z0=None):
             E = Z
         Y = E.copy()
         Yr = Y.ravel()
-        Yr[obs] += opts.step_size * (Mv - Yr[obs])
+        Yr[obs] = Mv
         with np.errstate(over="ignore"):
             if not np.isfinite(Yr @ Yr):
                 break
@@ -73,8 +73,6 @@ def _assert_matches_reference(M, mask, R, opts, Z0=None):
 def test_options_validation():
     with pytest.raises(FrozenInstanceError):
         SvpOptions().max_iters = 10
-    with pytest.raises(ValueError):
-        SvpOptions(step_size=0.0)
     with pytest.raises(ValueError):
         SvpOptions(rel_tol=-1.0)
     with pytest.raises(ValueError, match="max_iters must be >= 1, got 0"):
@@ -259,18 +257,21 @@ def test_svp_errors():
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_svp_divergent_step_reported_unconverged(monkeypatch):
-    # divergence is reported through the diagnostics, not a numpy warning,
-    # with or without the momentum's restart test, and whether the sweep
-    # takes the 6 rows in one block, as 4 + 2 or one by one
+    # an iterate whose Gram overflows stops the solve unconverged, reported
+    # through the diagnostics, not a numpy warning, with or without the
+    # momentum's restart test, and whether the sweep takes the 6 rows in
+    # one block, as 4 + 2 or one by one.  Entries of size 1e200 overflow
+    # the first Gram.
     rng = np.random.default_rng(8)
-    M = rng.standard_normal((6, 6))
+    M = 1e200 * rng.standard_normal((6, 6))
     mask = rng.random(M.shape) < 0.8
     for sweep_floats in (lrmc._SWEEP_FLOATS, 24, 6):
         monkeypatch.setattr(lrmc, "_SWEEP_FLOATS", sweep_floats)
         for accel in (False, True):
             _, diag = svp_complete(M, mask, 2, SvpOptions(
-                step_size=50.0, max_iters=200, accel=accel))
-            assert not diag.converged, (sweep_floats, accel)
+                max_iters=200, accel=accel))
+            assert (diag.converged, diag.iterations_run) == (False, 1), (
+                sweep_floats, accel)
 
 
 def test_svp_restarts_counted():
@@ -332,12 +333,11 @@ def test_svp_tall_holds_no_copy(accel, given_Z0):
 
 _SHAPES = [((40, 300), 4), ((300, 40), 4), ((60, 60), 6)]
 _VARIANTS = {
-    "plain-1.0": dict(step_size=1.0),
-    "plain-0.7": dict(step_size=0.7),
-    "momentum": dict(step_size=1.0, accel=True, accel_restart=40),
+    "plain-1.0": dict(),
+    "momentum": dict(accel=True, accel_restart=40),
     # a cap the 400 iterations never reach: every restart is adaptive
-    "momentum-adaptive": dict(step_size=0.7, accel=True, accel_restart=1000),
-    "given-Z0": dict(step_size=1.0),
+    "momentum-adaptive": dict(accel=True, accel_restart=1000),
+    "given-Z0": dict(),
 }
 # entries per sweep block that split every shape of _SHAPES into several
 # row blocks with a short last one: 7 rows of 40, 52 of 300, 35 of 60
@@ -375,7 +375,7 @@ def test_svp_matches_reference_loop(monkeypatch, shape, R, variant):
 
 
 @pytest.mark.parametrize("given_Z0", [False, True], ids=["zero-fill", "Z0"])
-@pytest.mark.parametrize("variant", ["plain-0.7", "momentum"])
+@pytest.mark.parametrize("variant", ["plain-1.0", "momentum"])
 def test_svp_tall_is_its_transpose_solved(monkeypatch, variant, given_Z0):
     # a tall matrix is completed as its transpose: the transposed iterate
     # bit for bit and the same diagnostics, with the wide solve's row

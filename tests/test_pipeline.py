@@ -16,7 +16,7 @@ from ladmc.tensorize import build_index_map, tensorize_matrix
 
 
 def _two_lines_instance(seed=3, N=200, m=4):
-    X, _ = gen_uos(6, 2, 1, N, seed=seed)
+    X = gen_uos(6, 2, 1, N, seed=seed)
     mask = gen_mask_uniform(6, N, m, seed=seed + 1)
     return X, mask
 
@@ -31,11 +31,9 @@ def _affine_lines_instance(seed=0, d=6, N=400, m=4):
     return X, gen_mask_uniform(d, N, m, seed=seed + 10)
 
 
-def _cfg(step=2.0, iters=3000, tol=1e-9, **kw):
+def _cfg(iters=3000, tol=1e-9, accel=False, **kw):
     return LadmcConfig(
-        p=2, svp=SvpOptions(step_size=step, max_iters=iters, rel_tol=tol),
-        **kw,
-    )
+        p=2, svp=SvpOptions(max_iters=iters, rel_tol=tol, accel=accel), **kw)
 
 
 def test_nrmse_basic():
@@ -111,8 +109,7 @@ def test_zero_columns_flagged():
     X, mask = _two_lines_instance(N=30)
     mask[:, 7] = False
     rep = ladmc(np.where(mask, X, 0.0), mask, 2, _cfg(iters=50))
-    assert rep.zero_columns == [7]
-    assert np.all(rep.X_hat[:, 7] == 0.0)
+    assert np.flatnonzero(~rep.X_hat.any(axis=0)).tolist() == [7]
 
 
 def test_permutation_equivariance():
@@ -137,14 +134,14 @@ def test_column_scale_on_fully_observed_column():
 
 def test_ladmc_two_lines_recovery():
     X, mask = _two_lines_instance()
-    rep = ladmc(np.where(mask, X, 0.0), mask, 2, _cfg(), X_true=X)
+    rep = ladmc(np.where(mask, X, 0.0), mask, 2, _cfg(accel=True), X_true=X)
     assert rep.nrmse < 1e-4
     assert np.max(rep.per_column_rank1_ratio) < 0.1
 
 
 def test_iladmc_two_lines_recovery():
     X, mask = _two_lines_instance()
-    cfg = _cfg(iters=100, iladmc_inner_T=30)
+    cfg = _cfg(iters=100, accel=True, iladmc_inner_T=30)
     rep = iladmc(np.where(mask, X, 0.0), mask, 2, cfg, X_true=X)
     assert rep.nrmse < 1e-4
     # outer loop stays within the budget a single long solve would use
@@ -177,7 +174,7 @@ def _record_bursts(monkeypatch):
 def test_iladmc_report_covers_every_pass(monkeypatch):
     X, mask = _two_lines_instance()
     bursts = _record_bursts(monkeypatch)
-    cfg = _cfg(iters=100, iladmc_inner_T=30)
+    cfg = _cfg(iters=100, accel=True, iladmc_inner_T=30)
     rep = iladmc(np.where(mask, X, 0.0), mask, 2, cfg, X_true=X)
     assert 1 < rep.outer_iterations < pipeline.ILADMC_MAX_OUTER
     assert len(bursts) == rep.outer_iterations
@@ -252,7 +249,7 @@ def test_iladmc_bursts_run_all_their_steps():
 def test_iladmc_restarts_sum_over_passes(monkeypatch):
     X, mask = _two_lines_instance()
     bursts = _record_bursts(monkeypatch)
-    cfg = LadmcConfig(svp=SvpOptions(step_size=1.0, max_iters=100,
+    cfg = LadmcConfig(svp=SvpOptions(max_iters=100,
                                      rel_tol=1e-9, accel=True,
                                      accel_restart=10),
                       iladmc_inner_T=30)
@@ -287,9 +284,10 @@ def test_ladmc_report_is_the_svp_solve(monkeypatch):
 
 def test_ladmc_single_subspace_recovery():
     # higher-dimensional single-subspace instance: d=25, r=3, lifted rank 6
-    X, _ = gen_uos(25, 1, 3, 1300, seed=5)
+    X = gen_uos(25, 1, 3, 1300, seed=5)
     mask = gen_mask_uniform(25, 1300, 12, seed=6)
-    rep = ladmc(np.where(mask, X, 0.0), mask, 6, _cfg(iters=900), X_true=X)
+    rep = ladmc(np.where(mask, X, 0.0), mask, 6, _cfg(iters=900, accel=True),
+                X_true=X)
     assert rep.nrmse < 1e-4
 
 
@@ -349,7 +347,7 @@ def test_lrmc_baseline_is_svp_on_the_raw_matrix(accel):
     np.testing.assert_array_equal(rep.X_hat, Z)
     assert rep.solver == diag
     assert rep.outer_iterations == 1
-    assert rep.zero_columns == [7]
+    assert np.flatnonzero(~rep.X_hat.any(axis=0)).tolist() == [7]
     assert rep.nrmse == nrmse(Z, X)
     np.testing.assert_array_equal(rep.per_column_rank1_ratio, np.zeros(50))
 
@@ -370,3 +368,11 @@ def test_non_finite_observation_rejected(algo):
     X[row, 5] = np.inf
     with pytest.raises(ValueError, match=rf"\({row}, 5\) is not finite"):
         algo(X, mask, 2, _cfg(iters=20))
+
+
+def test_lift_of_each_algorithm():
+    # the baseline completes the raw matrix: order 1, no constant row
+    cfg = LadmcConfig(p=3, augment_ones=True)
+    assert pipeline.lift_of("lrmc", cfg) == (1, False)
+    assert pipeline.lift_of("ladmc", cfg) == (3, True)
+    assert pipeline.lift_of("iladmc", LadmcConfig()) == (2, False)

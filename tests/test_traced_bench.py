@@ -37,7 +37,7 @@ def _traced(tmp_path, name, args):
 
 
 def test_traced_complete_reaches_every_solve_layer(tmp_path):
-    X, _ = gen_uos(6, 2, 1, 200, seed=3)
+    X = gen_uos(6, 2, 1, 200, seed=3)
     mask = gen_mask_uniform(6, 200, 4, seed=4)
     write_matrix_csv(tmp_path / "X.csv", np.where(mask, X, 0.0), mask=mask)
     m = _traced(tmp_path, "complete",
