@@ -14,8 +14,8 @@ def _reference_svp(M_obs, mask, R, opts, Z0=None):
     """The SVP loop before the warm-started projection and in-place
     buffers: a fancy-indexed refill of the observed entries and the exact
     projection of ``truncated_svd_project`` on every iteration.  With
-    momentum it restarts when the step points against the gradient mapping at the
-    extrapolated point E, or when a run reaches ``accel_restart``."""
+    momentum it restarts when the step points against the gradient mapping
+    at the extrapolated point E, or when a run reaches ``accel_restart``."""
     Z = np.where(mask, M_obs, 0.0) if Z0 is None else np.array(Z0, dtype=float)
     obs = np.nonzero(mask.ravel())[0]
     Mv = M_obs.ravel()[obs]
