@@ -9,6 +9,7 @@ order, and explicit flags override them.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -53,6 +54,21 @@ def _check_m(args):
     """Reject an --m outside 1..--d as a usage error."""
     if not 1 <= args.m <= args.d:
         _usage_error(f"--m {args.m}: must be in 1..{args.d} (--d)")
+
+
+def _check_r(args):
+    """Reject an --r above --d as a usage error."""
+    if args.r > args.d:
+        _usage_error(f"--r {args.r}: must be in 1..{args.d} (--d)")
+
+
+def _check_rank_fits(args, d):
+    """Reject a --rank above the lifted dimension C(d+p-1, p) as a usage
+    error: no sampling can identify a subspace larger than the space."""
+    D = math.comb(d + args.order - 1, args.order)
+    if args.rank > D:
+        _usage_error(f"--rank {args.rank}: must be at most {D}, the "
+                     f"dimension of the order-{args.order} lift of R^{d}")
 
 
 def _splice_config(argv) -> list:
@@ -101,16 +117,19 @@ def build_parser() -> argparse.ArgumentParser:
                         default=SvpOptions.accel_restart,
                         help="longest momentum run between restarts")
 
+    def positive(name):
+        return _checked(int, _at_least_one(name))
+
     sp = sub.add_parser("synth", help="generate synthetic UoS data + mask")
-    sp.add_argument("--d", type=int, required=True)
-    sp.add_argument("--K", type=int, default=1)
-    sp.add_argument("--r", type=int, required=True)
-    sp.add_argument("--N", type=int, required=True)
+    sp.add_argument("--d", type=positive("d"), required=True)
+    sp.add_argument("--K", type=positive("K"), default=1)
+    sp.add_argument("--r", type=positive("r"), required=True)
+    sp.add_argument("--N", type=positive("N"), required=True)
     sp.add_argument("--m", type=int, help="observed rows per column")
     common(sp)
 
     rank = _checked(int, pipeline.check_rank)
-    order = _checked(int, _at_least_one("order"))
+    order = positive("order")
 
     sp = sub.add_parser("complete", help="complete a matrix from CSV")
     sp.add_argument("--input", required=True)
@@ -130,12 +149,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--pattern", help="0/1 CSV of sampling patterns (d x n)")
     sp.add_argument("--all-patterns", action="store_true",
                     help="use all C(d, m) patterns")
-    sp.add_argument("--d", type=int)
+    sp.add_argument("--d", type=positive("d"))
     sp.add_argument("--m", type=int)
     sp.add_argument("--rank", type=rank, required=True)
     sp.add_argument("--order", type=order, default=2)
-    sp.add_argument("--trials", type=_checked(int, _at_least_one("trials")),
-                    default=3)
+    sp.add_argument("--trials", type=positive("trials"), default=3)
     common(sp)
 
     sp = sub.add_parser("phase", help="phase-transition success grid")
@@ -147,22 +165,22 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--N", type=int, help="fixed column count")
     sp.add_argument("--N-per-K", type=int, default=50)
     sp.add_argument("--N-cap", type=int, default=3000)
-    sp.add_argument("--trials", type=int, default=10)
+    sp.add_argument("--trials", type=positive("trials"), default=10)
     sp.add_argument("--algorithm", choices=pipeline.ALGORITHMS,
                     default="ladmc")
     solver_flags(sp)
     sp.add_argument("--success-tol", type=float,
                     default=experiments.PhaseGridConfig.success_tol)
-    sp.add_argument("--workers", type=int, default=1)
+    sp.add_argument("--workers", type=positive("workers"), default=1)
     common(sp)
 
     sp = sub.add_parser("rank-verify",
                         help="check lifted rank of UoS data vs formula")
-    sp.add_argument("--K", type=int, required=True)
-    sp.add_argument("--r", type=int, required=True)
-    sp.add_argument("--d", type=int, required=True)
+    sp.add_argument("--K", type=positive("K"), required=True)
+    sp.add_argument("--r", type=positive("r"), required=True)
+    sp.add_argument("--d", type=positive("d"), required=True)
     sp.add_argument("--order", type=order, default=2)
-    sp.add_argument("--N", type=int, required=True)
+    sp.add_argument("--N", type=positive("N"), required=True)
     common(sp)
 
     sp = sub.add_parser("real", help="train/val/test benchmark on a CSV")
@@ -188,6 +206,7 @@ def _completion(args, augment_ones=False) -> pipeline.LadmcConfig:
 
 
 def _cmd_synth(args):
+    _check_r(args)
     if args.m is not None:
         _check_m(args)
     os.makedirs(args.out_dir, exist_ok=True)
@@ -244,13 +263,14 @@ def _cmd_check(args):
         Omega = io.read_mask_csv(args.pattern)
     elif args.all_patterns:
         if args.d is None or args.m is None:
-            raise SystemExit("--all-patterns requires --d and --m")
+            _usage_error("--all-patterns requires --d and --m")
         _check_m(args)
         Omega = synth.gen_all_patterns(args.d, args.m, 1)
     elif args.d is not None:
         Omega = None
     else:
         raise SystemExit("need --pattern, or --all-patterns with --d/--m")
+    _check_rank_fits(args, args.d if Omega is None else Omega.shape[0])
 
     R, p = args.rank, args.order
     ell = identifiability.minimal_samples(R, p)
@@ -294,6 +314,7 @@ def _cmd_phase(args):
 
 
 def _cmd_rank_verify(args):
+    _check_r(args)
     rep = experiments.rank_verify(args.K, args.r, args.d, args.order,
                                   args.N, seed=args.seed)
     os.makedirs(args.out_dir, exist_ok=True)

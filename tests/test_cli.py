@@ -17,7 +17,7 @@ from ladmc.cli import (
     main,
 )
 from ladmc.io import read_mask_csv, read_matrix_csv, write_matrix_csv
-from ladmc.synth import gen_uos
+from ladmc.synth import gen_all_patterns, gen_uos
 
 
 def _read_report(path):
@@ -569,3 +569,59 @@ def test_bad_check_and_synth_input_is_a_usage_error(tmp_path, capsys, argv,
     assert exc.value.code == 2
     assert capsys.readouterr().err.endswith(message + "\n")
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["synth", "--d", "3", "--r", "5", "--N", "10", "--K", "2"],
+     "ladmc: error: --r 5: must be in 1..3 (--d)"),
+    (["synth", "--d", "3", "--r", "1", "--N", "10", "--K", "0"],
+     "argument --K: K must be >= 1, got 0"),
+    (["rank-verify", "--K", "0", "--r", "1", "--d", "3", "--N", "10"],
+     "argument --K: K must be >= 1, got 0"),
+    (["rank-verify", "--K", "1", "--r", "4", "--d", "3", "--N", "10"],
+     "ladmc: error: --r 4: must be in 1..3 (--d)"),
+    (["phase", "--d", "6", "--r", "1", "--K-list", "2", "--m-list", "4",
+      "--trials", "0"],
+     "argument --trials: trials must be >= 1, got 0"),
+    (["check", "--all-patterns", "--rank", "2"],
+     "ladmc: error: --all-patterns requires --d and --m"),
+    (["check", "--all-patterns", "--d", "6", "--rank", "2"],
+     "ladmc: error: --all-patterns requires --d and --m"),
+    (["check", "--d", "0", "--rank", "2"],
+     "argument --d: d must be >= 1, got 0"),
+    (["check", "--d", "3", "--rank", "50"],
+     "ladmc: error: --rank 50: must be at most 6, the dimension of the "
+     "order-2 lift of R^3"),
+    (["check", "--all-patterns", "--d", "3", "--m", "2", "--rank", "5",
+      "--order", "1"],
+     "ladmc: error: --rank 5: must be at most 3, the dimension of the "
+     "order-1 lift of R^3"),
+], ids=["synth-r-above-d", "synth-K-zero", "rank-verify-K-zero",
+        "rank-verify-r-above-d", "phase-trials-zero", "check-all-no-d",
+        "check-all-no-m", "check-d-zero", "check-rank-above-lift",
+        "check-all-rank-above-lift"])
+def test_bad_input_is_a_usage_error_naming_its_flag(tmp_path, capsys, argv,
+                                                    message):
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out-dir", str(tmp_path / "run")])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(message + "\n")
+    assert not (tmp_path / "run").exists()
+
+
+def test_check_rank_fits_pattern_rows(tmp_path, capsys):
+    # the lift of the pattern's 3 rows has dimension 6: rank 6 is checked,
+    # rank 7 is a usage error
+    write_matrix_csv(tmp_path / "omega.csv",
+                     gen_all_patterns(3, 2).astype(float))
+    argv = ["check", "--pattern", str(tmp_path / "omega.csv"),
+            "--out-dir", str(tmp_path / "v")]
+    assert main([*argv, "--rank", "6"]) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--rank", "7"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        "--rank 7: must be at most 6, the dimension of the order-2 lift of "
+        "R^3\n")

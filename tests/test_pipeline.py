@@ -12,7 +12,12 @@ from ladmc.pipeline import (
 )
 from ladmc.synth import gen_mask_uniform, gen_uos
 from ladmc.preimage import unlift
-from ladmc.tensorize import build_index_map, tensorize_matrix
+from ladmc.tensorize import (
+    augment_ones,
+    build_index_map,
+    tensorize_column,
+    tensorize_matrix,
+)
 
 
 def _two_lines_instance(seed=3, N=200, m=4):
@@ -169,6 +174,83 @@ def _record_bursts(monkeypatch):
 
     monkeypatch.setattr(pipeline, "svp_complete", recorded)
     return bursts
+
+
+def test_weighted_order_2_lift_is_an_isometry():
+    # <w lift x, w lift y> = (x^T y)^2 for every pair of columns
+    rng = np.random.default_rng(11)
+    X = rng.standard_normal((7, 20))
+    imap = build_index_map(7, 2)
+    T = pipeline._row_weights(imap) * np.stack(
+        [tensorize_column(x, imap) for x in X.T], axis=1)
+    np.testing.assert_allclose(T.T @ T, (X.T @ X) ** 2, rtol=1e-12,
+                               atol=1e-12)
+
+
+def test_scaled_solve_divides_out_a_column_scale():
+    # times 4, a column's lift is exactly 16 times larger, and its column
+    # scale divides that out: an accelerated order-2 solve takes the same
+    # steps and returns that column exactly 4 times larger
+    X, mask = _two_lines_instance(N=40, m=5)
+    X4 = X.copy()
+    X4[:, 1] *= 4.0
+    cfg = _cfg(accel=True)
+    rep = ladmc(np.where(mask, X, 0.0), mask, 2, cfg)
+    rep4 = ladmc(np.where(mask, X4, 0.0), mask, 2, cfg)
+    assert rep4.solver.iterations_run == rep.solver.iterations_run
+    expected = rep.X_hat.copy()
+    expected[:, 1] *= 4.0
+    np.testing.assert_array_equal(rep4.X_hat, expected)
+    np.testing.assert_array_equal(rep4.per_column_rank1_ratio,
+                                  rep.per_column_rank1_ratio)
+
+
+@pytest.mark.parametrize("algo", [ladmc, iladmc])
+def test_scaled_solve_reports_the_residual_of_the_lift(algo):
+    # twice the input lifts to 4 times the lift: the scaled solve is the
+    # same, and its residual, in the lift's own units, 4 times larger
+    X, mask = _two_lines_instance(N=40, m=5)
+    cfg = _cfg(iters=20, accel=True, iladmc_inner_T=5)
+    rep = algo(np.where(mask, X, 0.0), mask, 2, cfg)
+    rep2 = algo(np.where(mask, 2.0 * X, 0.0), mask, 2, cfg)
+    assert rep.solver.final_residual > 0.0
+    assert rep2.solver.iterations_run == rep.solver.iterations_run
+    assert rep2.solver.final_residual == 4.0 * rep.solver.final_residual
+    np.testing.assert_array_equal(rep2.X_hat, 2.0 * rep.X_hat)
+
+
+@pytest.mark.parametrize("algo,p,accel,ones,rank", [
+    pytest.param(ladmc, 2, False, False, 2, id="plain"),
+    pytest.param(iladmc, 2, False, False, 2, id="plain-iladmc"),
+    pytest.param(ladmc, 3, True, False, 2, id="order-3"),
+    pytest.param(lrmc_baseline, 2, True, False, 2, id="lrmc"),
+    pytest.param(ladmc, 2, True, True, 5, id="augment-ones"),
+])
+def test_unscaled_solves_get_the_raw_lift(monkeypatch, algo, p, accel, ones,
+                                          rank):
+    # only an accelerated order-2 lift without the constant row is scaled:
+    # every other solve is handed tensorize_matrix's arrays, bit for bit
+    X, mask = _two_lines_instance(N=40)
+    calls = []
+    solve = pipeline.svp_complete
+
+    def recorded(M_obs, M_mask, *args, **kwargs):
+        calls.append((M_obs.copy(), M_mask.copy()))
+        return solve(M_obs, M_mask, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "svp_complete", recorded)
+    cfg = LadmcConfig(p=p, svp=SvpOptions(max_iters=20, accel=accel),
+                      iladmc_inner_T=5, augment_ones=ones)
+    algo(np.where(mask, X, 0.0), mask, rank, cfg)
+    order, ones = pipeline.lift_of(algo.__name__.removesuffix("_baseline"),
+                                   cfg)
+    X_in, mask_in = augment_ones(X, mask) if ones else (X, mask)
+    T, T_mask = tensorize_matrix(X_in, mask_in,
+                                 build_index_map(X_in.shape[0], order))
+    assert calls
+    for M_obs, M_mask in calls:
+        assert M_obs.tobytes() == T.tobytes()
+        np.testing.assert_array_equal(M_mask, T_mask)
 
 
 def test_iladmc_report_covers_every_pass(monkeypatch):
