@@ -62,13 +62,18 @@ def _check_r(args):
         _usage_error(f"--r {args.r}: must be in 1..{args.d} (--d)")
 
 
-def _check_rank_fits(args, d):
-    """Reject a --rank above the lifted dimension C(d+p-1, p) as a usage
-    error: no sampling can identify a subspace larger than the space."""
-    D = math.comb(d + args.order - 1, args.order)
-    if args.rank > D:
-        _usage_error(f"--rank {args.rank}: must be at most {D}, the "
-                     f"dimension of the order-{args.order} lift of R^{d}")
+def _check_rank_fits(rank, order, d, N=None):
+    """Reject a --rank above the lifted dimension C(d+p-1, p), or above the
+    column count N when one is given, as a usage error: no sampling can
+    identify a subspace larger than the space, nor complete a rank that
+    the columns cannot reach."""
+    D = math.comb(d + order - 1, order)
+    if rank > D:
+        _usage_error(f"--rank {rank}: must be at most {D}, the "
+                     f"dimension of the order-{order} lift of R^{d}")
+    if N is not None and rank > N:
+        _usage_error(f"--rank {rank}: must be at most {N}, the number of "
+                     f"columns")
 
 
 def _splice_config(argv) -> list:
@@ -197,12 +202,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the solver flags of complete, phase and real, by the name of the setting
+# each sets: the checks of SvpOptions and LadmcConfig start their message
+# with that name
+_SOLVER_FLAGS = {"max_iters": "--max-iters", "rel_tol": "--rel-tol",
+                 "accel_restart": "--accel-restart",
+                 "iladmc_inner_T": "--inner-T"}
+
+
 def _completion(args, augment_ones=False) -> pipeline.LadmcConfig:
-    svp = SvpOptions(max_iters=args.max_iters, rel_tol=args.rel_tol,
-                     accel=args.accel, accel_restart=args.accel_restart)
-    return pipeline.LadmcConfig(p=args.order, svp=svp,
-                                iladmc_inner_T=args.inner_T,
-                                augment_ones=augment_ones)
+    """The completion settings of the solver flags; a value that their
+    checks reject is a usage error naming its flag."""
+    try:
+        svp = SvpOptions(max_iters=args.max_iters, rel_tol=args.rel_tol,
+                         accel=args.accel, accel_restart=args.accel_restart)
+        return pipeline.LadmcConfig(p=args.order, svp=svp,
+                                    iladmc_inner_T=args.inner_T,
+                                    augment_ones=augment_ones)
+    except ValueError as exc:
+        flag = _SOLVER_FLAGS.get(str(exc).split()[0])
+        if flag is None:
+            raise
+        _usage_error(f"argument {flag}: {exc}")
 
 
 def _cmd_synth(args):
@@ -233,9 +254,13 @@ def _cmd_complete(args):
             raise SystemExit("truth file has missing cells")
 
     cfg = _completion(args, augment_ones=args.augment_ones)
+    if not args.success_tol > 0:
+        _usage_error("argument --success-tol: success_tol must be "
+                     f"positive, got {args.success_tol}")
+    order, ones = pipeline.lift_of(args.algorithm, cfg)
+    _check_rank_fits(args.rank, order, X.shape[0] + ones, N=X.shape[1])
     rep = pipeline.completer(args.algorithm)(X, mask, args.rank, cfg,
                                              X_true=X_true)
-    order, _ = pipeline.lift_of(args.algorithm, cfg)
     report_items = {"algorithm": args.algorithm, "order": order,
                     "seed": args.seed, "rank_used": args.rank,
                     "iterations": rep.solver.iterations_run,
@@ -270,7 +295,8 @@ def _cmd_check(args):
         Omega = None
     else:
         raise SystemExit("need --pattern, or --all-patterns with --d/--m")
-    _check_rank_fits(args, args.d if Omega is None else Omega.shape[0])
+    _check_rank_fits(args.rank, args.order,
+                     args.d if Omega is None else Omega.shape[0])
 
     R, p = args.rank, args.order
     ell = identifiability.minimal_samples(R, p)

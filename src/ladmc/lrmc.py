@@ -16,6 +16,14 @@ the sums of the stop and momentum-restart tests, and the next gradient
 step, taken at the momentum it has unless the tests restart it (then it is
 taken again).  The arithmetic of every entry is that of whole-array
 passes, so the iterates are bitwise equal whatever the block size.
+
+A solve's D x N buffers, ``keep`` = 1 - mask, the three buffers the
+iteration rotates and the sweep's row blocks, form an ``SvpWorkspace``.
+A caller that solves on one mask several times, as ``iladmc``'s passes
+do, builds it once and hands it to every ``svp_complete`` call; the solve
+then refills from the caller's zero-filled observations themselves, and
+can start from an iterate the caller wrote into a spare buffer.  Without
+a workspace each call builds its own, so there is one iteration loop.
 """
 
 from __future__ import annotations
@@ -62,16 +70,19 @@ class SvpOptions:
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.rel_tol <= 0:
-            raise ValueError("rel_tol must be positive")
+        if not self.rel_tol > 0:
+            raise ValueError(f"rel_tol must be positive, got {self.rel_tol}")
         if self.accel_restart < 1:
-            raise ValueError("accel_restart must be >= 1")
+            raise ValueError(
+                f"accel_restart must be >= 1, got {self.accel_restart}")
 
 
 @dataclass
 class SolveDiagnostics:
     iterations_run: int
-    final_residual: float
+    # the RMS of the observed entries' residual; None from a solve in a
+    # caller's workspace, whose caller forms it in its own units
+    final_residual: float | None
     converged: bool
     # iterations whose projection ran the full eigendecomposition rather
     # than accepting the warm-started basis
@@ -140,6 +151,32 @@ def _row_blocks(shape) -> list[slice]:
     return [slice(i, i + rows) for i in range(0, shape[0], rows)]
 
 
+class SvpWorkspace:
+    """The D x N buffers of SVP solves on one mask, for every
+    ``svp_complete`` call it is handed: ``keep`` = 1 - mask, the three
+    buffers the iteration rotates, and the sweep's row blocks.  A tall
+    mask's are laid out in its transpose's shape, where a tall solve runs.
+
+    The iterate a solve returns is one of the buffers, valid until the next
+    solve in the workspace.
+    """
+
+    def __init__(self, mask):
+        mask = np.asarray(mask, dtype=bool)
+        self.tall = mask.shape[0] > mask.shape[1]
+        wide = mask.T if self.tall else mask
+        self.keep = np.subtract(1.0, wide, order="C")
+        self.buffers = [np.empty(wide.shape) for _ in range(3)]
+        self.blocks = _row_blocks(wide.shape)
+
+    def spare(self, *held):
+        """A buffer, in the mask's shape, that shares no memory with the
+        arrays ``held``: a solve started from it as ``Z0`` starts in place."""
+        views = (b.T if self.tall else b for b in self.buffers)
+        return next(v for v in views
+                    if not any(np.may_share_memory(v, h) for h in held))
+
+
 def _gradient_step(out, Z, dZ, beta, keep, target):
     """out = (Z + beta * dZ) * keep + target, the gradient step
     Z + P_mask(M_obs - Z) at Z extrapolated by beta along dZ."""
@@ -173,6 +210,8 @@ def svp_complete(
     rank: int,
     opts: SvpOptions,
     Z0: np.ndarray | None = None,
+    *,
+    workspace: SvpWorkspace | None = None,
 ) -> tuple[np.ndarray, SolveDiagnostics]:
     """Complete M_obs on the given mask at the given rank by iterative hard
     thresholding.
@@ -204,6 +243,13 @@ def svp_complete(
     orthonormal U.  Every entry sees the same operations as in whole-array
     passes, so the iterates do not depend on the block size; only the sums
     of the two tests are added in another order.
+
+    Without a ``workspace`` the solve builds its own and leaves M_obs and
+    Z0 as they are.  With one built on this mask it allocates no D x N
+    buffer: M_obs, which must then be zero off the mask, is the refill
+    target itself, a Z0 that is one of the workspace's buffers (from
+    ``spare``) is started from in place, and the residual is not formed
+    (``final_residual`` is None).
     """
     M_obs = np.asarray(M_obs, dtype=float)
     mask = np.asarray(mask, dtype=bool)
@@ -216,29 +262,42 @@ def svp_complete(
     if not 1 <= R <= min(M_obs.shape):
         raise ValueError(f"rank {R} infeasible for shape {M_obs.shape}: "
                          f"need 1 <= rank <= {min(M_obs.shape)}")
+    if Z0 is not None and np.shape(Z0) != M_obs.shape:
+        raise ValueError(f"Z0 shape {np.shape(Z0)} != {M_obs.shape}")
     if M_obs.shape[0] > M_obs.shape[1]:
         Z, diag = svp_complete(M_obs.T, mask.T, R, opts,
-                               None if Z0 is None else np.transpose(Z0))
+                               None if Z0 is None else np.transpose(Z0),
+                               workspace=workspace)
         return Z.T, diag
     n_basis = min(R + _OVERSAMPLE, min(M_obs.shape))
 
-    # C order, also for transposed inputs, keeps the sweep's blocks contiguous
-    Z = np.array(M_obs if Z0 is None else Z0, dtype=float, order="C")
-    if Z0 is None:
-        Z[~mask] = 0.0
     # the gradient step Y + P_mask(M_obs - Y), which refills the observed
     # entries, as two dense passes: Y * keep + target, keep = 1 - mask and
     # target the zero-filled observations
-    keep = np.subtract(1.0, mask, order="C")
-    target = np.zeros(M_obs.shape)
-    np.copyto(target, M_obs, where=mask)
-    # Y: the gradient step, then the projected iterate; dZ: Z - Z_prev, the
-    # stop test's change and the next momentum term.  Each sweep turns Z
-    # into the new change and dZ into the next gradient step, and the three
-    # buffers rotate.
-    Y = np.empty_like(Z)
-    dZ = np.zeros_like(Z)
-    blocks = _row_blocks(Z.shape)
+    ws = workspace
+    if ws is None:
+        ws = SvpWorkspace(mask)
+        target = np.zeros(M_obs.shape)
+        np.copyto(target, M_obs, where=mask)
+    elif ws.keep.shape != M_obs.shape:
+        raise ValueError(f"workspace of shape {ws.keep.shape} for a solve "
+                         f"of shape {M_obs.shape}")
+    else:
+        target = M_obs
+    keep, blocks = ws.keep, ws.blocks
+    # Z: the iterate, in a buffer of its own (C order, which keeps the
+    # sweep's blocks contiguous); Y: the gradient step, then the projected
+    # iterate; dZ: Z - Z_prev, the stop test's change and the next momentum
+    # term.  Each sweep turns Z into the new change and dZ into the next
+    # gradient step, and the three buffers rotate.
+    start = None if Z0 is None else next(
+        (b for b in ws.buffers
+         if np.may_share_memory(Z0, b) and Z0.strides == b.strides), None)
+    Z = ws.buffers[0] if start is None else start
+    Y, dZ = (b for b in ws.buffers if b is not Z)
+    if start is None:
+        np.copyto(Z, target if Z0 is None else Z0)
+    dZ.fill(0.0)
     V = None
     full_eigh = restarts = backoff = 0
     # the momentum counter of the iteration about to run and its beta
@@ -295,12 +354,16 @@ def svp_complete(
                 _gradient_step(Y, Z, dZ, beta_next, keep, target)
             k, beta = k_next, beta_next
 
-    # the observed-entry RMS, formed in the spare buffer Y, not a gathered copy
-    Y.fill(0.0)
-    np.subtract(M_obs, Z, out=Y, where=mask)
+    residual = None
+    if workspace is None:
+        # the observed-entry RMS, formed in the spare buffer Y, not a
+        # gathered copy
+        Y.fill(0.0)
+        np.subtract(M_obs, Z, out=Y, where=mask)
+        residual = float(np.linalg.norm(Y) / np.sqrt(n_obs))
     diag = SolveDiagnostics(
         iterations_run=iters,
-        final_residual=float(np.linalg.norm(Y) / np.sqrt(n_obs)),
+        final_residual=residual,
         converged=converged,
         full_eigh=full_eigh,
         restarts=restarts,

@@ -17,6 +17,14 @@ iterations instead of 491.  A plain solve and an order-3 lift slow down
 or stall under the scalings, so they are solved raw, and so is a lift with
 the constant row.  The lift itself, and everything read from it outside
 the solve, stays in raw monomial coordinates.
+
+A completion lifts the observations once and builds one SVP workspace
+(``lrmc.SvpWorkspace``) for all its passes.  Every pass solves on the lift
+itself, zero-filled and scaled in place; a later ``iladmc`` pass relifts
+the estimate straight into a spare buffer of the workspace and starts
+there, and a scaled pass's estimate is taken back to raw units in another.
+So a pass allocates no D x N array, and the residual is formed once, for
+the pass that ends the run.
 """
 
 from __future__ import annotations
@@ -26,10 +34,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .lrmc import SolveDiagnostics, SvpOptions, svp_complete
+from .lrmc import SolveDiagnostics, SvpOptions, SvpWorkspace, svp_complete
 # preimage_column and rank1_gap stay importable here: perfbench/traced.py wraps them
 from .preimage import preimage_column, rank1_gap, unlift  # noqa: F401
-from .tensorize import augment_ones, build_index_map, tensorize_matrix
+from .tensorize import (augment_ones, build_index_map, lift_into,
+                        tensorize_matrix)
 
 ALGORITHMS = ("ladmc", "iladmc", "lrmc")
 # iladmc stops after this many passes, or once a pass changes the
@@ -52,7 +61,8 @@ class LadmcConfig:
         if self.p not in (2, 3):
             raise ValueError(f"p must be 2 or 3, got {self.p}")
         if self.iladmc_inner_T < 1:
-            raise ValueError("iladmc_inner_T must be >= 1")
+            raise ValueError(
+                f"iladmc_inner_T must be >= 1, got {self.iladmc_inner_T}")
 
 
 @dataclass
@@ -116,13 +126,16 @@ def _row_weights(imap):
     return np.where(i == j, 1.0, math.sqrt(2.0))[:, None]
 
 
-def _observed_rms(T_obs, T_hat, T_mask, w, cols):
-    """RMS over the observed entries of (T_obs - T_hat) * cols / w, the
-    residual of a scaled solve in the lift's own units."""
-    diff = np.subtract(T_obs, T_hat, out=np.zeros_like(T_hat), where=T_mask)
-    diff *= cols
-    diff /= w
-    return float(np.linalg.norm(diff) / math.sqrt(np.count_nonzero(T_mask)))
+def _observed_rms(T_obs, Z, T_mask, out, w, cols):
+    """RMS over the observed entries of T_obs - Z, formed in out and, for a
+    scaled solve (w not None), times cols / w: the residual of the solve in
+    the lift's own units."""
+    out.fill(0.0)
+    np.subtract(T_obs, Z, out=out, where=T_mask)
+    if w is not None:
+        out *= cols
+        out /= w
+    return float(np.linalg.norm(out) / math.sqrt(np.count_nonzero(T_mask)))
 
 
 def _complete_lifted(X_obs, mask, rank, cfg, X_true, algorithm, *,
@@ -130,27 +143,37 @@ def _complete_lifted(X_obs, mask, rank, cfg, X_true, algorithm, *,
     """Up to max_passes rounds of lift / SVP / unlift / refill known entries.
 
     The lift is ``lift_of(algorithm, cfg)``; at order 1, the identity lift,
-    one pass is plain SVP of the raw matrix.  Each pass runs pass_iters SVP
-    iterations (None: cfg.svp.max_iters).  The first pass starts SVP from
-    the zero-filled lift; each later pass starts it from the lift of the
-    previous estimate.  A constant row, when the lift has one, is refilled
-    to 1 on every pass like any observed entry and dropped from the result.
-    Every pass unlifts its own lifted estimate with ``unlift``; the last
-    pass gives the result and the rank-one gaps.  Unobserved columns come
-    back zero.
+    one pass is plain SVP of the raw matrix.  A rank above either side of
+    the lift is rejected before the lift is built.  Each pass runs
+    pass_iters SVP iterations (None: cfg.svp.max_iters) in one workspace.
+    The first pass starts SVP from the zero-filled lift; each later pass
+    starts it from the lift of the previous estimate.  A constant row, when
+    the lift has one, is refilled to 1 on every pass like any observed
+    entry and dropped from the result.  Every pass unlifts its own lifted
+    estimate with ``unlift``; the last pass gives the result, the rank-one
+    gaps and the residual.  Unobserved columns come back zero.
 
     An order-2 lift without the constant row, solved with momentum, is
     solved scaled: each row times its weight (``_row_weights``), each
     column divided by its norm after that, the norm of its observed
     entries on the first pass and of the previous estimate's lift on a
     later one.  The observations are scaled in place, and each pass's
-    estimate and residual are taken back to the lift's own units.
+    estimate and the residual are taken back to the lift's own units.
     """
     X_obs, mask = _checked_input(X_obs, mask, rank)
     order, ones = lift_of(algorithm, cfg)
     X_in, mask_in = augment_ones(X_obs, mask) if ones else (X_obs, mask)
     imap = build_index_map(X_in.shape[0], order)
+    if rank > min(imap.D, X_in.shape[1]):
+        raise ValueError(
+            f"rank {rank} exceeds the order-{order} lift's smaller side: it "
+            f"is {imap.D} x {X_in.shape[1]}")
     T_obs, T_mask = tensorize_matrix(X_in, mask_in, imap)
+    ws = SvpWorkspace(T_mask)
+    if ws.tall:
+        # a tall lift is solved as its transpose: the refill target's rows
+        # are then contiguous, as are the workspace's
+        T_obs = np.asfortranarray(T_obs)
     # a burst runs its pass_iters steps whatever svp.rel_tol says: only
     # a step that leaves the iterate exactly unchanged ends it early
     opts = (replace(cfg.svp, max_iters=pass_iters, rel_tol=math.ulp(0.0))
@@ -164,12 +187,11 @@ def _complete_lifted(X_obs, mask, rank, cfg, X_true, algorithm, *,
         T_obs *= w
 
     X_cur = np.where(mask_in, X_in, 0.0)
-    full = np.ones_like(mask_in)
     Z0 = None
     total_iters = total_eigh = total_restarts = 0
     for outer in range(1, max_passes + 1):
         if outer > 1:
-            Z0, _ = tensorize_matrix(X_cur, full, imap)
+            Z0 = lift_into(ws.spare(), X_cur, imap)
         if w is not None:
             # the weighted lift of a column x has norm |x|^2: the scales
             # are the squared norms of the zero-filled input on the first
@@ -181,11 +203,12 @@ def _complete_lifted(X_obs, mask, rank, cfg, X_true, algorithm, *,
                 Z0 *= w
                 Z0 /= new_cols
             cols = new_cols
-        T_hat, diag = svp_complete(T_obs, T_mask, int(rank), opts, Z0=Z0)
+        Z, diag = svp_complete(T_obs, T_mask, int(rank), opts, Z0=Z0,
+                               workspace=ws)
+        T_hat = Z
         if w is not None:
-            diag = replace(diag, final_residual=_observed_rms(
-                T_obs, T_hat, T_mask, w, cols))
-            T_hat *= cols
+            # in a spare buffer: Z stays for the residual
+            T_hat = np.multiply(Z, cols, out=ws.spare(Z))
             T_hat /= w
         total_iters += diag.iterations_run
         total_eigh += diag.full_eigh
@@ -207,7 +230,9 @@ def _complete_lifted(X_obs, mask, rank, cfg, X_true, algorithm, *,
         X_hat=X_hat, outer_iterations=outer, per_column_rank1_ratio=ratios,
         nrmse=None if X_true is None else nrmse(X_hat, X_true),
         solver=replace(diag, iterations_run=total_iters, full_eigh=total_eigh,
-                       restarts=total_restarts, converged=converged),
+                       restarts=total_restarts, converged=converged,
+                       final_residual=_observed_rms(
+                           T_obs, Z, T_mask, ws.spare(Z), w, cols)),
     )
 
 

@@ -26,11 +26,12 @@ SIGN_TOL_SCALE = 1e-9
 
 HOPM_ITERS = 100
 HOPM_TOL = 1e-12
-# unlift folds the lift in column blocks of at most this many floats (8 MB)
+# unlift folds the lift in column blocks of at most this many floats (1 MB)
 # at both orders: a folded block is about p! times its slice of the lift,
 # and at p=2 the eigh fallback copies the rejected matrices and returns as
-# many eigenvectors.
-_BLOCK_FLOATS = 1 << 20
+# many eigenvectors.  The unlift of an iladmc pass runs while the solver's
+# buffers are alive, so its blocks stay small next to one D x N buffer.
+_BLOCK_FLOATS = 1 << 17
 
 # Power steps of the p=2 pre-image.  A column is accepted when its Ritz
 # residual |S u - lam u| is at most _POWER_TOL |lam| and 2 lam^2 > |S|_F^2,

@@ -20,6 +20,9 @@ import numpy as np
 # Dense D x N storage is used throughout; refuse lifts that could not
 # possibly be materialized.
 MAX_TENSOR_DIM = 100_000_000
+# entries of the largest factor gather of a lift (1 MB): the lift is formed
+# in row blocks, so that no p x D x N stack of factors is ever gathered
+_LIFT_FLOATS = 1 << 17
 
 
 def tensor_dimension(d: int, p: int) -> int:
@@ -93,6 +96,17 @@ def tensorize_mask(omega: np.ndarray, imap: TensorIndexMap) -> np.ndarray:
     return np.all(omega[imap.entries], axis=1)
 
 
+def lift_into(out: np.ndarray, X: np.ndarray,
+              imap: TensorIndexMap) -> np.ndarray:
+    """Write the lift of every column of X (d x N) into out (D x N), any
+    layout, and return out: row q is the product of X's rows over
+    multi-index q, factor by factor in index order."""
+    rows = max(1, _LIFT_FLOATS // (imap.p * max(1, X.shape[1])))
+    for lo in range(0, imap.D, rows):
+        np.prod(X[imap.entries[lo:lo + rows]], axis=1, out=out[lo:lo + rows])
+    return out
+
+
 def tensorize_matrix(
     X: np.ndarray, mask: np.ndarray, imap: TensorIndexMap
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -107,7 +121,7 @@ def tensorize_matrix(
         raise ValueError(f"matrix shape {X.shape} != mask shape {mask.shape}")
     _check_length(X, imap, "matrix")
     Xz = np.where(mask, X, 0.0)
-    T = np.prod(Xz[imap.entries], axis=1)
+    T = lift_into(np.empty((imap.D, X.shape[1])), Xz, imap)
     Tmask = np.all(mask[imap.entries], axis=1)
     T[~Tmask] = 0.0
     return T, Tmask

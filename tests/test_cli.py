@@ -131,14 +131,6 @@ def test_complete_shape_mismatch(tmp_path):
               "--mask", str(tmp_path / "mask.csv"), "--rank", "1"])
 
 
-def test_complete_rejects_zero_max_iters(tmp_path):
-    data = _synth_instance(tmp_path)
-    with pytest.raises(ValueError, match="max_iters must be >= 1, got 0"):
-        main(["complete", "--input", str(data / "X.csv"), "--rank", "2",
-              "--max-iters", "0", "--out-dir", str(tmp_path / "run")])
-    assert not (tmp_path / "run").exists()
-
-
 def test_complete_and_phase_share_solver_flags():
     parser = build_parser()
     defaults = {"inner_T": 30, "max_iters": 500, "rel_tol": 1e-6,
@@ -596,12 +588,60 @@ def test_bad_check_and_synth_input_is_a_usage_error(tmp_path, capsys, argv,
       "--order", "1"],
      "ladmc: error: --rank 5: must be at most 3, the dimension of the "
      "order-1 lift of R^3"),
+    (["complete", "--rank", "2", "--max-iters", "0"],
+     "ladmc: error: argument --max-iters: max_iters must be >= 1, got 0"),
+    (["complete", "--rank", "2", "--rel-tol", "0"],
+     "ladmc: error: argument --rel-tol: rel_tol must be positive, got 0.0"),
+    (["complete", "--rank", "2", "--accel-restart", "0"],
+     "ladmc: error: argument --accel-restart: accel_restart must be >= 1, "
+     "got 0"),
+    (["complete", "--rank", "2", "--algorithm", "iladmc", "--inner-T", "0"],
+     "ladmc: error: argument --inner-T: iladmc_inner_T must be >= 1, got 0"),
+    (["complete", "--rank", "2", "--success-tol", "0"],
+     "ladmc: error: argument --success-tol: success_tol must be positive, "
+     "got 0.0"),
+    (["complete", "--rank", "2", "--success-tol", "-1"],
+     "ladmc: error: argument --success-tol: success_tol must be positive, "
+     "got -1.0"),
+    (["complete", "--rank", "200"],
+     "ladmc: error: --rank 200: must be at most 21, the dimension of the "
+     "order-2 lift of R^6"),
+    (["complete", "--rank", "29", "--augment-ones"],
+     "ladmc: error: --rank 29: must be at most 28, the dimension of the "
+     "order-2 lift of R^7"),
+    (["complete", "--rank", "7", "--algorithm", "lrmc"],
+     "ladmc: error: --rank 7: must be at most 6, the dimension of the "
+     "order-1 lift of R^6"),
+    (["complete", "--rank", "11"],
+     "ladmc: error: --rank 11: must be at most 10, the number of columns"),
+    (["phase", "--d", "6", "--r", "1", "--K-list", "2", "--m-list", "4",
+      "--max-iters", "0"],
+     "ladmc: error: argument --max-iters: max_iters must be >= 1, got 0"),
+    (["phase", "--d", "6", "--r", "1", "--K-list", "2", "--m-list", "4",
+      "--inner-T", "0"],
+     "ladmc: error: argument --inner-T: iladmc_inner_T must be >= 1, got 0"),
+    (["real", "--ranks", "2", "--rel-tol", "0"],
+     "ladmc: error: argument --rel-tol: rel_tol must be positive, got 0.0"),
+    (["real", "--ranks", "2", "--accel-restart", "0"],
+     "ladmc: error: argument --accel-restart: accel_restart must be >= 1, "
+     "got 0"),
 ], ids=["synth-r-above-d", "synth-K-zero", "rank-verify-K-zero",
         "rank-verify-r-above-d", "phase-trials-zero", "check-all-no-d",
         "check-all-no-m", "check-d-zero", "check-rank-above-lift",
-        "check-all-rank-above-lift"])
+        "check-all-rank-above-lift", "complete-max-iters-zero",
+        "complete-rel-tol-zero", "complete-accel-restart-zero",
+        "complete-inner-T-zero", "complete-success-tol-zero",
+        "complete-success-tol-negative", "complete-rank-above-lift",
+        "complete-rank-above-augmented-lift", "complete-rank-above-lrmc",
+        "complete-rank-above-columns", "phase-max-iters-zero",
+        "phase-inner-T-zero", "real-rel-tol-zero",
+        "real-accel-restart-zero"])
 def test_bad_input_is_a_usage_error_naming_its_flag(tmp_path, capsys, argv,
                                                     message):
+    # complete and real read a 6 x 10 input
+    if argv[0] in ("complete", "real"):
+        write_matrix_csv(tmp_path / "X.csv", gen_uos(6, 2, 1, 10, seed=0))
+        argv = [*argv, "--input", str(tmp_path / "X.csv")]
     capsys.readouterr()
     with pytest.raises(SystemExit) as exc:
         main([*argv, "--out-dir", str(tmp_path / "run")])

@@ -331,6 +331,72 @@ def test_svp_tall_holds_no_copy(accel, given_Z0):
     assert peaks[0] <= 5.5 * M.nbytes, peaks
 
 
+@pytest.mark.parametrize("given_Z0", [False, True], ids=["zero-fill", "Z0"])
+@pytest.mark.parametrize("shape", [(40, 300), (300, 40)], ids=["wide", "tall"])
+def test_svp_leaves_its_inputs_and_ignores_entries_off_the_mask(shape,
+                                                                given_Z0):
+    # a direct call refills from the observed entries alone, whatever the
+    # matrix holds off the mask, and writes to neither M_obs nor Z0
+    M, mask, rng = _low_rank_problem(shape, 4, seed=31)
+    M_obs = np.where(mask, M, 100.0 * rng.standard_normal(shape))
+    Z0 = None
+    if given_Z0:
+        Z0 = truncated_svd_project(M + 0.1 * rng.standard_normal(shape), 4)
+    kept = [a.copy() for a in (M_obs, Z0) if a is not None]
+    opts = SvpOptions(max_iters=50, accel=True, accel_restart=20)
+    Z, diag = svp_complete(M_obs, mask, 4, opts, Z0=Z0)
+    for a, before in zip([a for a in (M_obs, Z0) if a is not None], kept):
+        assert a.tobytes() == before.tobytes()
+    Z_zero, diag_zero = svp_complete(np.where(mask, M, 0.0), mask, 4, opts,
+                                     Z0=Z0)
+    assert Z.tobytes() == Z_zero.tobytes()
+    assert diag == diag_zero
+    assert diag.final_residual > 0.0
+
+
+@pytest.mark.parametrize("shape", [(60, 2000), (2000, 60)],
+                         ids=["wide", "tall"])
+def test_svp_workspace_reused_matches_fresh_solves(shape):
+    # three solves in one workspace on one mask: from the zero-filled
+    # observations, from a Z0 of the caller's, and from a start written
+    # into a spare buffer; each gives a fresh solve's iterate bit for bit
+    # and its diagnostics, the residual aside, which it leaves to the caller
+    M, mask, rng = _low_rank_problem(shape, 4, seed=37)
+    M2 = M + rng.standard_normal((shape[0], 4)) @ rng.standard_normal(
+        (4, shape[1]))
+    starts = [truncated_svd_project(M + 0.1 * rng.standard_normal(shape), 4)
+              for _ in range(2)]
+    opts = SvpOptions(max_iters=60, rel_tol=1e-9, accel=True,
+                      accel_restart=25)
+    ws = lrmc.SvpWorkspace(mask)
+    Z = None
+    for M_in, Z0, in_place in ((M, None, False), (M2, starts[0], False),
+                               (M, starts[1], True)):
+        M_obs = np.where(mask, M_in, 0.0)
+        fresh, fresh_diag = svp_complete(M_obs, mask, 4, opts, Z0=Z0)
+        kept = None if Z0 is None else Z0.copy()
+        given = Z0
+        if in_place:
+            given = ws.spare(Z)
+            given[...] = Z0
+        tracemalloc.start()
+        try:
+            Z, diag = svp_complete(M_obs, mask, 4, opts, Z0=given,
+                                   workspace=ws)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert Z.tobytes() == fresh.tobytes()
+        assert diag == replace(fresh_diag, final_residual=None)
+        if kept is not None and not in_place:
+            assert Z0.tobytes() == kept.tobytes()
+        # no buffer of the solve's size: the workspace holds them all
+        assert peak < M.nbytes // 4, peak
+        assert any(np.shares_memory(Z, b) for b in ws.buffers)
+    with pytest.raises(ValueError, match="workspace of shape"):
+        svp_complete(M[1:, 1:], mask[1:, 1:], 4, opts, workspace=ws)
+
+
 _SHAPES = [((40, 300), 4), ((300, 40), 4), ((60, 60), 6)]
 _VARIANTS = {
     "plain-1.0": dict(),

@@ -1,3 +1,7 @@
+import math
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -458,3 +462,153 @@ def test_lift_of_each_algorithm():
     assert pipeline.lift_of("lrmc", cfg) == (1, False)
     assert pipeline.lift_of("ladmc", cfg) == (3, True)
     assert pipeline.lift_of("iladmc", LadmcConfig()) == (2, False)
+
+
+def _reference_complete(X_obs, mask, rank, cfg, algorithm, max_passes=1,
+                        pass_iters=None):
+    """The completion driver with a fresh ``svp_complete`` call per pass:
+    each pass hands the solver the lift, and a later pass the relift of the
+    estimate, as arrays of their own; the solver forms the residual of a
+    raw solve, and a scaled pass's is formed after it in the lift's units.
+    Returns the report's fields."""
+    order, ones = pipeline.lift_of(algorithm, cfg)
+    X_in, mask_in = augment_ones(X_obs, mask) if ones else (X_obs, mask)
+    imap = build_index_map(X_in.shape[0], order)
+    T_obs, T_mask = tensorize_matrix(X_in, mask_in, imap)
+    opts = (replace(cfg.svp, max_iters=pass_iters, rel_tol=math.ulp(0.0))
+            if pass_iters else cfg.svp)
+    w, cols = None, 1.0
+    if order == 2 and not ones and cfg.svp.accel:
+        w = pipeline._row_weights(imap)
+        T_obs *= w
+    X_cur = np.where(mask_in, X_in, 0.0)
+    Z0 = None
+    iters = eigh = restarts = 0
+    for outer in range(1, max_passes + 1):
+        if outer > 1:
+            Z0, _ = tensorize_matrix(X_cur, np.ones_like(mask_in), imap)
+        if w is not None:
+            new_cols = np.einsum("ij,ij->j", X_cur, X_cur)
+            new_cols[new_cols == 0.0] = 1.0
+            T_obs *= cols / new_cols
+            if Z0 is not None:
+                Z0 *= w
+                Z0 /= new_cols
+            cols = new_cols
+        T_hat, diag = svp_complete(T_obs, T_mask, rank, opts, Z0=Z0)
+        if w is not None:
+            diff = np.subtract(T_obs, T_hat, out=np.zeros_like(T_hat),
+                               where=T_mask)
+            diff *= cols
+            diff /= w
+            diag = replace(diag, final_residual=float(
+                np.linalg.norm(diff) / np.sqrt(np.count_nonzero(T_mask))))
+            T_hat *= cols
+            T_hat /= w
+        iters += diag.iterations_run
+        eigh += diag.full_eigh
+        restarts += diag.restarts
+        X_new, ratios = unlift(T_hat, imap, X_in, mask_in)
+        X_new[mask_in] = X_in[mask_in]
+        change = (np.linalg.norm(X_new - X_cur)
+                  / max(np.linalg.norm(X_cur), 1e-30))
+        X_cur = X_new
+        if change < pipeline.ILADMC_REL_TOL:
+            break
+    X_hat = X_cur[1:] if ones else X_cur
+    X_hat[:, ~mask.any(axis=0)] = 0.0
+    converged = (diag.converged if max_passes == 1
+                 else bool(change < pipeline.ILADMC_REL_TOL))
+    return (X_hat, ratios, outer, iters, eigh, restarts,
+            diag.final_residual, converged)
+
+
+@pytest.mark.parametrize("p,accel,ones,N,rank", [
+    pytest.param(2, True, False, 60, 2, id="scaled"),
+    pytest.param(2, False, False, 60, 2, id="plain"),
+    pytest.param(3, True, False, 80, 4, id="order-3"),
+    pytest.param(2, True, True, 60, 5, id="augment-ones"),
+    # 21 monomials, 15 columns: the solve runs on the transpose
+    pytest.param(2, True, False, 15, 2, id="tall"),
+])
+@pytest.mark.parametrize("algo", [ladmc, iladmc])
+def test_workspace_passes_match_fresh_solves(algo, p, accel, ones, N, rank):
+    # one workspace for every pass changes no bit of the result, the
+    # residual included, against a fresh solve per pass
+    X, mask = _two_lines_instance(N=N, m=5)
+    X_obs = np.where(mask, X, 0.0)
+    mask[:, 3] = False  # an unobserved column
+    cfg = LadmcConfig(p=p, svp=SvpOptions(max_iters=200, rel_tol=1e-9,
+                                          accel=accel),
+                      iladmc_inner_T=10, augment_ones=ones)
+    rep = algo(X_obs, mask, rank, cfg)
+    passes = ({} if algo is ladmc else
+              dict(max_passes=pipeline.ILADMC_MAX_OUTER, pass_iters=10))
+    ref = _reference_complete(X_obs, mask, rank, cfg, algo.__name__,
+                              **passes)
+    got = (rep.X_hat, rep.per_column_rank1_ratio, rep.outer_iterations,
+           rep.solver.iterations_run, rep.solver.full_eigh,
+           rep.solver.restarts, rep.solver.final_residual,
+           rep.solver.converged)
+    assert got[0].tobytes() == ref[0].tobytes()
+    assert got[1].tobytes() == ref[1].tobytes()
+    assert got[2:] == ref[2:]
+    if algo is iladmc:
+        assert rep.outer_iterations > 1
+
+
+@pytest.mark.parametrize("accel", [False, True], ids=["plain", "momentum"])
+def test_lrmc_workspace_matches_a_fresh_solve(accel):
+    X, mask = _two_lines_instance(N=60, m=5)
+    X_obs = np.where(mask, X, 0.0)
+    cfg = LadmcConfig(svp=SvpOptions(max_iters=200, rel_tol=1e-9,
+                                     accel=accel))
+    rep = lrmc_baseline(X_obs, mask, 2, cfg)
+    ref = _reference_complete(X_obs, mask, 2, cfg, "lrmc")
+    assert rep.X_hat.tobytes() == ref[0].tobytes()
+    assert (rep.outer_iterations, rep.solver.iterations_run,
+            rep.solver.full_eigh, rep.solver.restarts,
+            rep.solver.final_residual, rep.solver.converged) == ref[2:]
+
+
+@pytest.mark.parametrize("algo,kw,message", [
+    (ladmc, {}, r"rank 22 exceeds the order-2 lift's smaller side: it is "
+                r"21 x 60"),
+    (iladmc, dict(N=15), r"rank 16 exceeds the order-2 lift's smaller "
+                         r"side: it is 21 x 15"),
+    (lrmc_baseline, {}, r"rank 7 exceeds the order-1 lift's smaller side: "
+                        r"it is 6 x 60"),
+], ids=["ladmc", "iladmc-columns", "lrmc"])
+def test_rank_above_the_lift_rejected_before_lifting(monkeypatch, algo, kw,
+                                                     message):
+    X, mask = _two_lines_instance(**{"N": 60, "m": 5, **kw})
+    rank = int(message.split()[1])
+    lifted = []
+    monkeypatch.setattr(pipeline, "tensorize_matrix",
+                        lambda *args: lifted.append(args))
+    with pytest.raises(ValueError, match=message):
+        algo(np.where(mask, X, 0.0), mask, rank)
+    assert not lifted
+
+
+def test_iladmc_peak_memory_in_lift_buffers(monkeypatch):
+    # the observations' lift, keep = 1 - mask and the solver's three
+    # rotating buffers live through the run; a pass relifts, unscales and
+    # unlifts in them and allocates no array of the lift's size, so only
+    # the unlift's column blocks come on top.  A fresh solver per pass
+    # held 9 lift-sized arrays at the peak on this paper-scale input.
+    N = 2700
+    X = gen_uos(15, 10, 2, N, seed=101)
+    mask = gen_mask_uniform(15, N, 11, seed=102)
+    monkeypatch.setattr(pipeline, "ILADMC_MAX_OUTER", 3)
+    cfg = _cfg(iters=100, accel=True, iladmc_inner_T=5)
+    X_obs = np.where(mask, X, 0.0)
+    tracemalloc.start()
+    try:
+        rep = iladmc(X_obs, mask, 30, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.outer_iterations == 3
+    lift_bytes = 120 * N * 8
+    assert peak < 7.5 * lift_bytes, peak / lift_bytes
