@@ -9,7 +9,6 @@ order, and explicit flags override them.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 
@@ -25,55 +24,10 @@ def _float_list(text: str) -> list:
     return [float(v) for v in text.split(",") if v]
 
 
-def _checked(parse, check):
-    """An argparse type that makes ``check``'s ValueError a usage error."""
-    def arg_type(text):
-        try:
-            check(value := parse(text))
-        except ValueError as exc:
-            raise argparse.ArgumentTypeError(str(exc)) from None
-        return value
-    return arg_type
-
-
-def _at_least_one(name):
-    """A check that rejects a value below 1, naming ``name``."""
-    def check(value):
-        if value < 1:
-            raise ValueError(f"{name} must be >= 1, got {value}")
-    return check
-
-
 def _usage_error(message):
     """Exit 2 with the one line ``ladmc: error: message``."""
     sys.stderr.write(f"ladmc: error: {message}\n")
     raise SystemExit(2)
-
-
-def _check_m(args):
-    """Reject an --m outside 1..--d as a usage error."""
-    if not 1 <= args.m <= args.d:
-        _usage_error(f"--m {args.m}: must be in 1..{args.d} (--d)")
-
-
-def _check_r(args):
-    """Reject an --r above --d as a usage error."""
-    if args.r > args.d:
-        _usage_error(f"--r {args.r}: must be in 1..{args.d} (--d)")
-
-
-def _check_rank_fits(rank, order, d, N=None):
-    """Reject a --rank above the lifted dimension C(d+p-1, p), or above the
-    column count N when one is given, as a usage error: no sampling can
-    identify a subspace larger than the space, nor complete a rank that
-    the columns cannot reach."""
-    D = math.comb(d + order - 1, order)
-    if rank > D:
-        _usage_error(f"--rank {rank}: must be at most {D}, the "
-                     f"dimension of the order-{order} lift of R^{d}")
-    if N is not None and rank > N:
-        _usage_error(f"--rank {rank}: must be at most {N}, the number of "
-                     f"columns")
 
 
 def _splice_config(argv) -> list:
@@ -122,25 +76,19 @@ def build_parser() -> argparse.ArgumentParser:
                         default=SvpOptions.accel_restart,
                         help="longest momentum run between restarts")
 
-    def positive(name):
-        return _checked(int, _at_least_one(name))
-
     sp = sub.add_parser("synth", help="generate synthetic UoS data + mask")
-    sp.add_argument("--d", type=positive("d"), required=True)
-    sp.add_argument("--K", type=positive("K"), default=1)
-    sp.add_argument("--r", type=positive("r"), required=True)
-    sp.add_argument("--N", type=positive("N"), required=True)
+    sp.add_argument("--d", type=int, required=True)
+    sp.add_argument("--K", type=int, default=1)
+    sp.add_argument("--r", type=int, required=True)
+    sp.add_argument("--N", type=int, required=True)
     sp.add_argument("--m", type=int, help="observed rows per column")
     common(sp)
-
-    rank = _checked(int, pipeline.check_rank)
-    order = positive("order")
 
     sp = sub.add_parser("complete", help="complete a matrix from CSV")
     sp.add_argument("--input", required=True)
     sp.add_argument("--mask", help="0/1 CSV; default: blank/NaN cells missing")
     sp.add_argument("--truth", help="ground-truth CSV for error reporting")
-    sp.add_argument("--rank", type=rank, required=True)
+    sp.add_argument("--rank", type=int, required=True)
     sp.add_argument("--order", type=int, choices=(2, 3), default=2)
     sp.add_argument("--algorithm", choices=pipeline.ALGORITHMS,
                     default="ladmc")
@@ -154,11 +102,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--pattern", help="0/1 CSV of sampling patterns (d x n)")
     sp.add_argument("--all-patterns", action="store_true",
                     help="use all C(d, m) patterns")
-    sp.add_argument("--d", type=positive("d"))
+    sp.add_argument("--d", type=int)
     sp.add_argument("--m", type=int)
-    sp.add_argument("--rank", type=rank, required=True)
-    sp.add_argument("--order", type=order, default=2)
-    sp.add_argument("--trials", type=positive("trials"), default=3)
+    sp.add_argument("--rank", type=int, required=True)
+    sp.add_argument("--order", type=int, default=2)
+    sp.add_argument("--trials", type=int, default=3)
     common(sp)
 
     sp = sub.add_parser("phase", help="phase-transition success grid")
@@ -170,31 +118,29 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--N", type=int, help="fixed column count")
     sp.add_argument("--N-per-K", type=int, default=50)
     sp.add_argument("--N-cap", type=int, default=3000)
-    sp.add_argument("--trials", type=positive("trials"), default=10)
+    sp.add_argument("--trials", type=int, default=10)
     sp.add_argument("--algorithm", choices=pipeline.ALGORITHMS,
                     default="ladmc")
     solver_flags(sp)
     sp.add_argument("--success-tol", type=float,
                     default=experiments.PhaseGridConfig.success_tol)
-    sp.add_argument("--workers", type=positive("workers"), default=1)
+    sp.add_argument("--workers", type=int, default=1)
     common(sp)
 
     sp = sub.add_parser("rank-verify",
                         help="check lifted rank of UoS data vs formula")
-    sp.add_argument("--K", type=positive("K"), required=True)
-    sp.add_argument("--r", type=positive("r"), required=True)
-    sp.add_argument("--d", type=positive("d"), required=True)
-    sp.add_argument("--order", type=order, default=2)
-    sp.add_argument("--N", type=positive("N"), required=True)
+    sp.add_argument("--K", type=int, required=True)
+    sp.add_argument("--r", type=int, required=True)
+    sp.add_argument("--d", type=int, required=True)
+    sp.add_argument("--order", type=int, default=2)
+    sp.add_argument("--N", type=int, required=True)
     common(sp)
 
     sp = sub.add_parser("real", help="train/val/test benchmark on a CSV")
     sp.add_argument("--input", required=True)
     sp.add_argument("--ranks", type=_int_list, required=True)
-    sp.add_argument("--fractions", default="0.5,0.25,0.25",
-                    type=_checked(_float_list, experiments.check_fractions))
-    sp.add_argument("--counts",
-                    type=_checked(_int_list, experiments.check_counts),
+    sp.add_argument("--fractions", type=_float_list, default="0.5,0.25,0.25")
+    sp.add_argument("--counts", type=_int_list,
                     help="absolute train,val entry counts per column")
     sp.add_argument("--order", type=int, choices=(2, 3), default=2)
     solver_flags(sp)
@@ -202,39 +148,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# the solver flags of complete, phase and real, by the name of the setting
-# each sets: the checks of SvpOptions and LadmcConfig start their message
-# with that name
-_SOLVER_FLAGS = {"max_iters": "--max-iters", "rel_tol": "--rel-tol",
-                 "accel_restart": "--accel-restart",
-                 "iladmc_inner_T": "--inner-T"}
-
-
 def _completion(args, augment_ones=False) -> pipeline.LadmcConfig:
-    """The completion settings of the solver flags; a value that their
-    checks reject is a usage error naming its flag."""
-    try:
-        svp = SvpOptions(max_iters=args.max_iters, rel_tol=args.rel_tol,
-                         accel=args.accel, accel_restart=args.accel_restart)
-        return pipeline.LadmcConfig(p=args.order, svp=svp,
-                                    iladmc_inner_T=args.inner_T,
-                                    augment_ones=augment_ones)
-    except ValueError as exc:
-        flag = _SOLVER_FLAGS.get(str(exc).split()[0])
-        if flag is None:
-            raise
-        _usage_error(f"argument {flag}: {exc}")
+    """The completion settings of the solver flags."""
+    svp = SvpOptions(max_iters=args.max_iters, rel_tol=args.rel_tol,
+                     accel=args.accel, accel_restart=args.accel_restart)
+    return pipeline.LadmcConfig(p=args.order, svp=svp,
+                                iladmc_inner_T=args.inner_T,
+                                augment_ones=augment_ones)
 
 
 def _cmd_synth(args):
-    _check_r(args)
-    if args.m is not None:
-        _check_m(args)
-    os.makedirs(args.out_dir, exist_ok=True)
     X = synth.gen_uos(args.d, args.K, args.r, args.N, seed=args.seed)
-    io.write_matrix_csv(os.path.join(args.out_dir, "X0.csv"), X)
     if args.m is not None:
         mask = synth.gen_mask_uniform(args.d, args.N, args.m, seed=args.seed)
+    os.makedirs(args.out_dir, exist_ok=True)
+    io.write_matrix_csv(os.path.join(args.out_dir, "X0.csv"), X)
+    if args.m is not None:
         io.write_matrix_csv(os.path.join(args.out_dir, "X.csv"), X, mask=mask)
         io.write_matrix_csv(os.path.join(args.out_dir, "mask.csv"),
                             mask.astype(float))
@@ -246,19 +175,21 @@ def _cmd_complete(args):
     X, observed = io.read_matrix_csv(args.input)
     mask = io.read_mask_csv(args.mask) if args.mask else observed
     if mask.shape != X.shape:
-        raise SystemExit(f"mask shape {mask.shape} != input shape {X.shape}")
+        raise io.CsvFormatError(args.mask, f"{args.mask}: shape {mask.shape} "
+                                f"!= input shape {X.shape}")
     X_true = None
     if args.truth:
         X_true, truth_obs = io.read_matrix_csv(args.truth)
         if not truth_obs.all():
-            raise SystemExit("truth file has missing cells")
+            raise io.CsvFormatError(
+                args.truth, f"{args.truth}: truth file has missing cells")
 
     cfg = _completion(args, augment_ones=args.augment_ones)
     if not args.success_tol > 0:
-        _usage_error("argument --success-tol: success_tol must be "
-                     f"positive, got {args.success_tol}")
-    order, ones = pipeline.lift_of(args.algorithm, cfg)
-    _check_rank_fits(args.rank, order, X.shape[0] + ones, N=X.shape[1])
+        # the tolerance only judges the report: no library call checks it
+        raise io.SettingError("success_tol", "success_tol must be positive, "
+                              f"got {args.success_tol}")
+    order, _ = pipeline.lift_of(args.algorithm, cfg)
     rep = pipeline.completer(args.algorithm)(X, mask, args.rank, cfg,
                                              X_true=X_true)
     report_items = {"algorithm": args.algorithm, "order": order,
@@ -288,18 +219,18 @@ def _cmd_check(args):
         Omega = io.read_mask_csv(args.pattern)
     elif args.all_patterns:
         if args.d is None or args.m is None:
-            _usage_error("--all-patterns requires --d and --m")
-        _check_m(args)
+            raise io.SettingError("all_patterns", "requires --d and --m")
         Omega = synth.gen_all_patterns(args.d, args.m, 1)
     elif args.d is not None:
         Omega = None
     else:
-        raise SystemExit("need --pattern, or --all-patterns with --d/--m")
-    _check_rank_fits(args.rank, args.order,
-                     args.d if Omega is None else Omega.shape[0])
+        raise io.SettingError("pattern", "need --pattern, or --d (with --m "
+                              "for --all-patterns)")
 
     R, p = args.rank, args.order
     ell = identifiability.minimal_samples(R, p)
+    if Omega is None:
+        identifiability.check_lifted_rank(R, args.d, p)
     items = {
         "rank": R, "order": p, "ell": ell,
         "sufficiency_note": f"m >= {ell + 2} with all patterns guarantees "
@@ -340,7 +271,6 @@ def _cmd_phase(args):
 
 
 def _cmd_rank_verify(args):
-    _check_r(args)
     rep = experiments.rank_verify(args.K, args.r, args.d, args.order,
                                   args.N, seed=args.seed)
     os.makedirs(args.out_dir, exist_ok=True)
@@ -374,19 +304,40 @@ _COMMANDS = {
 }
 
 
+# the library's name of each setting whose flag is not --name with its
+# underscores as dashes
+_FLAGS = {"iladmc_inner_T": "--inner-T", "K_range": "--K-list",
+          "m_range": "--m-list", "N_fixed": "--N", "R": "--rank",
+          "p": "--order"}
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(_splice_config(argv))
     try:
+        if args.seed < 0:
+            # every command takes --seed (common()); numpy's generators
+            # reject a negative one, some only deep inside a command
+            raise io.SettingError("seed",
+                                  f"seed must be >= 0, got {args.seed}")
         return _COMMANDS[args.command](args)
-    except FileNotFoundError as exc:
-        # a missing data file is the caller's mistake: name its flag.  The
-        # commands open their files at different depths, so this is caught
-        # here and matched to the flag by its path
+    except (FileNotFoundError, io.CsvFormatError) as exc:
+        # a missing or malformed data file is the caller's mistake: name its
+        # flag.  The commands open their files at different depths, so this
+        # is caught here and matched to the flag by its path
         for flag in ("input", "mask", "truth", "pattern"):
             path = getattr(args, flag, None)
             if path is not None and path == exc.filename:
-                _usage_error(f"--{flag} {path}: no such file")
+                _usage_error(f"--{flag} {path}: no such file"
+                             if isinstance(exc, FileNotFoundError)
+                             else f"--{flag} {exc}")
         raise
+    except io.SettingError as exc:
+        # a setting the library rejects is a usage error when it is a flag
+        # of this command; any other is a bug and stays a traceback
+        flag = _FLAGS.get(exc.setting, "--" + exc.setting.replace("_", "-"))
+        if flag[2:].replace("-", "_") not in vars(args):
+            raise
+        _usage_error(f"argument {flag}: {exc}")
 
 
 if __name__ == "__main__":

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .identifiability import minimal_samples, uos_tensor_rank
-from .io import read_matrix_csv, write_pgm, write_report
+from .io import SettingError, read_matrix_csv, write_pgm, write_report
 from .pipeline import ALGORITHMS, LadmcConfig, check_rank, completer, lift_of
 from .synth import gen_mask_uniform, gen_uos
 from .tensorize import build_index_map, tensor_dimension, tensorize_matrix
@@ -32,28 +32,26 @@ class PhaseGridConfig:
     workers: int = 1
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
+        for name in ("trials", "workers", "d", "N_fixed", "N_per_K", "N_cap"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise SettingError(name, f"{name} must be >= 1, got {value}")
         if self.success_tol <= 0:
-            raise ValueError("success_tol must be positive")
+            raise SettingError("success_tol", "success_tol must be positive, "
+                               f"got {self.success_tol}")
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
         if self.N_fixed is None and self.N_per_K is None:
             raise ValueError("need N_fixed or N_per_K")
         if not 1 <= self.r <= self.d:
-            raise ValueError(f"r must be in 1..d={self.d}, got {self.r}")
+            raise SettingError("r",
+                               f"r must be in 1..d={self.d}, got {self.r}")
         if not self.K_range or min(self.K_range) < 1:
-            raise ValueError("K_range must be a non-empty list of K >= 1, "
-                             f"got {self.K_range}")
+            raise SettingError("K_range", "K_range must be a non-empty list "
+                               f"of K >= 1, got {self.K_range}")
         if not self.m_range or not all(1 <= m <= self.d for m in self.m_range):
-            raise ValueError("m_range must be a non-empty list of m in "
-                             f"1..d={self.d}, got {self.m_range}")
-        for name in ("N_fixed", "N_per_K", "N_cap"):
-            value = getattr(self, name)
-            if value is not None and value < 1:
-                raise ValueError(f"{name} must be >= 1, got {value}")
+            raise SettingError("m_range", "m_range must be a non-empty list "
+                               f"of m in 1..d={self.d}, got {self.m_range}")
 
     def columns_for(self, K: int) -> int:
         N = self.N_fixed if self.N_fixed is not None else self.N_per_K * K
@@ -205,21 +203,6 @@ def _split_entries(observed, fractions, counts, rng):
     return train, val, test
 
 
-def check_fractions(fractions):
-    """Reject anything but three non-negative shares summing to 1."""
-    if (len(fractions) != 3 or min(fractions) < 0
-            or abs(sum(fractions) - 1) > 1e-9):
-        raise ValueError("fractions must be three non-negative shares "
-                         f"summing to 1, got {tuple(fractions)}")
-
-
-def check_counts(counts):
-    """Reject anything but two non-negative entry counts."""
-    if len(counts) != 2 or min(counts) < 0:
-        raise ValueError("counts must be two non-negative entry counts "
-                         f"(train, val), got {tuple(counts)}")
-
-
 def run_real_experiment(
     data_path,
     ranks,
@@ -239,11 +222,16 @@ def run_real_experiment(
     lifted) by validation RMSE and scored on the test entries.
     """
     if counts is None:
-        check_fractions(fractions)
-    else:
-        check_counts(counts)
+        if (len(fractions) != 3 or min(fractions) < 0
+                or abs(sum(fractions) - 1) > 1e-9):
+            raise SettingError("fractions", "fractions must be three "
+                               "non-negative shares summing to 1, got "
+                               f"{tuple(fractions)}")
+    elif len(counts) != 2 or min(counts) < 0:
+        raise SettingError("counts", "counts must be two non-negative entry "
+                           f"counts (train, val), got {tuple(counts)}")
     for R in ranks:
-        check_rank(R)
+        check_rank(R, "ranks")
     X, observed = read_matrix_csv(data_path)
     rng = np.random.default_rng(seed)
     train, val, test = _split_entries(observed, fractions, counts, rng)
@@ -252,14 +240,14 @@ def run_real_experiment(
     X, train, val, test = X[:, keep], train[:, keep], val[:, keep], test[:, keep]
     d, N = X.shape
     # an empty share gives a nan RMSE for every rank: fail before any solve
-    split = (f"counts={tuple(counts)}" if counts is not None
-             else f"fractions={tuple(fractions)}")
+    setting, split = (("counts", counts) if counts is not None
+                      else ("fractions", fractions))
     empty_shares = [share for share, entries in (
         ("training", train), ("validation", val), ("test", test))
         if not entries.any()]
     if empty_shares:
-        raise ValueError(f"{split} leaves no {' or '.join(empty_shares)} "
-                         "entries")
+        raise SettingError(setting, f"{setting}={tuple(split)} leaves no "
+                           f"{' or '.join(empty_shares)} entries")
 
     results = {"excluded_columns": int(keep.size - keep.sum())}
 
@@ -277,8 +265,9 @@ def run_real_experiment(
         top = tensor_dimension(d + ones, order)
         usable[name] = [R for R in ranks if R <= min(top, N)]
         if not usable[name]:
-            raise ValueError(f"{name}: no usable rank in {list(ranks)}; "
-                             f"ranks must be <= {min(top, N)}")
+            raise SettingError("ranks", f"{name}: no usable rank in "
+                               f"{list(ranks)}; ranks must be <= "
+                               f"{min(top, N)}")
     X_train = np.where(train, X, 0.0)
     for name, feasible in usable.items():
         best = None  # the first rank with the least validation RMSE

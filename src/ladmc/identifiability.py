@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .io import SettingError
 from .preimage import _convention_sign
 from .tensorize import (TensorIndexMap, build_index_map, tensor_dimension,
                         tensorize_column, tensorize_mask)
@@ -79,13 +80,23 @@ def uos_tensor_rank(K: int, r: int, d: int, p: int) -> int:
 def minimal_samples(R: int, p: int) -> int:
     """Smallest l with C(l+p-1, p) >= R; below this no column can help."""
     if R < 1:
-        raise ValueError("R must be >= 1")
+        raise SettingError("R", f"R must be >= 1, got {R}")
     if p < 1:
-        raise ValueError(f"order must be >= 1, got {p}")
+        raise SettingError("p", f"order must be >= 1, got {p}")
     ell = 1
     while math.comb(ell + p - 1, p) < R:
         ell += 1
     return ell
+
+
+def check_lifted_rank(R: int, d: int, p: int) -> int:
+    """The dimension D of the order-p lift of R^d; raises unless 1 <= R <= D,
+    as no sampling identifies a subspace larger than the space."""
+    D = tensor_dimension(d, p)
+    if not 1 <= R <= D:
+        raise SettingError(
+            "R", f"R={R} must satisfy 1 <= R <= D, the lifted dimension D={D}")
+    return D
 
 
 def spanning_set_uos(bases: list, imap: TensorIndexMap) -> np.ndarray:
@@ -328,14 +339,11 @@ def check_identifiable_algebraic(
     that factor.
     """
     if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+        raise SettingError("trials", f"trials must be >= 1, got {trials}")
     Omega = dedupe_patterns(np.asarray(Omega, dtype=bool))
     d = Omega.shape[0]
+    D = check_lifted_rank(R, d, p)
     imap = build_index_map(d, p)
-    D = imap.D
-    if not 1 <= R <= D:
-        raise ValueError(
-            f"R={R} must satisfy 1 <= R <= D, the lifted dimension D={D}")
     Upsilon = tensorize_mask(Omega, imap)
     chunks = _pattern_chunks(Upsilon, R)
 

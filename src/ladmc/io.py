@@ -13,8 +13,22 @@ import math
 import numpy as np
 
 
+class SettingError(ValueError):
+    """A caller's setting that a check rejects; ``setting`` is its name, the
+    name the library uses for it (``max_iters``, ``K_range``, ``R``)."""
+
+    def __init__(self, setting: str, message: str):
+        super().__init__(message)
+        self.setting = setting
+
+
 class CsvFormatError(ValueError):
-    pass
+    """A data file that is not a matrix of the expected form; ``filename``
+    is its path."""
+
+    def __init__(self, filename, message: str):
+        super().__init__(message)
+        self.filename = filename
 
 
 def read_matrix_csv(path) -> tuple[np.ndarray, np.ndarray]:
@@ -38,21 +52,23 @@ def read_matrix_csv(path) -> tuple[np.ndarray, np.ndarray]:
                         value = float(cell)
                     except ValueError:
                         raise CsvFormatError(
+                            path,
                             f"{path}:{lineno}: cannot parse {cell!r} as a number"
                         ) from None
                     if math.isinf(value):
                         raise CsvFormatError(
+                            path,
                             f"{path}:{lineno}: {cell!r} is not a finite number"
                         )
                     row.append(value)
             if rows and len(row) != len(rows[0]):
                 raise CsvFormatError(
-                    f"{path}:{lineno}: row has {len(row)} fields, "
+                    path, f"{path}:{lineno}: row has {len(row)} fields, "
                     f"expected {len(rows[0])}"
                 )
             rows.append(row)
     if not rows:
-        raise CsvFormatError(f"{path}: empty file")
+        raise CsvFormatError(path, f"{path}: empty file")
     X = np.array(rows, dtype=float)
     mask = ~np.isnan(X)
     X = np.where(mask, X, 0.0)
@@ -62,9 +78,9 @@ def read_matrix_csv(path) -> tuple[np.ndarray, np.ndarray]:
 def read_mask_csv(path) -> np.ndarray:
     X, observed = read_matrix_csv(path)
     if not observed.all():
-        raise CsvFormatError(f"{path}: mask file has missing cells")
+        raise CsvFormatError(path, f"{path}: mask file has missing cells")
     if not np.isin(X, (0.0, 1.0)).all():
-        raise CsvFormatError(f"{path}: mask entries must be 0 or 1")
+        raise CsvFormatError(path, f"{path}: mask entries must be 0 or 1")
     return X.astype(bool)
 
 

@@ -33,6 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .io import SettingError
+
 _EPS = 1e-30
 # vectors carried in the warm basis beyond the target rank, and the
 # subspace steps taken from it before the Rayleigh–Ritz extraction
@@ -69,12 +71,14 @@ class SvpOptions:
 
     def __post_init__(self):
         if self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
+            raise SettingError(
+                "max_iters", f"max_iters must be >= 1, got {self.max_iters}")
         if not self.rel_tol > 0:
-            raise ValueError(f"rel_tol must be positive, got {self.rel_tol}")
+            raise SettingError(
+                "rel_tol", f"rel_tol must be positive, got {self.rel_tol}")
         if self.accel_restart < 1:
-            raise ValueError(
-                f"accel_restart must be >= 1, got {self.accel_restart}")
+            raise SettingError("accel_restart", "accel_restart must be >= 1, "
+                               f"got {self.accel_restart}")
 
 
 @dataclass

@@ -34,6 +34,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .io import SettingError
 from .lrmc import SolveDiagnostics, SvpOptions, SvpWorkspace, svp_complete
 # preimage_column and rank1_gap stay importable here: perfbench/traced.py wraps them
 from .preimage import preimage_column, rank1_gap, unlift  # noqa: F401
@@ -59,9 +60,10 @@ class LadmcConfig:
 
     def __post_init__(self):
         if self.p not in (2, 3):
-            raise ValueError(f"p must be 2 or 3, got {self.p}")
+            raise SettingError("p", f"p must be 2 or 3, got {self.p}")
         if self.iladmc_inner_T < 1:
-            raise ValueError(
+            raise SettingError(
+                "iladmc_inner_T",
                 f"iladmc_inner_T must be >= 1, got {self.iladmc_inner_T}")
 
 
@@ -86,12 +88,12 @@ def nrmse(X_hat: np.ndarray, X_true: np.ndarray) -> float:
     return float(np.linalg.norm(X_hat - X_true) / denom)
 
 
-def check_rank(rank) -> None:
-    """Raise unless ``rank`` is an int >= 1."""
+def check_rank(rank, setting="rank") -> None:
+    """Raise unless ``rank`` is an int >= 1; the error names ``setting``."""
     # bool is an int subclass, but True is no rank
     if not (isinstance(rank, (int, np.integer))
             and not isinstance(rank, bool) and rank >= 1):
-        raise ValueError(f"rank must be an int >= 1, got {rank!r}")
+        raise SettingError(setting, f"rank must be an int >= 1, got {rank!r}")
 
 
 def _checked_input(X_obs, mask, rank):
@@ -165,9 +167,9 @@ def _complete_lifted(X_obs, mask, rank, cfg, X_true, algorithm, *,
     X_in, mask_in = augment_ones(X_obs, mask) if ones else (X_obs, mask)
     imap = build_index_map(X_in.shape[0], order)
     if rank > min(imap.D, X_in.shape[1]):
-        raise ValueError(
-            f"rank {rank} exceeds the order-{order} lift's smaller side: it "
-            f"is {imap.D} x {X_in.shape[1]}")
+        raise SettingError(
+            "rank", f"rank {rank} exceeds the order-{order} lift's smaller "
+                    f"side: it is {imap.D} x {X_in.shape[1]}")
     T_obs, T_mask = tensorize_matrix(X_in, mask_in, imap)
     ws = SvpWorkspace(T_mask)
     if ws.tall:

@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 
+from .io import SettingError
+
 
 def gen_uos(d: int, K: int, r: int, N: int, seed: int = 0) -> np.ndarray:
     """The d x N matrix of N columns drawn from K random r-dimensional
@@ -17,10 +19,12 @@ def gen_uos(d: int, K: int, r: int, N: int, seed: int = 0) -> np.ndarray:
     normal.  Column j lies in subspace j mod K, so each subspace gets its
     share of columns exactly and ``X[:, k::K]`` are the columns of the k-th.
     """
+    for name, value in (("d", d), ("K", K), ("r", r), ("N", N)):
+        if value < 1:
+            raise SettingError(name, f"{name} must be >= 1, got {value}")
     if r > d:
-        raise ValueError(f"subspace dimension r={r} exceeds ambient d={d}")
-    if N < 1:
-        raise ValueError("need at least one column")
+        raise SettingError(
+            "r", f"subspace dimension r={r} exceeds ambient d={d}")
     rng = np.random.default_rng(seed)
     bases = []
     for _ in range(K):
@@ -40,7 +44,7 @@ def gen_uos(d: int, K: int, r: int, N: int, seed: int = 0) -> np.ndarray:
 def gen_mask_uniform(d: int, N: int, m: int, seed: int = 0) -> np.ndarray:
     """Exactly m observed rows per column, uniform without replacement."""
     if not 1 <= m <= d:
-        raise ValueError(f"need 1 <= m <= d, got m={m}, d={d}")
+        raise SettingError("m", f"need 1 <= m <= d, got m={m}, d={d}")
     rng = np.random.default_rng(seed)
     order = np.argsort(rng.random((d, N)), axis=0)
     mask = np.zeros((d, N), dtype=bool)
@@ -52,7 +56,7 @@ def gen_all_patterns(d: int, m: int, copies: int = 1) -> np.ndarray:
     """All C(d, m) m-of-d patterns in lexicographic order, each repeated
     ``copies`` times consecutively."""
     if not 1 <= m <= d:
-        raise ValueError(f"need 1 <= m <= d, got m={m}, d={d}")
+        raise SettingError("m", f"need 1 <= m <= d, got m={m}, d={d}")
     n = math.comb(d, m)
     if n * copies > 5_000_000:
         raise OverflowError(f"{n} patterns x {copies} copies is too large")

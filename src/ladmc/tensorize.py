@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .io import SettingError
+
 # Dense D x N storage is used throughout; refuse lifts that could not
 # possibly be materialized.
 MAX_TENSOR_DIM = 100_000_000
@@ -28,9 +30,9 @@ _LIFT_FLOATS = 1 << 17
 def tensor_dimension(d: int, p: int) -> int:
     """Dimension C(d+p-1, p) of the order-p lifted space over R^d."""
     if d < 1:
-        raise ValueError(f"ambient dimension must be >= 1, got {d}")
+        raise SettingError("d", f"ambient dimension must be >= 1, got {d}")
     if p < 1:
-        raise ValueError(f"tensor order must be >= 1, got {p}")
+        raise SettingError("p", f"tensor order must be >= 1, got {p}")
     D = math.comb(d + p - 1, p)
     if D > MAX_TENSOR_DIM:
         raise OverflowError(

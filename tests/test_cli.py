@@ -1,5 +1,7 @@
+import argparse
 import importlib.util
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -8,15 +10,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ladmc import experiments
+from ladmc import experiments, pipeline
 from ladmc.cli import (
     _COMMANDS,
     _completion,
+    _float_list,
+    _int_list,
     _splice_config,
     build_parser,
     main,
 )
-from ladmc.io import read_mask_csv, read_matrix_csv, write_matrix_csv
+from ladmc.io import (SettingError, read_mask_csv, read_matrix_csv,
+                      write_matrix_csv)
 from ladmc.synth import gen_all_patterns, gen_uos
 
 
@@ -482,23 +487,29 @@ def test_check_and_rank_verify_take_order_one(tmp_path):
     assert (report["formula_rank"], report["pass"]) == ("2", "True")
 
 
-def test_complete_truth_with_a_missing_cell(tmp_path):
+def test_complete_truth_with_a_missing_cell(tmp_path, capsys):
     data = _synth_instance(tmp_path)
     X0, _ = read_matrix_csv(data / "X0.csv")
     holed = np.ones_like(X0, dtype=bool)
     holed[2, 5] = False
-    write_matrix_csv(tmp_path / "truth.csv", X0, mask=holed)
-    with pytest.raises(SystemExit, match="^truth file has missing cells$"):
+    truth = str(tmp_path / "truth.csv")
+    write_matrix_csv(truth, X0, mask=holed)
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
         main(["complete", "--input", str(data / "X.csv"), "--rank", "2",
-              "--truth", str(tmp_path / "truth.csv"),
-              "--out-dir", str(tmp_path / "run")])
+              "--truth", truth, "--out-dir", str(tmp_path / "run")])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == (
+        f"ladmc: error: --truth {truth}: truth file has missing cells\n")
 
 
-def test_check_needs_patterns_or_d():
-    with pytest.raises(SystemExit,
-                       match=r"^need --pattern, or --all-patterns with "
-                             r"--d/--m$"):
+def test_check_needs_patterns_or_d(capsys):
+    with pytest.raises(SystemExit) as exc:
         main(["check", "--rank", "2"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == (
+        "ladmc: error: argument --pattern: need --pattern, or --d (with --m "
+        "for --all-patterns)\n")
 
 
 def test_complete_lrmc_reports_order_one(tmp_path):
@@ -521,14 +532,15 @@ def test_phase_lrmc_overlay_is_the_order_one_bound(tmp_path):
     assert (out / "ell_overlay.csv").read_text() == "K,ell\n2,4\n"
 
 
-@pytest.mark.parametrize("argv", [
-    ["check", "--all-patterns", "--d", "3", "--m", "2", "--rank", "2",
-     "--order", "0"],
-    ["check", "--d", "3", "--rank", "2", "--order", "-1"],
-    ["rank-verify", "--K", "2", "--r", "1", "--d", "3", "--N", "20",
-     "--order", "0"],
+@pytest.mark.parametrize("argv,message", [
+    (["check", "--all-patterns", "--d", "3", "--m", "2", "--rank", "2",
+      "--order", "0"], "order must be >= 1, got 0"),
+    (["check", "--d", "3", "--rank", "2", "--order", "-1"],
+     "order must be >= 1, got -1"),
+    (["rank-verify", "--K", "2", "--r", "1", "--d", "3", "--N", "20",
+      "--order", "0"], "tensor order must be >= 1, got 0"),
 ], ids=["check-0", "check-negative", "rank-verify-0"])
-def test_order_below_one_is_a_usage_error(tmp_path, argv):
+def test_order_below_one_is_a_usage_error(tmp_path, argv, message):
     # a subprocess with a timeout, because the sample bound at order 0
     # looped forever
     src = Path(__file__).resolve().parents[1] / "src"
@@ -538,20 +550,19 @@ def test_order_below_one_is_a_usage_error(tmp_path, argv):
         capture_output=True, text=True, timeout=60,
         env={**os.environ, "PYTHONPATH": str(src)})
     assert out.returncode == 2
-    assert out.stderr.endswith(
-        f"argument --order: order must be >= 1, got {argv[-1]}\n")
+    assert out.stderr.endswith(f"argument --order: {message}\n")
     assert "Traceback" not in out.stderr
 
 
 @pytest.mark.parametrize("argv,message", [
     (["check", "--d", "6", "--rank", "0"],
-     "argument --rank: rank must be an int >= 1, got 0"),
+     "argument --rank: R must be >= 1, got 0"),
     (["check", "--all-patterns", "--d", "6", "--m", "7", "--rank", "2"],
-     "ladmc: error: --m 7: must be in 1..6 (--d)"),
+     "ladmc: error: argument --m: need 1 <= m <= d, got m=7, d=6"),
     (["check", "--all-patterns", "--d", "6", "--m", "0", "--rank", "2"],
-     "ladmc: error: --m 0: must be in 1..6 (--d)"),
+     "ladmc: error: argument --m: need 1 <= m <= d, got m=0, d=6"),
     (["synth", "--d", "6", "--r", "1", "--N", "10", "--m", "7"],
-     "ladmc: error: --m 7: must be in 1..6 (--d)"),
+     "ladmc: error: argument --m: need 1 <= m <= d, got m=7, d=6"),
 ], ids=["check-rank", "check-m-above-d", "check-m-zero", "synth-m"])
 def test_bad_check_and_synth_input_is_a_usage_error(tmp_path, capsys, argv,
                                                    message):
@@ -565,29 +576,31 @@ def test_bad_check_and_synth_input_is_a_usage_error(tmp_path, capsys, argv,
 
 @pytest.mark.parametrize("argv,message", [
     (["synth", "--d", "3", "--r", "5", "--N", "10", "--K", "2"],
-     "ladmc: error: --r 5: must be in 1..3 (--d)"),
+     "ladmc: error: argument --r: subspace dimension r=5 exceeds ambient "
+     "d=3"),
     (["synth", "--d", "3", "--r", "1", "--N", "10", "--K", "0"],
      "argument --K: K must be >= 1, got 0"),
     (["rank-verify", "--K", "0", "--r", "1", "--d", "3", "--N", "10"],
      "argument --K: K must be >= 1, got 0"),
     (["rank-verify", "--K", "1", "--r", "4", "--d", "3", "--N", "10"],
-     "ladmc: error: --r 4: must be in 1..3 (--d)"),
+     "ladmc: error: argument --r: subspace dimension r=4 exceeds ambient "
+     "d=3"),
     (["phase", "--d", "6", "--r", "1", "--K-list", "2", "--m-list", "4",
       "--trials", "0"],
      "argument --trials: trials must be >= 1, got 0"),
     (["check", "--all-patterns", "--rank", "2"],
-     "ladmc: error: --all-patterns requires --d and --m"),
+     "ladmc: error: argument --all-patterns: requires --d and --m"),
     (["check", "--all-patterns", "--d", "6", "--rank", "2"],
-     "ladmc: error: --all-patterns requires --d and --m"),
+     "ladmc: error: argument --all-patterns: requires --d and --m"),
     (["check", "--d", "0", "--rank", "2"],
-     "argument --d: d must be >= 1, got 0"),
+     "argument --d: ambient dimension must be >= 1, got 0"),
     (["check", "--d", "3", "--rank", "50"],
-     "ladmc: error: --rank 50: must be at most 6, the dimension of the "
-     "order-2 lift of R^3"),
+     "ladmc: error: argument --rank: R=50 must satisfy 1 <= R <= D, the "
+     "lifted dimension D=6"),
     (["check", "--all-patterns", "--d", "3", "--m", "2", "--rank", "5",
       "--order", "1"],
-     "ladmc: error: --rank 5: must be at most 3, the dimension of the "
-     "order-1 lift of R^3"),
+     "ladmc: error: argument --rank: R=5 must satisfy 1 <= R <= D, the "
+     "lifted dimension D=3"),
     (["complete", "--rank", "2", "--max-iters", "0"],
      "ladmc: error: argument --max-iters: max_iters must be >= 1, got 0"),
     (["complete", "--rank", "2", "--rel-tol", "0"],
@@ -604,16 +617,17 @@ def test_bad_check_and_synth_input_is_a_usage_error(tmp_path, capsys, argv,
      "ladmc: error: argument --success-tol: success_tol must be positive, "
      "got -1.0"),
     (["complete", "--rank", "200"],
-     "ladmc: error: --rank 200: must be at most 21, the dimension of the "
-     "order-2 lift of R^6"),
+     "ladmc: error: argument --rank: rank 200 exceeds the order-2 lift's "
+     "smaller side: it is 21 x 10"),
     (["complete", "--rank", "29", "--augment-ones"],
-     "ladmc: error: --rank 29: must be at most 28, the dimension of the "
-     "order-2 lift of R^7"),
+     "ladmc: error: argument --rank: rank 29 exceeds the order-2 lift's "
+     "smaller side: it is 28 x 10"),
     (["complete", "--rank", "7", "--algorithm", "lrmc"],
-     "ladmc: error: --rank 7: must be at most 6, the dimension of the "
-     "order-1 lift of R^6"),
+     "ladmc: error: argument --rank: rank 7 exceeds the order-1 lift's "
+     "smaller side: it is 6 x 10"),
     (["complete", "--rank", "11"],
-     "ladmc: error: --rank 11: must be at most 10, the number of columns"),
+     "ladmc: error: argument --rank: rank 11 exceeds the order-2 lift's "
+     "smaller side: it is 21 x 10"),
     (["phase", "--d", "6", "--r", "1", "--K-list", "2", "--m-list", "4",
       "--max-iters", "0"],
      "ladmc: error: argument --max-iters: max_iters must be >= 1, got 0"),
@@ -663,5 +677,136 @@ def test_check_rank_fits_pattern_rows(tmp_path, capsys):
         main([*argv, "--rank", "7"])
     assert exc.value.code == 2
     assert capsys.readouterr().err.endswith(
-        "--rank 7: must be at most 6, the dimension of the order-2 lift of "
-        "R^3\n")
+        "argument --rank: R=7 must satisfy 1 <= R <= D, the lifted dimension "
+        "D=6\n")
+
+
+# one out-of-range case or more for every numeric flag of every subcommand,
+# and the bad data files: argv and the flag the error names, with the path
+# for a data file; {name} is a path of the _bad_input_files fixture
+_SYNTH = ["synth", "--d", "6", "--r", "1", "--N", "10"]
+_COMPLETE = ["complete", "--input", "{X}", "--rank", "2"]
+_CHECK = ["check", "--all-patterns", "--d", "6", "--m", "4", "--rank", "2"]
+_PHASE = ["phase", "--d", "6", "--r", "1", "--K-list", "2", "--m-list", "4",
+          "--trials", "1", "--max-iters", "5"]
+_RANK_VERIFY = ["rank-verify", "--K", "2", "--r", "1", "--d", "3", "--N", "20"]
+_REAL = ["real", "--input", "{X0}", "--ranks", "3"]
+_SOLVER = (("--inner-T", "0"), ("--max-iters", "0"), ("--rel-tol", "0"),
+           ("--accel-restart", "0"), ("--order", "4"), ("--seed", "-1"))
+_BAD_VALUES = {
+    **{f"synth{flag}={value}": ([*_SYNTH, flag, value], flag)
+       for flag, value in (("--d", "0"), ("--K", "0"), ("--r", "0"),
+                           ("--r", "7"), ("--N", "0"), ("--m", "7"),
+                           ("--seed", "-1"))},
+    **{f"complete{flag}={value}": ([*_COMPLETE, flag, value], flag)
+       for flag, value in (*_SOLVER, ("--rank", "0"), ("--rank", "200"),
+                           ("--success-tol", "0"))},
+    "complete--input=text": ([*_COMPLETE, "--input", "{text}"],
+                             "--input {text}"),
+    "complete--mask=values": ([*_COMPLETE, "--mask", "{mask2}"],
+                              "--mask {mask2}"),
+    "complete--mask=shape": ([*_COMPLETE, "--mask", "{mask3}"],
+                             "--mask {mask3}"),
+    "complete--truth=holed": ([*_COMPLETE, "--truth", "{holed}"],
+                              "--truth {holed}"),
+    **{f"check{flag}={value}": ([*_CHECK, flag, value], flag)
+       for flag, value in (("--m", "7"), ("--rank", "0"), ("--order", "0"),
+                           ("--trials", "0"), ("--seed", "-1"))},
+    "check--d=0": (["check", "--d", "0", "--rank", "2"], "--d"),
+    "check--rank=50": (["check", "--d", "3", "--rank", "50"], "--rank"),
+    "check--pattern=holed": (["check", "--rank", "2", "--pattern", "{holed}"],
+                             "--pattern {holed}"),
+    "check--pattern=none": (["check", "--rank", "2"], "--pattern"),
+    **{f"phase{flag}={value}": ([*_PHASE, flag, value], flag)
+       for flag, value in (*_SOLVER, ("--d", "0"), ("--r", "0"), ("--r", "7"),
+                           ("--K-list", "0"), ("--K-list", ","),
+                           ("--m-list", "9"), ("--N", "0"), ("--N-per-K", "0"),
+                           ("--N-cap", "0"), ("--trials", "0"),
+                           ("--success-tol", "0"), ("--workers", "0"))},
+    **{f"rank-verify{flag}={value}": ([*_RANK_VERIFY, flag, value], flag)
+       for flag, value in (("--K", "0"), ("--r", "0"), ("--r", "4"),
+                           ("--d", "0"), ("--N", "0"), ("--order", "0"),
+                           ("--seed", "-1"))},
+    **{f"real{flag}={value}": ([*_REAL, flag, value], flag)
+       for flag, value in (*_SOLVER, ("--ranks", "0"), ("--ranks", "300"),
+                           ("--ranks", ","), ("--fractions", "1,0,0"),
+                           ("--fractions", "0.6,0.2,0.3"),
+                           ("--counts", "100,100"))},
+}
+
+
+def _numeric_flags():
+    """(subcommand, flag) of every option whose type parses numbers."""
+    sub = next(action for action in build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction))
+    return {(command, action.option_strings[0])
+            for command, parser in sub.choices.items()
+            for action in parser._actions
+            if action.type in (int, float, _int_list, _float_list)}
+
+
+def test_every_numeric_flag_has_a_bad_value_case():
+    covered = {(argv[0], named.split()[0])
+               for argv, named in _BAD_VALUES.values()}
+    assert not _numeric_flags() - covered
+
+
+@pytest.fixture(scope="module")
+def _bad_input_files(tmp_path_factory):
+    # a 6 x 100 synth input, and data files that are wrong in one way each
+    root = tmp_path_factory.mktemp("bad-input")
+    paths = {name: str(root / f"{name}.csv")
+             for name in ("X0", "X", "mask2", "mask3", "holed", "text")}
+    X0 = gen_uos(6, 2, 1, 100, seed=0)
+    holed = np.ones(X0.shape, dtype=bool)
+    holed[2, 5] = False
+    write_matrix_csv(paths["X0"], X0)
+    write_matrix_csv(paths["X"], X0,
+                     mask=np.random.default_rng(0).random(X0.shape) < 0.7)
+    write_matrix_csv(paths["mask2"], np.full(X0.shape, 2.0))
+    write_matrix_csv(paths["mask3"], np.ones((3, 100)))
+    write_matrix_csv(paths["holed"], X0, mask=holed)
+    Path(paths["text"]).write_text("1,2\n3,x\n")
+    return paths
+
+
+@pytest.mark.parametrize("argv,named", list(_BAD_VALUES.values()),
+                         ids=list(_BAD_VALUES))
+def test_bad_value_is_one_usage_error_line(tmp_path, capsys,
+                                           _bad_input_files, argv, named):
+    # exit 2 and a last line naming the flag, "argument --FLAG: ..." for a
+    # setting and "--FLAG path: ..." (or "path:line:") for a data file;
+    # argparse's own errors put the subcommand after "ladmc".  No traceback,
+    # no output directory
+    argv = [arg.format(**_bad_input_files) for arg in argv]
+    prefix = re.escape(named.format(**_bad_input_files))
+    prefix = (rf"{prefix}(:\d+)?: " if " " in named
+              else f"argument {prefix}: ")
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out-dir", str(tmp_path / "run")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.endswith("\n") and "Traceback" not in err
+    assert re.fullmatch(rf"ladmc( {argv[0]})?: error: {prefix}.+",
+                        err.splitlines()[-1]), err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("error", [
+    ValueError("a bug inside the solve"),
+    SettingError("trials", "trials must be >= 1, got 0"),
+], ids=["plain", "setting-without-a-complete-flag"])
+def test_error_inside_a_solve_is_not_a_usage_error(tmp_path, monkeypatch,
+                                                   error):
+    # complete has no --trials: only a setting of the running command's own
+    # flags becomes a usage error, anything else stays a traceback
+    def failing_solve(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(pipeline, "svp_complete", failing_solve)
+    write_matrix_csv(tmp_path / "X.csv", gen_uos(6, 2, 1, 10, seed=0))
+    with pytest.raises(ValueError) as exc:
+        main(["complete", "--input", str(tmp_path / "X.csv"), "--rank", "2",
+              "--out-dir", str(tmp_path / "run")])
+    assert exc.value is error

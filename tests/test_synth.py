@@ -45,6 +45,13 @@ def test_gen_uos_validation():
         gen_uos(3, 1, 5, 10)
     with pytest.raises(ValueError):
         gen_uos(3, 1, 1, 0)
+    # no subspaces, no dimensions or no ambient space: an error naming the
+    # argument, not empty or zero columns
+    for args, name in (((6, 0, 2, 5), "K"), ((6, 1, 0, 5), "r"),
+                       ((0, 1, 1, 5), "d"), ((6, -1, 2, 5), "K")):
+        with pytest.raises(ValueError, match=f"^{name} must be >= 1") as exc:
+            gen_uos(*args)
+        assert exc.value.setting == name
 
 
 def test_gen_uos_determinism():
