@@ -691,7 +691,8 @@ _PHASE = ["phase", "--d", "6", "--r", "1", "--K-list", "2", "--m-list", "4",
           "--trials", "1", "--max-iters", "5"]
 _RANK_VERIFY = ["rank-verify", "--K", "2", "--r", "1", "--d", "3", "--N", "20"]
 _REAL = ["real", "--input", "{X0}", "--ranks", "3"]
-_SOLVER = (("--inner-T", "0"), ("--max-iters", "0"), ("--rel-tol", "0"),
+# the flags complete, phase and real share
+_SHARED = (("--inner-T", "0"), ("--max-iters", "0"), ("--rel-tol", "0"),
            ("--accel-restart", "0"), ("--order", "4"), ("--seed", "-1"))
 _BAD_VALUES = {
     **{f"synth{flag}={value}": ([*_SYNTH, flag, value], flag)
@@ -699,7 +700,7 @@ _BAD_VALUES = {
                            ("--r", "7"), ("--N", "0"), ("--m", "7"),
                            ("--seed", "-1"))},
     **{f"complete{flag}={value}": ([*_COMPLETE, flag, value], flag)
-       for flag, value in (*_SOLVER, ("--rank", "0"), ("--rank", "200"),
+       for flag, value in (*_SHARED, ("--rank", "0"), ("--rank", "200"),
                            ("--success-tol", "0"))},
     "complete--input=text": ([*_COMPLETE, "--input", "{text}"],
                              "--input {text}"),
@@ -718,7 +719,7 @@ _BAD_VALUES = {
                              "--pattern {holed}"),
     "check--pattern=none": (["check", "--rank", "2"], "--pattern"),
     **{f"phase{flag}={value}": ([*_PHASE, flag, value], flag)
-       for flag, value in (*_SOLVER, ("--d", "0"), ("--r", "0"), ("--r", "7"),
+       for flag, value in (*_SHARED, ("--d", "0"), ("--r", "0"), ("--r", "7"),
                            ("--K-list", "0"), ("--K-list", ","),
                            ("--m-list", "9"), ("--N", "0"), ("--N-per-K", "0"),
                            ("--N-cap", "0"), ("--trials", "0"),
@@ -728,7 +729,7 @@ _BAD_VALUES = {
                            ("--d", "0"), ("--N", "0"), ("--order", "0"),
                            ("--seed", "-1"))},
     **{f"real{flag}={value}": ([*_REAL, flag, value], flag)
-       for flag, value in (*_SOLVER, ("--ranks", "0"), ("--ranks", "300"),
+       for flag, value in (*_SHARED, ("--ranks", "0"), ("--ranks", "300"),
                            ("--ranks", ","), ("--fractions", "1,0,0"),
                            ("--fractions", "0.6,0.2,0.3"),
                            ("--counts", "100,100"))},
