@@ -25,10 +25,9 @@ from .tensorize import (TensorIndexMap, build_index_map, tensor_dimension,
 RANK_REL_TOL = 1e-8
 COMBINATORIAL_MAX = 22  # exhaustive subset check is 2^(D-R)
 COMBINATORIAL_RETRIES = 50
-# float64 elements per batched work array in build_A (8 MB)
-_CHUNK_FLOATS = 1 << 20
-# constraint blocks per chunk of the streamed identifiability check
-_CHUNK_BLOCKS = 4096
+# float64 elements (1 MB) of one working array of the streamed check: a
+# chunk's kernel matrix, its rotation, one batch of head inverses
+_WORK_FLOATS = 1 << 17
 # smallest lambda_{D-R} / lambda_1 of the projected Gram that certifies the
 # rank; sigma ratio 1e-4, far above both the Gram's and the SVD's rounding
 _GRAM_REL_FLOOR = 1e-8
@@ -113,9 +112,8 @@ def spanning_set_uos(bases: list, imap: TensorIndexMap) -> np.ndarray:
     for U in bases:
         U = np.asarray(U, dtype=float)
         if U.shape[0] != imap.d:
-            raise ValueError(
-                f"basis has ambient dimension {U.shape[0]}, expected {imap.d}"
-            )
+            raise ValueError(f"basis has ambient dimension {U.shape[0]}, "
+                             f"expected {imap.d}")
         r = U.shape[1]
         for js in itertools.combinations_with_replacement(range(r), imap.p):
             col = np.zeros(imap.D)
@@ -150,10 +148,14 @@ def dedupe_patterns(patterns: np.ndarray) -> np.ndarray:
     return patterns[:, np.sort(first)]
 
 
-def build_constraint_patterns(Upsilon: np.ndarray, R: int) -> ConstraintPatterns:
+def build_constraint_patterns(Upsilon: np.ndarray, R: int,
+                              dedupe: bool = True) -> ConstraintPatterns:
     """Expand each lifted pattern with m_i > R rows into m_i - R constraint
-    columns: the first R observed rows plus one extra observed row each."""
-    Upsilon = dedupe_patterns(Upsilon)
+    columns: the first R observed rows plus one extra observed row each.
+    dedupe=False trusts the patterns to be distinct already, as the lifts
+    of distinct raw patterns are (the monomial x_i^p marks row i)."""
+    if dedupe:
+        Upsilon = dedupe_patterns(Upsilon)
     D = Upsilon.shape[0]
     # 1-based position of each observed row within its pattern
     position = np.cumsum(Upsilon, axis=0)
@@ -199,7 +201,7 @@ def _kernel_vectors_by_head(basis_B: np.ndarray, rows: np.ndarray):
     heads = head_rows[new_run]
     pos = np.arange(n) - bounds[group]
     width = int(np.diff(bounds).max())
-    step = max(1, _CHUNK_FLOATS // (R * max(R, width)))
+    step = max(1, _WORK_FLOATS // (R * max(R, width)))
 
     a = np.empty((n, R + 1))  # [-e H^-1, 1] for each block
     a[:, R] = 1.0
@@ -271,10 +273,12 @@ def build_A(basis_B: np.ndarray, patterns: ConstraintPatterns) -> np.ndarray:
 
 def _pattern_chunks(Upsilon: np.ndarray, R: int) -> list:
     """(lo, hi) column ranges of whole lifted patterns holding about
-    _CHUNK_BLOCKS constraints each; always at least one range."""
+    _WORK_FLOATS // D constraints each, so that a chunk's D x n kernel
+    matrix takes about _WORK_FLOATS floats; always at least one range."""
     counts = np.maximum(Upsilon.sum(axis=0) - R, 0)
     starts = np.cumsum(counts) - counts
-    cuts = np.flatnonzero(np.diff(starts // _CHUNK_BLOCKS)) + 1
+    per_chunk = max(1, _WORK_FLOATS // Upsilon.shape[0])
+    cuts = np.flatnonzero(np.diff(starts // per_chunk)) + 1
     bounds = [0, *cuts.tolist(), Upsilon.shape[1]]
     return list(zip(bounds[:-1], bounds[1:]))
 
@@ -285,7 +289,7 @@ def _fold_kernel_chunks(Upsilon, chunks, R, bases, fold) -> list:
     rank-deficient blocks skipped per trial, for the caller to report."""
     skipped = [0] * len(bases)
     for lo, hi in chunks:
-        cp = build_constraint_patterns(Upsilon[:, lo:hi], R)
+        cp = build_constraint_patterns(Upsilon[:, lo:hi], R, dedupe=False)
         for t, B in enumerate(bases):
             A_c = build_A(B, cp)
             skipped[t] += cp.columns.shape[1] - A_c.shape[1]
@@ -328,9 +332,10 @@ def check_identifiable_algebraic(
     restrictions are full rank almost surely); an explicit lifted basis may
     be supplied instead for subspace-specific audits.
 
-    The kernel matrix A is never formed whole.  The patterns are walked in
-    chunks of about _CHUNK_BLOCKS constraints, and each chunk's A_c is
-    folded into every trial's small accumulators: with Q = [Q_B, Q_perp]
+    The kernel matrix A is never formed whole.  The lifted patterns are
+    walked in chunks whose D x n kernel matrix A_c holds about _WORK_FLOATS
+    floats (1 MB: 1092 constraints at D=120), and each A_c is folded into
+    every trial's small accumulators: with Q = [Q_B, Q_perp]
     from a complete QR of the basis, the Gram of Q_perp^T A and the energy
     |Q_B^T A|_F^2 (rounding only, as A^T B = 0).  These certify rank D-R
     for well-conditioned patterns (see _rank_certified).  A trial that is
@@ -433,22 +438,16 @@ def check_identifiable_combinatorial(
     exhaustive over column subsets).
     """
     if D - R > COMBINATORIAL_MAX:
-        raise ValueError(
-            f"D-R={D - R} exceeds the exhaustive-search bound "
-            f"{COMBINATORIAL_MAX}; use the algebraic check"
-        )
+        raise ValueError(f"D-R={D - R} exceeds the exhaustive-search bound "
+                         f"{COMBINATORIAL_MAX}; use the algebraic check")
     n_cols = patterns.columns.shape[1]
     if n_cols < D - R:
         return IdentifiabilityVerdict(
             identifiable=False, method="combinatorial",
             details=f"only {n_cols} constraint columns, need {D - R}",
         )
-    supports = [
-        int.from_bytes(
-            np.packbits(patterns.columns[:, j].astype(np.uint8)).tobytes(), "big"
-        )
-        for j in range(n_cols)
-    ]
+    supports = [int.from_bytes(row.tobytes(), "big")
+                for row in np.packbits(patterns.columns.T, axis=1)]
     rng = np.random.default_rng(seed)
     order = list(range(n_cols))
     for attempt in range(1 + COMBINATORIAL_RETRIES):

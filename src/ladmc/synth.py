@@ -41,10 +41,17 @@ def gen_uos(d: int, K: int, r: int, N: int, seed: int = 0) -> np.ndarray:
     return X
 
 
-def gen_mask_uniform(d: int, N: int, m: int, seed: int = 0) -> np.ndarray:
-    """Exactly m observed rows per column, uniform without replacement."""
+def _check_rows(d: int, m: int) -> None:
+    """Raise unless 1 <= m <= d, naming d when d itself is below 1."""
+    if d < 1:
+        raise SettingError("d", f"d must be >= 1, got {d}")
     if not 1 <= m <= d:
         raise SettingError("m", f"need 1 <= m <= d, got m={m}, d={d}")
+
+
+def gen_mask_uniform(d: int, N: int, m: int, seed: int = 0) -> np.ndarray:
+    """Exactly m observed rows per column, uniform without replacement."""
+    _check_rows(d, m)
     rng = np.random.default_rng(seed)
     order = np.argsort(rng.random((d, N)), axis=0)
     mask = np.zeros((d, N), dtype=bool)
@@ -55,8 +62,7 @@ def gen_mask_uniform(d: int, N: int, m: int, seed: int = 0) -> np.ndarray:
 def gen_all_patterns(d: int, m: int, copies: int = 1) -> np.ndarray:
     """All C(d, m) m-of-d patterns in lexicographic order, each repeated
     ``copies`` times consecutively."""
-    if not 1 <= m <= d:
-        raise SettingError("m", f"need 1 <= m <= d, got m={m}, d={d}")
+    _check_rows(d, m)
     n = math.comb(d, m)
     if n * copies > 5_000_000:
         raise OverflowError(f"{n} patterns x {copies} copies is too large")

@@ -594,6 +594,8 @@ def test_bad_check_and_synth_input_is_a_usage_error(tmp_path, capsys, argv,
      "ladmc: error: argument --all-patterns: requires --d and --m"),
     (["check", "--d", "0", "--rank", "2"],
      "argument --d: ambient dimension must be >= 1, got 0"),
+    (["check", "--all-patterns", "--d", "0", "--m", "1", "--rank", "1"],
+     "ladmc: error: argument --d: d must be >= 1, got 0"),
     (["check", "--d", "3", "--rank", "50"],
      "ladmc: error: argument --rank: R=50 must satisfy 1 <= R <= D, the "
      "lifted dimension D=6"),
@@ -641,7 +643,8 @@ def test_bad_check_and_synth_input_is_a_usage_error(tmp_path, capsys, argv,
      "got 0"),
 ], ids=["synth-r-above-d", "synth-K-zero", "rank-verify-K-zero",
         "rank-verify-r-above-d", "phase-trials-zero", "check-all-no-d",
-        "check-all-no-m", "check-d-zero", "check-rank-above-lift",
+        "check-all-no-m", "check-d-zero", "check-all-d-zero",
+        "check-rank-above-lift",
         "check-all-rank-above-lift", "complete-max-iters-zero",
         "complete-rel-tol-zero", "complete-accel-restart-zero",
         "complete-inner-T-zero", "complete-success-tol-zero",

@@ -464,8 +464,8 @@ def _uos_basis_5():
                             m)
 
 
-# name -> (Omega, R, p, basis); each chunk of _CHUNK_BLOCKS = 5 holds one
-# to three patterns
+# name -> (Omega, R, p, basis); each chunk of 5 constraints (a budget of
+# _WORK_FLOATS = 5 D) holds one to three patterns
 _STREAM_CASES = {
     "identifiable": lambda: (gen_all_patterns(6, 4), 2, 2, None),
     "not-identifiable": lambda: (gen_all_patterns(6, 3), 5, 2, None),
@@ -507,7 +507,7 @@ def test_streamed_check_matches_dense_rank(monkeypatch, case, certified):
         rng.standard_normal((imap.D, R)) for _ in range(3)]
     expected = [imap.D - numerical_rank(build_A(B, cp)) for B in bases]
 
-    monkeypatch.setattr(identifiability, "_CHUNK_BLOCKS", 5)
+    monkeypatch.setattr(identifiability, "_WORK_FLOATS", 5 * imap.D)
     if not certified:  # a floor no Gram meets
         monkeypatch.setattr(identifiability, "_GRAM_REL_FLOOR", np.inf)
     built = _spy(monkeypatch, "build_constraint_patterns")
@@ -559,7 +559,7 @@ def test_streamed_check_reports_skipped_blocks_once_per_trial(monkeypatch,
     skipped = cp.columns.shape[1] - A.shape[1]
     assert skipped == 21
 
-    monkeypatch.setattr(identifiability, "_CHUNK_BLOCKS", 5)
+    monkeypatch.setattr(identifiability, "_WORK_FLOATS", 5 * imap.D)
     if not certified:
         monkeypatch.setattr(identifiability, "_GRAM_REL_FLOOR", np.inf)
     built = _spy(monkeypatch, "build_constraint_patterns")
@@ -573,6 +573,25 @@ def test_streamed_check_reports_skipped_blocks_once_per_trial(monkeypatch,
     assert sum(s > 0 for s in short) == (3 if certified else 6)
     assert v.kernel_dim == imap.D - numerical_rank(A) == R
     assert ("certified" in v.details) == certified
+
+
+@pytest.mark.parametrize("certified", [True, False],
+                         ids=["certified", "forced-exact"])
+def test_streamed_check_dedupes_patterns_once(monkeypatch, certified):
+    # Omega is deduplicated once; its chunks of distinct lifted patterns are
+    # not deduplicated again, on either pass
+    Omega = gen_all_patterns(6, 4)
+    Omega = np.column_stack([Omega, Omega[:, 2:5]])
+    monkeypatch.setattr(identifiability, "_WORK_FLOATS", 5 * 21)
+    if not certified:
+        monkeypatch.setattr(identifiability, "_GRAM_REL_FLOOR", np.inf)
+    deduped = _spy(monkeypatch, "dedupe_patterns")
+    built = _spy(monkeypatch, "build_constraint_patterns")
+    with pytest.warns(UserWarning, match="dropped 3 duplicate"):
+        v = check_identifiable_algebraic(Omega, 2, 2, trials=2)
+    assert v.identifiable and ("certified" in v.details) == certified
+    assert [P.shape for P in deduped] == [(6, 15)]
+    assert len(built) > 1  # several chunks
 
 
 @pytest.mark.parametrize("leak,certified",
@@ -604,7 +623,30 @@ def test_streamed_check_keeps_no_dense_kernel_matrix():
     finally:
         tracemalloc.stop()
     assert v.kernel_dim == 30 and "certified" in v.details
-    assert peak < 40 * 2**20, peak
+    # each chunk's kernel matrix and its rotation are 1 MB
+    assert peak < 8 * 2**20, peak
+
+
+def test_kernel_vectors_by_head_batches_heads_under_the_budget():
+    # patterns of R+1 rows hold one block each, so every block has its own
+    # R x R head: one stack of all 1092 heads at R=30 would be 7.5 MiB
+    rng = np.random.default_rng(14)
+    D, R, n = 120, 30, 1092
+    B = rng.standard_normal((D, R))
+    rows = np.sort([rng.choice(D, R + 1, replace=False) for _ in range(n)],
+                   axis=1)
+    assert n * R * R > 7 * identifiability._WORK_FLOATS
+    tracemalloc.start()
+    try:
+        a, certified = identifiability._kernel_vectors_by_head(B, rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert certified.all()
+    # a few 1 MB batches (heads, inverses) and the n x (R+1) results
+    assert peak < 5 * 2**20, peak
+    block = B[rows[7]]
+    np.testing.assert_allclose(a[7] @ block, 0.0, atol=1e-10)
 
 
 def test_combinatorial_block_fixture():

@@ -131,3 +131,8 @@ def test_gen_all_patterns_limits():
         gen_all_patterns(4, 0)
     with pytest.raises(OverflowError):
         gen_all_patterns(40, 20)
+    # no rows at all is d's fault, not m's
+    for gen in (gen_all_patterns, lambda d, m: gen_mask_uniform(d, 10, m)):
+        with pytest.raises(ValueError, match="^d must be >= 1") as exc:
+            gen(0, 1)
+        assert exc.value.setting == "d"
