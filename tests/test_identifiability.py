@@ -582,7 +582,7 @@ def test_streamed_check_dedupes_patterns_once(monkeypatch, certified):
     # not deduplicated again, on either pass
     Omega = gen_all_patterns(6, 4)
     Omega = np.column_stack([Omega, Omega[:, 2:5]])
-    monkeypatch.setattr(identifiability, "_WORK_FLOATS", 5 * 21)
+    monkeypatch.setattr(identifiability, "_WORK_FLOATS", 5 * 21)  # D = 21
     if not certified:
         monkeypatch.setattr(identifiability, "_GRAM_REL_FLOOR", np.inf)
     deduped = _spy(monkeypatch, "dedupe_patterns")
