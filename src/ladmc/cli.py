@@ -30,11 +30,18 @@ def _usage_error(message):
     raise SystemExit(2)
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's own errors, such as a missing flag or a value outside its
+    choices, as the same one line; subparsers take this class too."""
+
+    def error(self, message):
+        _usage_error(message)
+
+
 def _splice_config(argv) -> list:
     """argv with its --config flags replaced by their files' lines, read in
     order and put after the subcommand, before the explicit flags."""
-    pre = argparse.ArgumentParser(prog="ladmc", add_help=False,
-                                  allow_abbrev=False)
+    pre = _Parser(prog="ladmc", add_help=False, allow_abbrev=False)
     pre.add_argument("--config", action="append", default=[])
     known, rest = pre.parse_known_args(argv)
     tokens = []
@@ -53,7 +60,7 @@ def _splice_config(argv) -> list:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ladmc",
         description="Matrix completion for data on low-dimensional "
                     "algebraic varieties, via tensor lifting.",

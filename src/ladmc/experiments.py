@@ -52,10 +52,27 @@ class PhaseGridConfig:
         if not self.m_range or not all(1 <= m <= self.d for m in self.m_range):
             raise SettingError("m_range", "m_range must be a non-empty list "
                                f"of m in 1..d={self.d}, got {self.m_range}")
+        order, _ = lift_of(self.algorithm, self.completion)
+        for K in self.K_range:
+            # fewer columns than the lifted rank leave nothing to complete
+            R = uos_tensor_rank(K, self.r, self.d, order)
+            name, N = self._budget(K)
+            if R > N:
+                raise SettingError(name, f"{name} must give at least the "
+                                   f"lifted rank R={R} columns at K={K}, "
+                                   f"got {N}")
+
+    def _budget(self, K: int) -> tuple[str, int]:
+        """The column count of a cell with K subspaces, and the setting
+        that sets it."""
+        if self.N_fixed is not None:
+            name, N = "N_fixed", self.N_fixed
+        else:
+            name, N = "N_per_K", self.N_per_K * K
+        return ("N_cap", self.N_cap) if self.N_cap < N else (name, N)
 
     def columns_for(self, K: int) -> int:
-        N = self.N_fixed if self.N_fixed is not None else self.N_per_K * K
-        return min(N, self.N_cap)
+        return self._budget(K)[1]
 
 
 @dataclass
@@ -78,8 +95,6 @@ def run_phase_trial(cfg: PhaseGridConfig, K: int, m: int, trial: int) -> float:
     N = cfg.columns_for(K)
     order, _ = lift_of(cfg.algorithm, cfg.completion)
     R = uos_tensor_rank(K, cfg.r, cfg.d, order)
-    if R > N:
-        return float("inf")  # fewer columns than the rank: no completion
     X = gen_uos(cfg.d, K, cfg.r, N, seed=data_seed)
     mask = gen_mask_uniform(cfg.d, N, m, seed=mask_seed)
     return completer(cfg.algorithm)(np.where(mask, X, 0.0), mask, R,

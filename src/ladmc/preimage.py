@@ -2,15 +2,17 @@
 
 Each lifted vector is folded into the symmetric tensor L it came from (a
 d x d matrix for p=2, a d x d x d cube for p=3), and the column is read
-back from a rank-one pair (lam, u) of L.  Every column starts from its own
-lift: the fiber L[:, i, ..., i] at L's largest |diagonal| entry, which is
-proportional to x for a rank-one lift lam x^(x)p.  For p=2 a few power
-steps batched over the columns follow, and a column whose Ritz pair fails
-the acceptance test takes a stacked ``eigh`` instead.  For p=3 one run of
-the symmetric higher-order power method follows, batched over the columns.
-The sign is fixed from an observed entry.  Each column's rank-one gap is
-read from its one decomposition.  At p=1, the identity lift, each column
-is its own pre-image.
+back from a rank-one pair (lam, u) of L.  One eigenpair routine serves
+both orders: u is the dominant eigenvector of a symmetric d x d matrix S,
+L itself at p=2 and the Gram C C^T of L's mode-1 unfolding C (d x d^2) at
+p=3, the HOSVD direction of the cube.  Every column starts from the
+column S[:, i] at S's largest |diagonal| entry, which is proportional to x
+for a rank-one lift lam x^(x)p; a few power steps batched over the columns
+follow, and a column whose Ritz pair fails the acceptance test takes a
+stacked ``eigh`` instead.  At p=3, lam = L(u, u, u).  The sign is fixed
+from an observed entry.  Each column's rank-one gap is read from its one
+decomposition.  At p=1, the identity lift, each column is its own
+pre-image.
 """
 
 from __future__ import annotations
@@ -24,19 +26,17 @@ from .tensorize import TensorIndexMap
 # Relative scale below which an observed entry is too small to decide a sign.
 SIGN_TOL_SCALE = 1e-9
 
-HOPM_ITERS = 100
-HOPM_TOL = 1e-12
 # unlift folds the lift in column blocks of at most this many floats (1 MB)
 # at both orders: a folded block is about p! times its slice of the lift,
-# and at p=2 the eigh fallback copies the rejected matrices and returns as
-# many eigenvectors.  The unlift of an iladmc pass runs while the solver's
+# and the eigh fallback copies the rejected matrices and returns as many
+# eigenvectors.  The unlift of an iladmc pass runs while the solver's
 # buffers are alive, so its blocks stay small next to one D x N buffer.
 _BLOCK_FLOATS = 1 << 17
 
-# Power steps of the p=2 pre-image.  A column is accepted when its Ritz
-# residual |S u - lam u| is at most _POWER_TOL |lam| and 2 lam^2 > |S|_F^2,
-# which makes lam the dominant eigenvalue whatever the start; every other
-# column takes the stacked eigh.
+# Power steps of the pre-image's eigenpairs.  A column is accepted when its
+# Ritz residual |S u - lam u| is at most _POWER_TOL |lam| and 2 lam^2 >
+# |S|_F^2, which makes lam the dominant eigenvalue whatever the start; every
+# other column takes the stacked eigh.
 _POWER_STEPS = 8
 _POWER_TOL = 1e-12
 
@@ -90,7 +90,7 @@ def _convention_sign(U: np.ndarray) -> np.ndarray:
     return U
 
 
-def _eigh_p2(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _eigh_pairs(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Dominant eigenpairs (n, n x d) of stacked symmetric matrices S
     (n x d x d) from one stacked ``eigh``.
 
@@ -120,24 +120,22 @@ def _rank1_gaps(L: np.ndarray, lam: np.ndarray, U: np.ndarray) -> np.ndarray:
     return gaps
 
 
-def _fiber_start(L: np.ndarray) -> np.ndarray:
-    """Unit start vectors (n x d) for stacked symmetric tensors L (n x d^p):
-    each tensor's fiber L[n, :, i, ..., i] at its largest |diagonal| entry
-    L[n, i, ..., i], which for a rank-one lift lam x^(x)p is proportional
-    to x.  A zero fiber gives a zero start."""
-    n, d = L.shape[:2]
-    cols, p = np.arange(n), L.ndim - 1
-    diag = L[(cols[:, None],) + (np.arange(d),) * p]
-    top = np.argmax(np.abs(diag), axis=1)
-    U = L[(cols, slice(None)) + (top,) * (p - 1)]
+def _fiber_start(S: np.ndarray) -> np.ndarray:
+    """Unit start vectors (n x d) for stacked symmetric matrices S
+    (n x d x d): each matrix's column S[n, :, i] at its largest |diagonal|
+    entry S[n, i, i], which for a rank-one lam x x^T is proportional to x.
+    A zero column gives a zero start."""
+    top = np.argmax(np.abs(np.diagonal(S, axis1=1, axis2=2)), axis=1)
+    U = S[np.arange(S.shape[0]), :, top]
     norm = np.linalg.norm(U, axis=1, keepdims=True)
     return np.divide(U, norm, out=U, where=norm > 0.0)
 
 
-def _power_p2(S: np.ndarray, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _power_pairs(S: np.ndarray,
+                 U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Dominant eigenpairs (n, n x d) of stacked symmetric matrices S
     (n x d x d): _POWER_STEPS power steps from the starts U (n x d),
-    batched over the matrices, with ``_eigh_p2`` for every matrix whose
+    batched over the matrices, with ``_eigh_pairs`` for every matrix whose
     Ritz pair is not accepted (among them every zero lift and zero start)."""
     # a zero start or a zero step leaves NaN, which fails the test below
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -152,30 +150,8 @@ def _power_p2(S: np.ndarray, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     _convention_sign(U)
     rest = np.flatnonzero(~ok)
     if rest.size:
-        lam[rest], U[rest] = _eigh_p2(S[rest])
+        lam[rest], U[rest] = _eigh_pairs(S[rest])
     return lam, U
-
-
-def _hopm(C: np.ndarray, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Symmetric higher-order power method, order 3, on stacked cubes C
-    (n x d x d x d) from the starts U (n x d, overwritten): the pairs
-    (n, n x d) where each column stops, once its step vanishes (a zero
-    start stays zero, with lam = 0) or moves it by less than HOPM_TOL.
-    A column still moving after HOPM_ITERS steps returns its last unit
-    iterate u with lam = C(u, u, u) there.  That is not a settled
-    eigenpair, and only the column's rank-one gap shows it."""
-    live = np.ones(U.shape[0], dtype=bool)
-    for _ in range(HOPM_ITERS):
-        V = np.einsum("nijk,nj,nk->ni", C, U, U)
-        nv = np.linalg.norm(V, axis=1)
-        live &= nv != 0.0
-        V /= np.where(live, nv, 1.0)[:, None]
-        moved = np.linalg.norm(V - U, axis=1)
-        U[live] = V[live]
-        live &= moved >= HOPM_TOL
-        if not live.any():
-            break
-    return np.einsum("nijk,ni,nj,nk->n", C, U, U, U), U
 
 
 def unlift(
@@ -188,13 +164,14 @@ def unlift(
 
     ``T`` is D x N; returns the d x N pre-images and the N gaps.  At p=1,
     the identity lift, they are a copy of T, unflipped, and zero gaps.  Each
-    column's lift is folded into its symmetric tensor L and started at
-    ``_fiber_start``.  For p=2 the pre-image is sqrt(|lam|) u for the
-    principal eigenpair (lam, u) of L from ``_power_p2``; for p=3 it is
-    cbrt(lam) u for the pair where one ``_hopm`` run stops.  The gap is
-    |L - lam u^(x)p|_F / |lam|, 0 for an exact rank-one lift.  An all-zero
-    lift gives the zero column and gap 0, a nonzero cube with a zero start
-    the zero column and gap inf.  No result depends on the column blocks.
+    column's lift is folded into its symmetric tensor L, and u is the
+    dominant eigenvector, from ``_power_pairs``, of L at p=2 and of its
+    mode-1 unfolding's Gram at p=3, each started at ``_fiber_start``.  The
+    pre-image is sqrt(|lam|) u for L's eigenvalue lam at p=2, and cbrt(lam)
+    u for lam = L(u, u, u) at p=3.  The gap is |L - lam u^(x)p|_F / |lam|,
+    0 for an exact rank-one lift.  An all-zero lift gives the zero column
+    and gap 0, a nonzero cube with lam = 0 the zero column and gap inf.  No
+    result depends on the column blocks.
 
     ``X_obs``/``mask`` (d x N) give the observed entries of the original
     columns and are used only for sign resolution.
@@ -213,10 +190,13 @@ def unlift(
         cols = slice(lo, lo + block)
         L = _fold(T[:, cols], imap)
         if imap.p == 2:
-            lam, U = _power_p2(L, _fiber_start(L))
+            lam, U = _power_pairs(L, _fiber_start(L))
             root = np.sqrt(np.abs(lam))
         else:
-            lam, U = _hopm(L, _fiber_start(L))
+            C = L.reshape(L.shape[0], imap.d, -1)
+            S = np.matmul(C, C.transpose(0, 2, 1))
+            U = _power_pairs(S, _fiber_start(S))[1]
+            lam = np.einsum("nijk,ni,nj,nk->n", L, U, U, U)
             root = np.cbrt(lam)
         X[:, cols] = (root[:, None] * U).T
         gaps[cols] = _rank1_gaps(L, lam, U)

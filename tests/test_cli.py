@@ -727,6 +727,11 @@ _BAD_VALUES = {
                            ("--m-list", "9"), ("--N", "0"), ("--N-per-K", "0"),
                            ("--N-cap", "0"), ("--trials", "0"),
                            ("--success-tol", "0"), ("--workers", "0"))},
+    # a column budget below the lifted rank: 2 for K=2 lines, 6 for planes
+    **{f"phase{flag}={value}-below-rank": ([*_PHASE, flag, value], flag)
+       for flag, value in (("--N-cap", "1"), ("--N", "1"))},
+    "phase--N-per-K=1-below-rank": ([*_PHASE, "--r", "2", "--N-per-K", "1"],
+                                    "--N-per-K"),
     **{f"rank-verify{flag}={value}": ([*_RANK_VERIFY, flag, value], flag)
        for flag, value in (("--K", "0"), ("--r", "0"), ("--r", "4"),
                            ("--d", "0"), ("--N", "0"), ("--order", "0"),
@@ -778,10 +783,9 @@ def _bad_input_files(tmp_path_factory):
                          ids=list(_BAD_VALUES))
 def test_bad_value_is_one_usage_error_line(tmp_path, capsys,
                                            _bad_input_files, argv, named):
-    # exit 2 and a last line naming the flag, "argument --FLAG: ..." for a
-    # setting and "--FLAG path: ..." (or "path:line:") for a data file;
-    # argparse's own errors put the subcommand after "ladmc".  No traceback,
-    # no output directory
+    # exit 2 and one line naming the flag, "argument --FLAG: ..." for a
+    # setting, argparse's own errors among them, and "--FLAG path: ..." (or
+    # "path:line:") for a data file.  No traceback, no output directory
     argv = [arg.format(**_bad_input_files) for arg in argv]
     prefix = re.escape(named.format(**_bad_input_files))
     prefix = (rf"{prefix}(:\d+)?: " if " " in named
@@ -791,9 +795,8 @@ def test_bad_value_is_one_usage_error_line(tmp_path, capsys,
         main([*argv, "--out-dir", str(tmp_path / "run")])
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert err.endswith("\n") and "Traceback" not in err
-    assert re.fullmatch(rf"ladmc( {argv[0]})?: error: {prefix}.+",
-                        err.splitlines()[-1]), err
+    assert err.endswith("\n") and len(err.splitlines()) == 1
+    assert re.fullmatch(rf"ladmc: error: {prefix}.+", err[:-1]), err
     assert not (tmp_path / "run").exists()
 
 

@@ -45,7 +45,12 @@ def test_config_validation():
                       (dict(m_range=[0]), "m_range"),
                       (dict(N_fixed=0), "N_fixed"),
                       (dict(N_per_K=0), "N_per_K"),
-                      (dict(N_cap=0), "N_cap")):
+                      (dict(N_cap=0), "N_cap"),
+                      # a column budget below a cell's lifted rank
+                      (dict(N_cap=1), "N_cap"),
+                      (dict(K_range=[2, 5], N_cap=4), "N_cap"),
+                      (dict(N_fixed=1), "N_fixed"),
+                      (dict(r=2, N_per_K=2), "N_per_K")):
         with pytest.raises(ValueError, match=f"^{field} must"):
             _small_grid(**kw)
 
@@ -124,15 +129,6 @@ def test_phase_grid_same_with_a_process_pool(tmp_path):
     for name in ("phase_ladmc.csv", "phase_ladmc.pgm", "ell_overlay.csv"):
         assert ((tmp_path / "pooled" / name).read_bytes()
                 == (tmp_path / "serial" / name).read_bytes()), name
-
-
-def test_phase_grid_infeasible_cell_recorded_not_raised():
-    # rank exceeds the two available columns: every trial errors out and is
-    # counted as a failure, the grid itself completes
-    cfg = PhaseGridConfig(d=6, r=1, K_range=[3], m_range=[4], N_fixed=2,
-                          trials=2)
-    rec = run_phase_grid(cfg)
-    assert rec.success_fraction[0, 0] == 0.0
 
 
 def test_phase_grid_numerical_failure_recorded(monkeypatch):

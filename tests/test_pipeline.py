@@ -281,7 +281,7 @@ def test_iladmc_result_does_not_depend_on_power_steps(monkeypatch, augment):
     R = 5 if augment else 2
     cfg = _cfg(iters=100, iladmc_inner_T=30, augment_ones=augment)
     lifts, eigh_columns = [], []
-    solve, exact = pipeline.svp_complete, preimage._eigh_p2
+    solve, exact = pipeline.svp_complete, preimage._eigh_pairs
 
     def recorded(*args, **kwargs):
         Z, diag = solve(*args, **kwargs)
@@ -293,7 +293,7 @@ def test_iladmc_result_does_not_depend_on_power_steps(monkeypatch, augment):
         return exact(S)
 
     monkeypatch.setattr(pipeline, "svp_complete", recorded)
-    monkeypatch.setattr(preimage, "_eigh_p2", counted)
+    monkeypatch.setattr(preimage, "_eigh_pairs", counted)
     imap = build_index_map(X.shape[0] + augment, 2)
     runs = []
     for tol in (preimage._POWER_TOL, -1.0):

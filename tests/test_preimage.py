@@ -23,6 +23,19 @@ def _lift_symmetric(A, m):
     return A[m.entries[:, 0], m.entries[:, 1]]
 
 
+def _reference_eigenpair(S):
+    """The dominant eigenpair of one symmetric matrix by eigh: the first in
+    ascending order with the largest |eigenvalue|, its first entry above
+    1e-12 in magnitude positive."""
+    w, V = np.linalg.eigh(S)
+    i = int(np.argmax(np.abs(w)))
+    u = V[:, i].copy()
+    nz = np.nonzero(np.abs(u) > 1e-12)[0]
+    if nz.size and u[nz[0]] < 0:
+        u = -u
+    return float(w[i]), u
+
+
 def _reference_unlift_p2(T, m, X_obs, mask):
     """Column-by-column unlift: eigh for the pre-image and the gap."""
     d, N = m.d, T.shape[1]
@@ -31,13 +44,8 @@ def _reference_unlift_p2(T, m, X_obs, mask):
         S = np.zeros((d, d))
         S[m.entries[:, 0], m.entries[:, 1]] = T[:, n]
         S[m.entries[:, 1], m.entries[:, 0]] = T[:, n]
-        w, V = np.linalg.eigh(S)
-        i = int(np.argmax(np.abs(w)))
-        u = V[:, i].copy()
-        nz = np.nonzero(np.abs(u) > 1e-12)[0]
-        if nz.size and u[nz[0]] < 0:
-            u = -u
-        x = np.sqrt(float(abs(w[i]))) * u
+        lam, u = _reference_eigenpair(S)
+        x = np.sqrt(abs(lam)) * u
         idx = np.nonzero(mask[:, n])[0]
         if idx.size:
             best = idx[np.argmax(np.abs(X_obs[idx, n]))]
@@ -45,8 +53,8 @@ def _reference_unlift_p2(T, m, X_obs, mask):
             if abs(X_obs[best, n]) > tol and X_obs[best, n] * x[best] < 0:
                 x = -x
         X[:, n] = x
-        if w[i] != 0.0:
-            gaps[n] = np.linalg.norm(S - w[i] * np.outer(u, u)) / abs(w[i])
+        if lam != 0.0:
+            gaps[n] = np.linalg.norm(S - lam * np.outer(u, u)) / abs(lam)
     return X, gaps
 
 
@@ -175,33 +183,20 @@ def _reference_cube(t, m):
     return cube
 
 
-def _reference_hopm(cube):
-    """Symmetric HOPM on one cube from its fiber start: the per-column loop
-    that the batched ``_hopm`` replaced."""
-    d = cube.shape[0]
-    i = int(np.argmax(np.abs(cube[np.arange(d), np.arange(d), np.arange(d)])))
-    u = cube[:, i, i].copy()
-    if not np.any(u):
-        return 0.0, u
-    u /= np.linalg.norm(u)
-    for _ in range(preimage.HOPM_ITERS):
-        v = np.einsum("ijk,j,k->i", cube, u, u)
-        nv = np.linalg.norm(v)
-        if nv == 0.0:
-            break
-        u_new = v / nv
-        if np.linalg.norm(u_new - u) < preimage.HOPM_TOL:
-            u = u_new
-            break
-        u = u_new
-    return float(np.einsum("ijk,i,j,k->", cube, u, u, u)), u
+def _unfolding_gram(cube):
+    """C C^T for the mode-1 unfolding C (d x d^2) of a cube."""
+    C = cube.reshape(cube.shape[0], -1)
+    return C @ C.T
 
 
 def _reference_unlift_p3(T, m):
+    """Column-by-column unlift: u from eigh of the cube's unfolding Gram,
+    the pre-image cbrt(L(u, u, u)) u, and the gap."""
     X, gaps = np.zeros((m.d, T.shape[1])), np.zeros(T.shape[1])
     for n in range(T.shape[1]):
         cube = _reference_cube(T[:, n], m)
-        lam, u = _reference_hopm(cube)
+        _, u = _reference_eigenpair(_unfolding_gram(cube))
+        lam = float(np.einsum("ijk,i,j,k->", cube, u, u, u))
         X[:, n] = np.cbrt(lam) * u
         if lam == 0.0:
             gaps[n] = np.inf if np.any(cube) else 0.0
@@ -209,6 +204,12 @@ def _reference_unlift_p3(T, m):
             rank1 = lam * np.einsum("i,j,k->ijk", u, u, u)
             gaps[n] = np.linalg.norm(cube - rank1) / abs(lam)
     return X, gaps
+
+
+def _odeco_cube(Q, weights=(2.0, 1.6, -1.8)):
+    """sum_k w_k q_k^(x)3 over the first columns q_k of the orthogonal Q."""
+    return sum(w * np.einsum("i,j,k->ijk", q, q, q)
+               for w, q in zip(weights, Q.T))
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -230,9 +231,25 @@ def test_fold_is_a_contiguous_symmetric_stack(p):
         np.testing.assert_array_equal(preimage._fold(T[:, n], m), ref[n])
 
 
-@pytest.mark.parametrize("block_columns", [None, 2],
-                         ids=["one-block", "two-column-blocks"])
-def test_unlift_p3_batched_hopm_matches_per_column(monkeypatch, block_columns):
+def _spy_pairs(monkeypatch):
+    """Every stack that ``_power_pairs`` settles, with the eigenvectors it
+    returns, and every stack that goes to the exact eigh."""
+    settled, exact = [], _spy_eigh(monkeypatch)
+    power = preimage._power_pairs
+
+    def spied(S, U):
+        lam, U = power(S, U)
+        settled.append((S.copy(), U.copy()))
+        return lam, U
+
+    monkeypatch.setattr(preimage, "_power_pairs", spied)
+    return settled, exact
+
+
+@pytest.mark.parametrize("block_columns", [None, 1, 2],
+                         ids=["one-block", "one-column-blocks",
+                              "two-column-blocks"])
+def test_unlift_p3_matches_unfolding_gram_eigh(monkeypatch, block_columns):
     m = build_index_map(4, 3)
     rng = np.random.default_rng(12)
     xs = rng.standard_normal((4, 6))
@@ -241,37 +258,73 @@ def test_unlift_p3_batched_hopm_matches_per_column(monkeypatch, block_columns):
     np.testing.assert_allclose(
         preimage._fold(T_rank1[:, 0], m),
         np.einsum("i,j,k->ijk", xs[:, 0], xs[:, 0], xs[:, 0]), atol=1e-12)
-    # Columns on which HOPM converges: on a generic cube it may wander for
-    # all its steps, and where it ends is then decided by rounding.  An
-    # orthogonally decomposable cube has several stable terms, and the
-    # fiber start decides which one a column reaches.
-    odeco = []
-    for _ in range(3):
-        Q = np.linalg.qr(rng.standard_normal((4, 4)))[0]
-        cube = sum(w * np.einsum("i,j,k->ijk", q, q, q)
-                   for w, q in zip((2.0, 1.6, -1.8), Q.T))
-        odeco.append(cube[tuple(m.entries.T)])
-    # every fiber C[:, i, i] of this cube is zero, so its start is zero
+    # an orthogonally decomposable cube: its Gram's top eigenvalue 4 is
+    # too close to the next, 3.24, for the power steps to settle it
+    odeco = [_odeco_cube(np.linalg.qr(rng.standard_normal((4, 4)))[0])
+             [tuple(m.entries.T)] for _ in range(3)]
+    # every fiber C[:, i, i] of this cube is zero; its Gram is 2 diag(1, 1,
+    # 1, 0), whose tied top eigenvector e_0 gives lam = C(e_0, e_0, e_0) = 0
     zero_diagonal = np.zeros(m.D)
     zero_diagonal[m.entries.tolist().index([0, 1, 2])] = 1.0
     T = np.column_stack([
-        T_rank1,                                  # stop in a few steps
+        T_rank1,                                  # settled in a few steps
         T_rank1[:, :3] + 1e-3 * rng.standard_normal((m.D, 3)),  # near
         *odeco,
         zero_diagonal,                            # zero pre-image, gap inf
-        np.zeros(m.D),                            # zero step at once
+        np.zeros(m.D),                            # zero pre-image, gap 0
     ])
+    X_one, gaps_one = unlift(T, m)
     if block_columns:
         monkeypatch.setattr(preimage, "_BLOCK_FLOATS", block_columns * 4**3)
+    settled, exact = _spy_pairs(monkeypatch)
     X, gaps = unlift(T, m)
+    # the column blocks change no bit of the result
+    np.testing.assert_array_equal(X, X_one)
+    np.testing.assert_array_equal(gaps, gaps_one)
     X_ref, gaps_ref = _reference_unlift_p3(T, m)
     np.testing.assert_allclose(X, X_ref, rtol=0, atol=1e-10)
     np.testing.assert_allclose(gaps, gaps_ref, rtol=1e-10, atol=1e-10)
     assert gaps[-2] == np.inf and np.all(X[:, -2] == 0.0)
     assert gaps[-1] == 0.0 and np.all(X[:, -1] == 0.0)
+    # every column's u passes the power steps' acceptance test on its
+    # Gram, or comes from the exact eigh
+    S = np.concatenate([s for s, _ in settled])
+    U = np.concatenate([u for _, u in settled])
+    np.testing.assert_allclose(
+        S, np.stack([_unfolding_gram(preimage._fold(t, m)) for t in T.T]),
+        rtol=1e-14, atol=0)
+    SU = np.matmul(S, U[..., None])[..., 0]
+    lam = np.einsum("ni,ni->n", U, SU)
+    accepted = ((np.linalg.norm(SU - lam[:, None] * U, axis=1)
+                 <= preimage._POWER_TOL * np.abs(lam))
+                & (2.0 * lam * lam > np.einsum("nij,nij->n", S, S)))
+    from_eigh = np.array([any(np.array_equal(s, e) for e in np.vstack(exact))
+                          for s in S])
+    assert np.all(accepted | from_eigh)
+    assert np.all(accepted[:9]) and np.all(from_eigh[9:])
     X, gaps = unlift(T_rank1, m, xs, np.ones_like(xs, dtype=bool))
     np.testing.assert_allclose(X, xs, atol=1e-8)
     assert np.all(gaps < 1e-12)
+
+
+def test_unlift_p3_odeco_cube_returns_its_largest_term(monkeypatch):
+    # The Gram of sum_k w_k q_k^(x)3 is sum_k w_k^2 q_k q_k^T, so its top
+    # eigenvector is q_1 whatever the start, and L(q_1, q_1, q_1) = 2.
+    # A start at q_2 or q_3 is an exact but not dominant eigenvector: the
+    # dominance test sends it to eigh.
+    m = build_index_map(4, 3)
+    Q = np.linalg.qr(np.random.default_rng(7).standard_normal((4, 4)))[0]
+    t = _odeco_cube(Q)[tuple(m.entries.T)]
+    starts = [Q[:, 0], -Q[:, 0], Q[:, 1], Q[:, 2], Q[:, 3],
+              *np.eye(4), np.zeros(4), np.ones(4) / 2]
+    T = np.repeat(t[:, None], len(starts), axis=1)
+    monkeypatch.setattr(preimage, "_fiber_start",
+                        lambda S: np.array(starts, dtype=float))
+    X, gaps = unlift(T, m)
+    expected = np.tile(np.cbrt(2.0) * Q[:, :1], len(starts))
+    np.testing.assert_allclose(X, expected, rtol=0, atol=1e-12)
+    # |L - 2 q_1^(x)3|_F / 2 = |(1.6, -1.8)| / 2
+    np.testing.assert_allclose(gaps, np.hypot(1.6, 1.8) / 2, rtol=1e-12)
 
 
 def test_unlift_p2_blocks_match_one_block(monkeypatch):
@@ -309,15 +362,15 @@ def test_p3_unlift_loads_no_numpy_random():
 
 
 def _spy_eigh(monkeypatch):
-    """The stacked matrices of every exact eigh in the p=2 pre-image."""
+    """The stacked matrices of every exact eigh in the pre-image."""
     stacks = []
-    exact = preimage._eigh_p2
+    exact = preimage._eigh_pairs
 
     def spied(S):
         stacks.append(S.copy())
         return exact(S)
 
-    monkeypatch.setattr(preimage, "_eigh_p2", spied)
+    monkeypatch.setattr(preimage, "_eigh_pairs", spied)
     return stacks
 
 
@@ -355,7 +408,7 @@ def test_unlift_p2_power_steps_match_eigh(monkeypatch):
     X_obs = np.where(rng.random(T.shape[1]) < 0.5, -1.0, 1.0) * np.column_stack(
         [xs] + [np.zeros(d)] * len(special))
     mask = rng.random(X_obs.shape) < 0.5
-    w, U = preimage._eigh_p2(preimage._fold(T, m))
+    w, U = preimage._eigh_pairs(preimage._fold(T, m))
     X_eigh = resolve_sign((np.sqrt(np.abs(w))[:, None] * U).T, X_obs, mask)
     stacks = _spy_eigh(monkeypatch)
     X, gaps = unlift(T, m, X_obs, mask)
