@@ -131,6 +131,17 @@ def test_phase_grid_same_with_a_process_pool(tmp_path):
                 == (tmp_path / "serial" / name).read_bytes()), name
 
 
+def test_phase_grid_infeasible_cell_recorded_not_raised():
+    # one observed entry per column is below the ell=2 sample bound: every
+    # trial fails to complete and is counted as a failure, the grid itself
+    # completes (a column budget below the rank is rejected at construction)
+    cfg = PhaseGridConfig(d=6, r=1, K_range=[3], m_range=[1], N_fixed=60,
+                          trials=2)
+    assert cfg.m_range[0] < minimal_samples(uos_tensor_rank(3, 1, 6, 2), 2)
+    rec = run_phase_grid(cfg)
+    assert rec.success_fraction[0, 0] == 0.0
+
+
 def test_phase_grid_numerical_failure_recorded(monkeypatch):
     def breaks_down(*args):
         raise np.linalg.LinAlgError("SVD did not converge")
