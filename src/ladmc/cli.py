@@ -51,7 +51,7 @@ def _splice_config(argv) -> list:
         with open(path) as fh:
             for line in map(str.strip, fh):
                 if line and not line.startswith("#"):
-                    # a line with only a key is a switch such as accel
+                    # a line with only a key is a switch: augment-ones
                     key, eq, value = line.partition("=")
                     tokens.append(f"--{key.strip()}")
                     if eq:
@@ -78,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--max-iters", type=int, default=SvpOptions.max_iters)
         sp.add_argument("--rel-tol", type=float, default=SvpOptions.rel_tol)
         sp.add_argument("--accel", action="store_true",
-                        help="restarted Nesterov momentum in the solver")
+                        help="changes nothing: momentum is always on")
         sp.add_argument("--accel-restart", type=int,
                         default=SvpOptions.accel_restart,
                         help="longest momentum run between restarts")
@@ -158,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _completion(args, augment_ones=False) -> pipeline.LadmcConfig:
     """The completion settings of the solver flags."""
     svp = SvpOptions(max_iters=args.max_iters, rel_tol=args.rel_tol,
-                     accel=args.accel, accel_restart=args.accel_restart)
+                     accel_restart=args.accel_restart)
     return pipeline.LadmcConfig(p=args.order, svp=svp,
                                 iladmc_inner_T=args.inner_T,
                                 augment_ones=augment_ones)
@@ -207,6 +207,7 @@ def _cmd_complete(args):
                     "outer_iterations": rep.outer_iterations,
                     "residual": rep.solver.final_residual,
                     "converged": rep.solver.converged,
+                    "stop": rep.solver.stop,
                     "inner_T": args.inner_T}
     if rep.nrmse is not None:
         report_items.update(nrmse=rep.nrmse,

@@ -36,7 +36,7 @@ class PhaseGridConfig:
             value = getattr(self, name)
             if value is not None and value < 1:
                 raise SettingError(name, f"{name} must be >= 1, got {value}")
-        if self.success_tol <= 0:
+        if not self.success_tol > 0:
             raise SettingError("success_tol", "success_tol must be positive, "
                                f"got {self.success_tol}")
         if self.algorithm not in ALGORITHMS:
@@ -237,8 +237,8 @@ def run_real_experiment(
     lifted) by validation RMSE and scored on the test entries.
     """
     if counts is None:
-        if (len(fractions) != 3 or min(fractions) < 0
-                or abs(sum(fractions) - 1) > 1e-9):
+        if (len(fractions) != 3 or not min(fractions) >= 0
+                or not abs(sum(fractions) - 1) <= 1e-9):
             raise SettingError("fractions", "fractions must be three "
                                "non-negative shares summing to 1, got "
                                f"{tuple(fractions)}")

@@ -1,8 +1,9 @@
 """Low-rank matrix completion by singular value projection (SVP / IHT).
 
-Each iteration takes a gradient step on the observed-entry residual and
-hard-thresholds back to the target rank.  The rank-R projection reads the
-top-R eigenvectors of the row Gram matrix.  From the second
+Each iteration takes a gradient step on the observed-entry residual, with
+Nesterov momentum under adaptive restart (plain SVP restarts every step),
+and hard-thresholds back to the target rank.  The rank-R projection reads
+the top-R eigenvectors of the row Gram matrix.  From the second
 iteration on they come from two warm-started subspace steps and a
 Rayleigh–Ritz extraction, seeded with the previous iteration's basis plus
 a few extra vectors; whenever the Ritz residual fails a fixed bound the
@@ -11,11 +12,8 @@ for a fixed number of iterations after such a failure.  So every
 projection is the exact one up to rounding.
 
 Everything else an iteration does is one cache-blocked pass over its
-D x N buffers after the projection: the change from the previous iterate,
-the sums of the stop and momentum-restart tests, and the next gradient
-step, taken at the momentum it has unless the tests restart it (then it is
-taken again).  The arithmetic of every entry is that of whole-array
-passes, so the iterates are bitwise equal whatever the block size.
+D x N buffers after the projection (``svp_complete`` lists its parts),
+with the arithmetic of whole-array passes whatever the block size.
 
 A solve's D x N buffers, ``keep`` = 1 - mask, the three buffers the
 iteration rotates and the sweep's row blocks, form an ``SvpWorkspace``.
@@ -59,26 +57,20 @@ _SWEEP_FLOATS = 1 << 15
 class SvpOptions:
     """SVP solver settings; the rank is an argument of ``svp_complete``."""
 
-    max_iters: int = 500
-    rel_tol: float = 1e-6
-    # Nesterov momentum with adaptive restart: the momentum sequence starts
-    # over whenever a step points against the gradient mapping, and after
-    # at most accel_restart iterations in any case.  Off by default: the
-    # plain iteration is the reference behavior; acceleration converges
-    # far faster on badly conditioned instances at the same per-step cost.
-    accel: bool = False
-    accel_restart: int = 300
+    # the budget and stop test that recover the paper's instance
+    max_iters: int = 4000
+    rel_tol: float = 1e-9
+    # the longest momentum run between restarts; 1 gives plain SVP
+    accel_restart: int = 500
 
     def __post_init__(self):
-        if self.max_iters < 1:
-            raise SettingError(
-                "max_iters", f"max_iters must be >= 1, got {self.max_iters}")
+        for name in ("max_iters", "accel_restart"):
+            value = getattr(self, name)
+            if value < 1:
+                raise SettingError(name, f"{name} must be >= 1, got {value}")
         if not self.rel_tol > 0:
             raise SettingError(
                 "rel_tol", f"rel_tol must be positive, got {self.rel_tol}")
-        if self.accel_restart < 1:
-            raise SettingError("accel_restart", "accel_restart must be >= 1, "
-                               f"got {self.accel_restart}")
 
 
 @dataclass
@@ -87,12 +79,17 @@ class SolveDiagnostics:
     # the RMS of the observed entries' residual; None from a solve in a
     # caller's workspace, whose caller forms it in its own units
     final_residual: float | None
-    converged: bool
+    # why it stopped: "converged" (rel_tol met), "budget" or "diverged"
+    stop: str
     # iterations whose projection ran the full eigendecomposition rather
     # than accepting the warm-started basis
     full_eigh: int = 0
     # momentum restarts, adaptive or at the accel_restart cap
     restarts: int = 0
+
+    @property
+    def converged(self) -> bool:
+        return self.stop == "converged"
 
 
 def _top_eigvecs(G: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -196,8 +193,8 @@ def _sweep(blocks, Z, Y, dZ, beta, keep, target) -> tuple[float, float]:
     """One pass over the row blocks after the projection has written the
     new iterate into Y.  Writes the change Y - Z into Z's buffer and the
     next gradient step, at momentum beta, into dZ's buffer; returns
-    <dZ, Y - Z>, left 0 at beta = 0 (a plain solve or a capped restart,
-    whose restart tests do not need it), and |Y - Z|^2."""
+    <dZ, Y - Z>, left 0 at beta = 0 (a capped restart, as every step of
+    a plain solve is, whose restart tests do not need it), and |Y - Z|^2."""
     inner = sq = 0.0
     for b in blocks:
         z, d = Z[b], dZ[b]
@@ -223,11 +220,11 @@ def svp_complete(
     Starts from the zero-filled observed matrix (or Z0 when supplied) and
     iterates Z <- project(Z + P_mask(M_obs - Z), rank) until the
     relative change |Z_new - Z| / |Z| drops below rel_tol or max_iters is
-    hit, each step taken at E = Z + beta * (Z - Z_prev): beta is 0, the
-    plain step, without opts.accel and follows Nesterov's sequence with it,
-    restarting at 0 after any step against the gradient mapping,
-    <E - Z_new, Z_new - Z> > 0 (O'Donoghue & Candes, 2015), and after
-    accel_restart iterations without one; ``restarts`` counts both kinds.
+    hit, each step taken at E = Z + beta * (Z - Z_prev): beta follows
+    Nesterov's sequence and restarts at 0, the plain step, after any step
+    against the gradient mapping, <E - Z_new, Z_new - Z> > 0 (O'Donoghue &
+    Candes, 2015), and after accel_restart iterations without one;
+    ``restarts`` counts both kinds, and accel_restart=1 is plain SVP.
     A rank outside 1..min(M_obs.shape) is rejected; a tall input is
     completed as its transpose, whose iterate comes back transposed.
 
@@ -236,7 +233,7 @@ def svp_complete(
     the residual bound, and the _WARM_BACKOFF iterations after such a
     failure run the full eigendecomposition; the diagnostics count those
     iterations in ``full_eigh``.  A step whose iterate overflows stops
-    the solve unconverged.
+    the solve, and ``stop`` reads "diverged".
 
     Outside the projection each iteration makes one pass over its D x N
     buffers, in row blocks of at most _SWEEP_FLOATS entries: the change
@@ -307,7 +304,7 @@ def svp_complete(
     # the momentum counter of the iteration about to run and its beta
     k, beta = 1, 0.0
     iters = 0
-    converged = False
+    stop = "budget"
     # a diverging iterate overflows the Gram first: a stop, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
         z_norm = float(np.linalg.norm(Z))
@@ -315,7 +312,8 @@ def svp_complete(
         for iters in range(1, opts.max_iters + 1):
             G = Y @ Y.T
             if not np.isfinite(np.trace(G)):
-                break  # the iterate overflowed; report as unconverged
+                stop = "diverged"  # the iterate overflowed
+                break
             warm = None
             if backoff:
                 backoff -= 1
@@ -333,17 +331,18 @@ def svp_complete(
             np.matmul(U, W, out=Y)
             # a run that reaches accel_restart restarts whatever the sweep
             # finds, so the next step's beta is known before it
-            capped = opts.accel and k >= opts.accel_restart
+            capped = k >= opts.accel_restart
             k_next = 1 if capped else k + 1
-            beta_next = (k_next - 1) / (k_next + 2) if opts.accel else 0.0
+            beta_next = (k_next - 1) / (k_next + 2)
             inner, sq = _sweep(blocks, Z, Y, dZ, beta_next, keep, target)
             change = math.sqrt(sq) / max(z_norm, _EPS)
             z_norm = float(np.linalg.norm(W))
             Z, dZ, Y = Y, Z, dZ
             if not math.isfinite(change):
+                stop = "diverged"
                 break
             if change < opts.rel_tol:
-                converged = True
+                stop = "converged"
                 break
             # restart the momentum when the step just taken points against
             # the gradient mapping, <E - Z_new, Z_new - Z_old> > 0 at the
@@ -368,7 +367,7 @@ def svp_complete(
     diag = SolveDiagnostics(
         iterations_run=iters,
         final_residual=residual,
-        converged=converged,
+        stop=stop,
         full_eigh=full_eigh,
         restarts=restarts,
     )

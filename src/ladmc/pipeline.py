@@ -6,17 +6,16 @@ refill until the estimate stabilizes.  ``lrmc_baseline`` completes the
 raw matrix, for comparison, as one pass at lift order 1, the identity
 lift.  All three are passes of one driver.
 
-An order-2 lift without the constant row, solved with momentum, is solved
-under two diagonal scalings, which keep its rank and its mask.  Each row is
-multiplied by the square root of its monomial's multinomial count, which
-makes the lift an isometry onto symmetric tensors (the polynomial-kernel
-geometry of Ongie et al., 2017).  Each column is then divided by its norm,
-which undoes the spread that column norms to the power 2 put into the
-lift.  On the benchmark's paper-scale input the solve then takes 311
-iterations instead of 491.  A plain solve and an order-3 lift slow down
-or stall under the scalings, so they are solved raw, and so is a lift with
-the constant row.  The lift itself, and everything read from it outside
-the solve, stays in raw monomial coordinates.
+An order-2 lift without the constant row is solved under two diagonal
+scalings, which keep its rank and its mask.  Each row is multiplied by the
+square root of its monomial's multinomial count, which makes the lift an
+isometry onto symmetric tensors (the polynomial-kernel geometry of Ongie
+et al., 2017).  Each column is then divided by its norm, which undoes the
+spread that column norms to the power 2 put into the lift.  On the
+benchmark's paper-scale input the solve then takes 311 iterations instead
+of 491.  An order-3 lift stalls under the scalings, so it is solved raw,
+and so is a lift with the constant row.  The lift itself, and everything
+read from it outside the solve, stays in raw monomial coordinates.
 
 A completion lifts the observations once and builds one SVP workspace
 (``lrmc.SvpWorkspace``) for all its passes.  Every pass solves on the lift
@@ -155,12 +154,12 @@ def _complete_lifted(X_obs, mask, rank, cfg, X_true, algorithm, *,
     estimate with ``unlift``; the last pass gives the result, the rank-one
     gaps and the residual.  Unobserved columns come back zero.
 
-    An order-2 lift without the constant row, solved with momentum, is
-    solved scaled: each row times its weight (``_row_weights``), each
-    column divided by its norm after that, the norm of its observed
-    entries on the first pass and of the previous estimate's lift on a
-    later one.  The observations are scaled in place, and each pass's
-    estimate and the residual are taken back to the lift's own units.
+    An order-2 lift without the constant row is solved scaled: each row
+    times its weight (``_row_weights``), each column divided by its norm
+    after that, the norm of its observed entries on the first pass and of
+    the previous estimate's lift on a later one.  The observations are
+    scaled in place, and each pass's estimate and the residual are taken
+    back to the lift's own units.
     """
     X_obs, mask = _checked_input(X_obs, mask, rank)
     order, ones = lift_of(algorithm, cfg)
@@ -184,13 +183,13 @@ def _complete_lifted(X_obs, mask, rank, cfg, X_true, algorithm, *,
     # the row weights, and the column scales the solve divides out
     w = None
     cols = 1.0
-    if order == 2 and not ones and cfg.svp.accel:
+    if order == 2 and not ones:
         w = _row_weights(imap)
         T_obs *= w
 
     X_cur = np.where(mask_in, X_in, 0.0)
     Z0 = None
-    total_iters = total_eigh = total_restarts = 0
+    diags = []
     for outer in range(1, max_passes + 1):
         if outer > 1:
             Z0 = lift_into(ws.spare(), X_cur, imap)
@@ -207,14 +206,12 @@ def _complete_lifted(X_obs, mask, rank, cfg, X_true, algorithm, *,
             cols = new_cols
         Z, diag = svp_complete(T_obs, T_mask, int(rank), opts, Z0=Z0,
                                workspace=ws)
+        diags.append(diag)
         T_hat = Z
         if w is not None:
             # in a spare buffer: Z stays for the residual
             T_hat = np.multiply(Z, cols, out=ws.spare(Z))
             T_hat /= w
-        total_iters += diag.iterations_run
-        total_eigh += diag.full_eigh
-        total_restarts += diag.restarts
         X_new, ratios = unlift(T_hat, imap, X_in, mask_in)
         X_new[mask_in] = X_in[mask_in]
         change = np.linalg.norm(X_new - X_cur) / max(np.linalg.norm(X_cur), 1e-30)
@@ -223,16 +220,18 @@ def _complete_lifted(X_obs, mask, rank, cfg, X_true, algorithm, *,
             break
     X_hat = X_cur[1:] if ones else X_cur
     X_hat[:, ~mask.any(axis=0)] = 0.0
-    # the solver fields describe the whole run, not the last pass: a
-    # single pass converges with its SVP solve, several passes once a
-    # pass meets ILADMC_REL_TOL
-    converged = (diag.converged if max_passes == 1
-                 else bool(change < ILADMC_REL_TOL))
+    # the solver fields describe the whole run: counts summed over passes;
+    # it diverged if any pass did, else one pass stops as its solve did and
+    # several converge once a pass meets ILADMC_REL_TOL
+    totals = {k: sum(getattr(d, k) for d in diags)
+              for k in ("iterations_run", "full_eigh", "restarts")}
+    stop = ("diverged" if any(d.stop == "diverged" for d in diags)
+            else diag.stop if max_passes == 1
+            else "converged" if change < ILADMC_REL_TOL else "budget")
     return CompletionReport(
         X_hat=X_hat, outer_iterations=outer, per_column_rank1_ratio=ratios,
         nrmse=None if X_true is None else nrmse(X_hat, X_true),
-        solver=replace(diag, iterations_run=total_iters, full_eigh=total_eigh,
-                       restarts=total_restarts, converged=converged,
+        solver=replace(diag, **totals, stop=stop,
                        final_residual=_observed_rms(
                            T_obs, Z, T_mask, ws.spare(Z), w, cols)),
     )

@@ -115,8 +115,7 @@ def recovery_family():
     ladmc_cfg = PhaseGridConfig(
         algorithm="ladmc",
         completion=LadmcConfig(svp=SvpOptions(
-            max_iters=4000, rel_tol=1e-9, accel=True,
-            accel_restart=500)), **base)
+            max_iters=4000, rel_tol=1e-9, accel_restart=500)), **base)
     lrmc_cfg = PhaseGridConfig(
         algorithm="lrmc",
         completion=LadmcConfig(svp=SvpOptions(

@@ -65,8 +65,7 @@ def test_complete_ladmc_end_to_end(tmp_path, capsys):
     out = tmp_path / "run"
     rc = main(["complete", "--input", str(data / "X.csv"),
                "--truth", str(data / "X0.csv"),
-               "--rank", "2", "--accel", "--max-iters", "3000",
-               "--rel-tol", "1e-9", "--out-dir", str(out)])
+               "--rank", "2", "--out-dir", str(out)])
     assert rc == 0
     report = _read_report(out / "report.txt")
     assert report["algorithm"] == "ladmc"
@@ -121,7 +120,8 @@ def test_complete_report_fields_same_for_every_algorithm(tmp_path):
                    "--rank", "2", "--max-iters", "20", "--out-dir", str(out)])
         assert rc == 0
         report = _read_report(out / "report.txt")
-        assert report["converged"] in ("True", "False")
+        assert report["stop"] in ("converged", "budget")
+        assert report["converged"] == str(report["stop"] == "converged")
         assert int(report["restarts"]) >= 0
         assert int(report["full_eigh"]) >= 1  # the first iteration's
         keys[algo] = list(report)
@@ -138,8 +138,8 @@ def test_complete_shape_mismatch(tmp_path):
 
 def test_complete_and_phase_share_solver_flags():
     parser = build_parser()
-    defaults = {"inner_T": 30, "max_iters": 500, "rel_tol": 1e-6,
-                "accel": False, "accel_restart": 300}
+    defaults = {"inner_T": 30, "max_iters": 4000, "rel_tol": 1e-9,
+                "accel": False, "accel_restart": 500}
     for argv in (["complete", "--input", "x.csv", "--rank", "2"],
                  ["phase", "--d", "6", "--r", "1", "--K-list", "2",
                   "--m-list", "4"],
@@ -162,11 +162,10 @@ def test_real_runs_the_solver_complete_builds(monkeypatch):
 
     monkeypatch.setattr(experiments, "run_real_experiment", fake_real)
     argv = ["real", "--input", "x.csv", "--ranks", "3", "--accel",
-            "--accel-restart", "500"]
+            "--accel-restart", "40"]
     assert main(argv) == 0
     assert seen["completion"] == _completion(build_parser().parse_args(argv))
-    assert seen["completion"].svp.accel
-    assert seen["completion"].svp.accel_restart == 500
+    assert seen["completion"].svp.accel_restart == 40
 
 
 def _bench_workloads():
@@ -182,21 +181,25 @@ def test_bench_command_lines_build_their_method():
     # a CLI change that drops or renames a flag the benchmark passes fails
     # here rather than in a bench run
     parser = build_parser()
-    expected = {  # rank, order, accel, accel_restart, max_iters
-        "ladmc-p2-paper": (30, 2, True, 500, 4000),
-        "iladmc-p2-paper": (30, 2, True, 300, 500),
-        "ladmc-p3-small": (8, 3, True, 500, 4000),
+    expected = {  # rank, order, accel_restart, max_iters
+        "ladmc-p2-paper": (30, 2, 500, 4000),
+        "iladmc-p2-paper": (30, 2, 500, 4000),
+        "ladmc-p3-small": (8, 3, 500, 4000),
     }
     workloads = _bench_workloads()
     assert set(workloads) == set(expected) | {"check-9of15"}
-    for name, (rank, order, accel, restart, iters) in expected.items():
+    for name, (rank, order, restart, iters) in expected.items():
         _, cmd = workloads[name]
         args = parser.parse_args([*cmd, "--input", "X.csv"])
         cfg = _completion(args)
-        got = (args.rank, cfg.p, cfg.svp.accel, cfg.svp.accel_restart,
-               cfg.svp.max_iters)
-        assert got == (rank, order, accel, restart, iters), name
+        got = (args.rank, cfg.p, cfg.svp.accel_restart, cfg.svp.max_iters)
+        assert got == (rank, order, restart, iters), name
         assert cfg.svp.rel_tol == 1e-9 and cfg.iladmc_inner_T == 30, name
+        # --accel is accepted and changes nothing: momentum is always on
+        assert "--accel" in cmd, name
+        plain = [arg for arg in cmd if arg != "--accel"]
+        assert _completion(parser.parse_args([*plain, "--input", "X.csv"])
+                           ) == cfg, name
     args = parser.parse_args(workloads["check-9of15"][1])
     assert (args.all_patterns, args.d, args.m, args.rank, args.order,
             args.trials) == (True, 15, 9, 30, 2, 1)
@@ -321,7 +324,7 @@ def test_config_file_flags_override(tmp_path):
     data = _synth_instance(tmp_path)
     cfg = tmp_path / "run.cfg"
     cfg.write_text(
-        "input={}\ntruth={}\nrank=2\naccel\n"
+        "input={}\ntruth={}\nrank=2\n"
         "max-iters=3000\nrel-tol=1e-9\nseed=5\n".format(
             data / "X.csv", data / "X0.csv")
     )
@@ -337,12 +340,12 @@ def test_config_file_flags_override(tmp_path):
 def test_config_file_switch_lines(tmp_path):
     # a line that holds only a key sets a switch
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("input=X.csv\nrank=2\naccel\naugment-ones\n"
-                   "accel-restart=500\n")
+    cfg.write_text("input=X.csv\nrank=2\naugment-ones\n"
+                   "accel-restart=40\n")
     args = build_parser().parse_args(
         _splice_config(["complete", "--config", str(cfg)]))
-    assert args.accel and args.augment_ones
-    assert _completion(args, args.augment_ones).svp.accel_restart == 500
+    assert args.augment_ones
+    assert _completion(args, args.augment_ones).svp.accel_restart == 40
 
 
 @pytest.mark.parametrize("spelling", ["equals", "two-files"])
@@ -364,13 +367,13 @@ def test_config_equals_and_several_files(tmp_path, spelling):
 
 def test_config_lines_go_between_subcommand_and_flags(tmp_path):
     first = tmp_path / "first.cfg"
-    first.write_text("# solver\nrank=2\naccel\n")
+    first.write_text("# solver\nrank=2\naugment-ones\n")
     last = tmp_path / "last.cfg"
     last.write_text("max-iters = -0.5\n")
     argv = ["--config", str(first), "complete", "--max-iters", "-1",
             f"--config={last}", "--rel-tol=1e-3", "--seed", "-2"]
     assert _splice_config(argv) == [
-        "complete", "--rank", "2", "--accel", "--max-iters", "-0.5",
+        "complete", "--rank", "2", "--augment-ones", "--max-iters", "-0.5",
         "--max-iters", "-1", "--rel-tol=1e-3", "--seed", "-2"]
 
 
@@ -704,7 +707,7 @@ _BAD_VALUES = {
                            ("--seed", "-1"))},
     **{f"complete{flag}={value}": ([*_COMPLETE, flag, value], flag)
        for flag, value in (*_SHARED, ("--rank", "0"), ("--rank", "200"),
-                           ("--success-tol", "0"))},
+                           ("--success-tol", "0"), ("--success-tol", "nan"))},
     "complete--input=text": ([*_COMPLETE, "--input", "{text}"],
                              "--input {text}"),
     "complete--mask=values": ([*_COMPLETE, "--mask", "{mask2}"],
@@ -726,7 +729,8 @@ _BAD_VALUES = {
                            ("--K-list", "0"), ("--K-list", ","),
                            ("--m-list", "9"), ("--N", "0"), ("--N-per-K", "0"),
                            ("--N-cap", "0"), ("--trials", "0"),
-                           ("--success-tol", "0"), ("--workers", "0"))},
+                           ("--success-tol", "0"), ("--success-tol", "nan"),
+                           ("--workers", "0"))},
     # a column budget below the lifted rank: 2 for K=2 lines, 6 for planes
     **{f"phase{flag}={value}-below-rank": ([*_PHASE, flag, value], flag)
        for flag, value in (("--N-cap", "1"), ("--N", "1"))},
@@ -740,6 +744,8 @@ _BAD_VALUES = {
        for flag, value in (*_SHARED, ("--ranks", "0"), ("--ranks", "300"),
                            ("--ranks", ","), ("--fractions", "1,0,0"),
                            ("--fractions", "0.6,0.2,0.3"),
+                           ("--fractions", "nan,0.5,0.5"),
+                           ("--fractions", "0.5,nan,0.5"),
                            ("--counts", "100,100"))},
 }
 

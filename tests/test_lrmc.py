@@ -13,9 +13,10 @@ from ladmc.lrmc import SvpOptions, svp_complete, truncated_svd_project
 def _reference_svp(M_obs, mask, R, opts, Z0=None):
     """The SVP loop before the warm-started projection and in-place
     buffers: a fancy-indexed refill of the observed entries and the exact
-    projection of ``truncated_svd_project`` on every iteration.  With
-    momentum it restarts when the step points against the gradient mapping
-    at the extrapolated point E, or when a run reaches ``accel_restart``."""
+    projection of ``truncated_svd_project`` on every iteration.  The
+    momentum restarts when the step points against the gradient mapping at
+    the extrapolated point E, or when a run reaches ``accel_restart``; at
+    accel_restart=1 every step is the plain one, E = Z."""
     Z = np.where(mask, M_obs, 0.0) if Z0 is None else np.array(Z0, dtype=float)
     obs = np.nonzero(mask.ravel())[0]
     Mv = M_obs.ravel()[obs]
@@ -25,11 +26,8 @@ def _reference_svp(M_obs, mask, R, opts, Z0=None):
     iters = 0
     converged = False
     for iters in range(1, opts.max_iters + 1):
-        if opts.accel:
-            k += 1
-            E = Z + ((k - 1) / (k + 2)) * (Z - Z_prev)
-        else:
-            E = Z
+        k += 1
+        E = Z + ((k - 1) / (k + 2)) * (Z - Z_prev)
         Y = E.copy()
         Yr = Y.ravel()
         Yr[obs] = Mv
@@ -46,7 +44,7 @@ def _reference_svp(M_obs, mask, R, opts, Z0=None):
         if change < opts.rel_tol:
             converged = True
             break
-        if opts.accel and (uphill or k >= opts.accel_restart):
+        if uphill or k >= opts.accel_restart:
             k = 0
             restarts += 1
     return Z, iters, converged, restarts
@@ -122,7 +120,8 @@ def test_svp_rank1_closed_form():
     M = np.array([[1.0, 2.0], [2.0, 0.0]])
     mask = np.array([[True, True], [True, False]])
     Z, diag = svp_complete(M, mask, 1, SvpOptions(max_iters=1000,
-                                                  rel_tol=1e-12))
+                                                  rel_tol=1e-12,
+                                                  accel_restart=1))
     assert abs(Z[1, 1] - 4.0) < 1e-6
     assert diag.converged
 
@@ -144,11 +143,10 @@ def test_svp_stop_test_divides_by_previous_iterate():
     rng = np.random.default_rng(3)
     M = rng.standard_normal((9, 3)) @ rng.standard_normal((3, 40))
     mask = np.ones_like(M, dtype=bool)
-    for accel in (False, True):
-        _, diag = svp_complete(M, mask, 3, SvpOptions(rel_tol=2.0,
-                                                      accel=accel),
-                               Z0=1e-3 * M)
-        assert (diag.iterations_run, diag.converged) == (2, True), accel
+    for restart in (1, SvpOptions.accel_restart):
+        _, diag = svp_complete(M, mask, 3, SvpOptions(
+            rel_tol=2.0, accel_restart=restart), Z0=1e-3 * M)
+        assert (diag.iterations_run, diag.stop) == (2, "converged"), restart
 
 
 def test_svp_fully_observed_matches_projection():
@@ -218,19 +216,20 @@ def test_svp_accelerated_matches_plain_solution():
     M = np.array([[1.0, 2.0], [2.0, 0.0]])
     mask = np.array([[True, True], [True, False]])
     Z, diag = svp_complete(M, mask, 1, SvpOptions(max_iters=1000,
-                                                  rel_tol=1e-12, accel=True))
+                                                  rel_tol=1e-12))
     assert abs(Z[1, 1] - 4.0) < 1e-6
     assert diag.converged
 
 
 def test_svp_accelerated_converges_faster():
     # on a partially observed low-rank matrix, momentum reaches the same
-    # tolerance in fewer iterations than the plain update
+    # tolerance in fewer iterations than the plain update, which restarts
+    # it every step
     rng = np.random.default_rng(9)
     M = rng.standard_normal((20, 5)) @ rng.standard_normal((5, 60))
     mask = rng.random(M.shape) < 0.6
-    plain = SvpOptions(max_iters=3000, rel_tol=1e-10)
-    fast = SvpOptions(max_iters=3000, rel_tol=1e-10, accel=True)
+    fast = SvpOptions(max_iters=3000, rel_tol=1e-10)
+    plain = replace(fast, accel_restart=1)
     _, d_plain = svp_complete(M, mask, 5, plain)
     Z, d_fast = svp_complete(M, mask, 5, fast)
     assert d_fast.converged
@@ -257,34 +256,40 @@ def test_svp_errors():
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_svp_divergent_step_reported_unconverged(monkeypatch):
-    # an iterate whose Gram overflows stops the solve unconverged, reported
-    # through the diagnostics, not a numpy warning, with or without the
-    # momentum's restart test, and whether the sweep takes the 6 rows in
-    # one block, as 4 + 2 or one by one.  Entries of size 1e200 overflow
-    # the first Gram.
+    # an iterate whose Gram overflows stops the solve as diverged, reported
+    # through the diagnostics, not a numpy warning, plain or with momentum,
+    # and whether the sweep takes the 6 rows in one block, as 4 + 2 or one
+    # by one.  Entries of size 1e200 overflow the first Gram.
     rng = np.random.default_rng(8)
     M = 1e200 * rng.standard_normal((6, 6))
     mask = rng.random(M.shape) < 0.8
     for sweep_floats in (lrmc._SWEEP_FLOATS, 24, 6):
         monkeypatch.setattr(lrmc, "_SWEEP_FLOATS", sweep_floats)
-        for accel in (False, True):
+        for restart in (1, SvpOptions.accel_restart):
             _, diag = svp_complete(M, mask, 2, SvpOptions(
-                max_iters=200, accel=accel))
-            assert (diag.converged, diag.iterations_run) == (False, 1), (
-                sweep_floats, accel)
+                max_iters=200, accel_restart=restart))
+            assert (diag.stop, diag.iterations_run) == ("diverged", 1), (
+                sweep_floats, restart)
+            assert not diag.converged
+    # the same matrix at a finite scale runs out of a 1-iteration budget
+    _, diag = svp_complete(M / 1e200, mask, 2, SvpOptions(max_iters=1))
+    assert (diag.stop, diag.iterations_run, diag.converged) == (
+        "budget", 1, False)
+    # converged is read from stop, not set apart from it
+    with pytest.raises(AttributeError):
+        diag.converged = True
 
 
 def test_svp_restarts_counted():
     M, mask, _ = _low_rank_problem((40, 300), 4, seed=12)
     opts = SvpOptions(max_iters=400, rel_tol=1e-9)
-    _, plain = svp_complete(M, mask, 4, opts)
-    assert plain.restarts == 0
-    _, adaptive = svp_complete(M, mask, 4, replace(opts, accel=True,
-                                                   accel_restart=1000))
+    # the plain iteration restarts after every step but the last
+    _, plain = svp_complete(M, mask, 4, replace(opts, accel_restart=1))
+    assert plain.restarts == plain.iterations_run - plain.converged
+    _, adaptive = svp_complete(M, mask, 4, replace(opts, accel_restart=1000))
     assert adaptive.restarts >= 1
     # the cap restarts every run that reaches it, adaptive restarts aside
-    _, capped = svp_complete(M, mask, 4, replace(opts, accel=True,
-                                                 accel_restart=5))
+    _, capped = svp_complete(M, mask, 4, replace(opts, accel_restart=5))
     assert capped.restarts >= (capped.iterations_run - 1) // 5
 
 
@@ -295,20 +300,22 @@ def test_svp_momentum_keeps_no_extra_buffer():
     # D x N temporary, the final residual included.
     M, mask, _ = _low_rank_problem((60, 2000), 4, seed=13)
     peaks = {}
-    for accel in (False, True):
+    for restart in (1, SvpOptions.accel_restart):
         tracemalloc.start()
         try:
-            svp_complete(M, mask, 4, SvpOptions(max_iters=20, accel=accel))
-            peaks[accel] = tracemalloc.get_traced_memory()[1]
+            svp_complete(M, mask, 4, SvpOptions(max_iters=20,
+                                                accel_restart=restart))
+            peaks[restart] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    assert peaks[True] <= 1.02 * peaks[False], peaks
+    assert peaks[SvpOptions.accel_restart] <= 1.02 * peaks[1], peaks
     assert max(peaks.values()) <= 5.5 * M.nbytes, peaks
 
 
 @pytest.mark.parametrize("given_Z0", [False, True], ids=["zero-fill", "Z0"])
-@pytest.mark.parametrize("accel", [False, True], ids=["plain", "momentum"])
-def test_svp_tall_holds_no_copy(accel, given_Z0):
+@pytest.mark.parametrize("restart", [1, SvpOptions.accel_restart],
+                         ids=["plain", "momentum"])
+def test_svp_tall_holds_no_copy(restart, given_Z0):
     # a tall solve runs on transposed views of its inputs and allocates
     # only the wide solve's buffers: no copy of the observations, the mask
     # or Z0 joins them.  The slack is far below one D x N array and covers
@@ -317,7 +324,7 @@ def test_svp_tall_holds_no_copy(accel, given_Z0):
     Z0 = np.where(mask, M, 0.0) if given_Z0 else None
     wide = [np.ascontiguousarray(a.T) for a in (M, mask)]
     wide.append(None if Z0 is None else np.ascontiguousarray(Z0.T))
-    opts = SvpOptions(max_iters=20, accel=accel)
+    opts = SvpOptions(max_iters=20, accel_restart=restart)
     svp_complete(M, mask, 4, opts, Z0=Z0)
     peaks = []
     for args in ((M, mask, Z0), wide):
@@ -343,7 +350,7 @@ def test_svp_leaves_its_inputs_and_ignores_entries_off_the_mask(shape,
     if given_Z0:
         Z0 = truncated_svd_project(M + 0.1 * rng.standard_normal(shape), 4)
     kept = [a.copy() for a in (M_obs, Z0) if a is not None]
-    opts = SvpOptions(max_iters=50, accel=True, accel_restart=20)
+    opts = SvpOptions(max_iters=50, accel_restart=20)
     Z, diag = svp_complete(M_obs, mask, 4, opts, Z0=Z0)
     for a, before in zip([a for a in (M_obs, Z0) if a is not None], kept):
         assert a.tobytes() == before.tobytes()
@@ -366,8 +373,7 @@ def test_svp_workspace_reused_matches_fresh_solves(shape):
         (4, shape[1]))
     starts = [truncated_svd_project(M + 0.1 * rng.standard_normal(shape), 4)
               for _ in range(2)]
-    opts = SvpOptions(max_iters=60, rel_tol=1e-9, accel=True,
-                      accel_restart=25)
+    opts = SvpOptions(max_iters=60, rel_tol=1e-9, accel_restart=25)
     ws = lrmc.SvpWorkspace(mask)
     Z = None
     for M_in, Z0, in_place in ((M, None, False), (M2, starts[0], False),
@@ -399,11 +405,12 @@ def test_svp_workspace_reused_matches_fresh_solves(shape):
 
 _SHAPES = [((40, 300), 4), ((300, 40), 4), ((60, 60), 6)]
 _VARIANTS = {
-    "plain-1.0": dict(),
-    "momentum": dict(accel=True, accel_restart=40),
+    # a restart after every step: the plain iteration
+    "plain-1.0": dict(accel_restart=1),
+    "momentum": dict(accel_restart=40),
     # a cap the 400 iterations never reach: every restart is adaptive
-    "momentum-adaptive": dict(accel=True, accel_restart=1000),
-    "given-Z0": dict(),
+    "momentum-adaptive": dict(accel_restart=1000),
+    "given-Z0": dict(accel_restart=1),
 }
 # entries per sweep block that split every shape of _SHAPES into several
 # row blocks with a short last one: 7 rows of 40, 52 of 300, 35 of 60

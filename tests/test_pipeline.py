@@ -40,9 +40,13 @@ def _affine_lines_instance(seed=0, d=6, N=400, m=4):
     return X, gen_mask_uniform(d, N, m, seed=seed + 10)
 
 
-def _cfg(iters=3000, tol=1e-9, accel=False, **kw):
-    return LadmcConfig(
-        p=2, svp=SvpOptions(max_iters=iters, rel_tol=tol, accel=accel), **kw)
+# the default momentum run between restarts; 1 gives the plain iteration
+_MOMENTUM = SvpOptions.accel_restart
+
+
+def _cfg(iters=3000, tol=1e-9, **kw):
+    return LadmcConfig(p=2, svp=SvpOptions(max_iters=iters, rel_tol=tol),
+                       **kw)
 
 
 def test_nrmse_basic():
@@ -143,14 +147,14 @@ def test_column_scale_on_fully_observed_column():
 
 def test_ladmc_two_lines_recovery():
     X, mask = _two_lines_instance()
-    rep = ladmc(np.where(mask, X, 0.0), mask, 2, _cfg(accel=True), X_true=X)
+    rep = ladmc(np.where(mask, X, 0.0), mask, 2, _cfg(), X_true=X)
     assert rep.nrmse < 1e-4
     assert np.max(rep.per_column_rank1_ratio) < 0.1
 
 
 def test_iladmc_two_lines_recovery():
     X, mask = _two_lines_instance()
-    cfg = _cfg(iters=100, accel=True, iladmc_inner_T=30)
+    cfg = _cfg(iters=100, iladmc_inner_T=30)
     rep = iladmc(np.where(mask, X, 0.0), mask, 2, cfg, X_true=X)
     assert rep.nrmse < 1e-4
     # outer loop stays within the budget a single long solve would use
@@ -193,12 +197,12 @@ def test_weighted_order_2_lift_is_an_isometry():
 
 def test_scaled_solve_divides_out_a_column_scale():
     # times 4, a column's lift is exactly 16 times larger, and its column
-    # scale divides that out: an accelerated order-2 solve takes the same
+    # scale divides that out: an order-2 solve takes the same
     # steps and returns that column exactly 4 times larger
     X, mask = _two_lines_instance(N=40, m=5)
     X4 = X.copy()
     X4[:, 1] *= 4.0
-    cfg = _cfg(accel=True)
+    cfg = _cfg()
     rep = ladmc(np.where(mask, X, 0.0), mask, 2, cfg)
     rep4 = ladmc(np.where(mask, X4, 0.0), mask, 2, cfg)
     assert rep4.solver.iterations_run == rep.solver.iterations_run
@@ -214,7 +218,7 @@ def test_scaled_solve_reports_the_residual_of_the_lift(algo):
     # twice the input lifts to 4 times the lift: the scaled solve is the
     # same, and its residual, in the lift's own units, 4 times larger
     X, mask = _two_lines_instance(N=40, m=5)
-    cfg = _cfg(iters=20, accel=True, iladmc_inner_T=5)
+    cfg = _cfg(iters=20, iladmc_inner_T=5)
     rep = algo(np.where(mask, X, 0.0), mask, 2, cfg)
     rep2 = algo(np.where(mask, 2.0 * X, 0.0), mask, 2, cfg)
     assert rep.solver.final_residual > 0.0
@@ -223,17 +227,14 @@ def test_scaled_solve_reports_the_residual_of_the_lift(algo):
     np.testing.assert_array_equal(rep2.X_hat, 2.0 * rep.X_hat)
 
 
-@pytest.mark.parametrize("algo,p,accel,ones,rank", [
-    pytest.param(ladmc, 2, False, False, 2, id="plain"),
-    pytest.param(iladmc, 2, False, False, 2, id="plain-iladmc"),
-    pytest.param(ladmc, 3, True, False, 2, id="order-3"),
-    pytest.param(lrmc_baseline, 2, True, False, 2, id="lrmc"),
-    pytest.param(ladmc, 2, True, True, 5, id="augment-ones"),
+@pytest.mark.parametrize("algo,p,ones,rank", [
+    pytest.param(ladmc, 3, False, 2, id="order-3"),
+    pytest.param(lrmc_baseline, 2, False, 2, id="lrmc"),
+    pytest.param(ladmc, 2, True, 5, id="augment-ones"),
 ])
-def test_unscaled_solves_get_the_raw_lift(monkeypatch, algo, p, accel, ones,
-                                          rank):
-    # only an accelerated order-2 lift without the constant row is scaled:
-    # every other solve is handed tensorize_matrix's arrays, bit for bit
+def test_unscaled_solves_get_the_raw_lift(monkeypatch, algo, p, ones, rank):
+    # only an order-2 lift without the constant row is scaled: every other
+    # solve is handed tensorize_matrix's arrays, bit for bit
     X, mask = _two_lines_instance(N=40)
     calls = []
     solve = pipeline.svp_complete
@@ -243,8 +244,8 @@ def test_unscaled_solves_get_the_raw_lift(monkeypatch, algo, p, accel, ones,
         return solve(M_obs, M_mask, *args, **kwargs)
 
     monkeypatch.setattr(pipeline, "svp_complete", recorded)
-    cfg = LadmcConfig(p=p, svp=SvpOptions(max_iters=20, accel=accel),
-                      iladmc_inner_T=5, augment_ones=ones)
+    cfg = LadmcConfig(p=p, svp=SvpOptions(max_iters=20), iladmc_inner_T=5,
+                      augment_ones=ones)
     algo(np.where(mask, X, 0.0), mask, rank, cfg)
     order, ones = pipeline.lift_of(algo.__name__.removesuffix("_baseline"),
                                    cfg)
@@ -260,13 +261,13 @@ def test_unscaled_solves_get_the_raw_lift(monkeypatch, algo, p, accel, ones,
 def test_iladmc_report_covers_every_pass(monkeypatch):
     X, mask = _two_lines_instance()
     bursts = _record_bursts(monkeypatch)
-    cfg = _cfg(iters=100, accel=True, iladmc_inner_T=30)
+    cfg = _cfg(iters=100, iladmc_inner_T=30)
     rep = iladmc(np.where(mask, X, 0.0), mask, 2, cfg, X_true=X)
     assert 1 < rep.outer_iterations < pipeline.ILADMC_MAX_OUTER
     assert len(bursts) == rep.outer_iterations
     # the last 30-step burst alone does not converge; the outer loop does
-    assert not bursts[-1].converged
-    assert rep.solver.converged is True
+    assert bursts[-1].stop == "budget"
+    assert rep.solver.stop == "converged"
     assert rep.solver.iterations_run == sum(b.iterations_run for b in bursts)
     # every pass starts with a full eigendecomposition; the count sums them
     assert rep.solver.full_eigh == sum(b.full_eigh for b in bursts)
@@ -281,18 +282,19 @@ def test_iladmc_result_does_not_depend_on_power_steps(monkeypatch, augment):
     R = 5 if augment else 2
     cfg = _cfg(iters=100, iladmc_inner_T=30, augment_ones=augment)
     lifts, eigh_columns = [], []
-    solve, exact = pipeline.svp_complete, preimage._eigh_pairs
+    lifted, exact = pipeline.unlift, preimage._eigh_pairs
 
-    def recorded(*args, **kwargs):
-        Z, diag = solve(*args, **kwargs)
-        lifts.append(Z)
-        return Z, diag
+    def recorded(T_hat, *args):
+        # the lift each pass unlifts, in raw units; a later pass reuses
+        # its buffer
+        lifts.append(T_hat.copy())
+        return lifted(T_hat, *args)
 
     def counted(S):
         eigh_columns.append(S.shape[0])
         return exact(S)
 
-    monkeypatch.setattr(pipeline, "svp_complete", recorded)
+    monkeypatch.setattr(pipeline, "unlift", recorded)
     monkeypatch.setattr(preimage, "_eigh_pairs", counted)
     imap = build_index_map(X.shape[0] + augment, 2)
     runs = []
@@ -335,8 +337,7 @@ def test_iladmc_bursts_run_all_their_steps():
 def test_iladmc_restarts_sum_over_passes(monkeypatch):
     X, mask = _two_lines_instance()
     bursts = _record_bursts(monkeypatch)
-    cfg = LadmcConfig(svp=SvpOptions(max_iters=100,
-                                     rel_tol=1e-9, accel=True,
+    cfg = LadmcConfig(svp=SvpOptions(max_iters=100, rel_tol=1e-9,
                                      accel_restart=10),
                       iladmc_inner_T=30)
     rep = iladmc(np.where(mask, X, 0.0), mask, 2, cfg)
@@ -352,8 +353,28 @@ def test_iladmc_out_of_passes_is_unconverged(monkeypatch):
     cfg = _cfg(iters=100, iladmc_inner_T=30)
     rep = iladmc(np.where(mask, X, 0.0), mask, 2, cfg)
     assert rep.outer_iterations == 2
-    assert not rep.solver.converged
+    assert rep.solver.stop == "budget"
     assert rep.solver.iterations_run == 60
+
+
+def test_iladmc_reports_a_diverged_pass(monkeypatch):
+    # a run whose first pass diverged says so, though its last pass and
+    # the outer loop met their tests
+    X, mask = _two_lines_instance()
+    solve = pipeline.svp_complete
+    stops = []
+
+    def first_diverges(*args, **kwargs):
+        Z, diag = solve(*args, **kwargs)
+        stops.append(diag.stop)
+        return Z, replace(diag, stop="diverged") if len(stops) == 1 else diag
+
+    monkeypatch.setattr(pipeline, "svp_complete", first_diverges)
+    cfg = _cfg(iters=100, iladmc_inner_T=30)
+    rep = iladmc(np.where(mask, X, 0.0), mask, 2, cfg, X_true=X)
+    assert 1 < rep.outer_iterations < pipeline.ILADMC_MAX_OUTER
+    assert "diverged" not in stops and rep.nrmse < 1e-4
+    assert (rep.solver.stop, rep.solver.converged) == ("diverged", False)
 
 
 def test_ladmc_report_is_the_svp_solve(monkeypatch):
@@ -364,6 +385,7 @@ def test_ladmc_report_is_the_svp_solve(monkeypatch):
         cfg = _cfg(iters=iters, tol=tol)
         rep = ladmc(np.where(mask, X, 0.0), mask, 2, cfg)
         (diag,) = bursts
+        assert rep.solver.stop == diag.stop
         assert rep.solver.converged is diag.converged is converged
         assert rep.solver.iterations_run == diag.iterations_run
 
@@ -372,7 +394,7 @@ def test_ladmc_single_subspace_recovery():
     # higher-dimensional single-subspace instance: d=25, r=3, lifted rank 6
     X = gen_uos(25, 1, 3, 1300, seed=5)
     mask = gen_mask_uniform(25, 1300, 12, seed=6)
-    rep = ladmc(np.where(mask, X, 0.0), mask, 6, _cfg(iters=900, accel=True),
+    rep = ladmc(np.where(mask, X, 0.0), mask, 6, _cfg(iters=900),
                 X_true=X)
     assert rep.nrmse < 1e-4
 
@@ -394,7 +416,7 @@ def test_report_without_truth_has_no_metrics():
 def test_augment_ones_recovers_affine_lines():
     # [1; x] spans a 2-dim subspace per line, so the lifted rank is 2 * 3
     X, mask = _affine_lines_instance()
-    svp = SvpOptions(accel=True, max_iters=3000, rel_tol=1e-9)
+    svp = SvpOptions(max_iters=3000, rel_tol=1e-9)
     for algo in (ladmc, iladmc):
         cfg = LadmcConfig(p=2, svp=svp, augment_ones=True)
         rep = algo(np.where(mask, X, 0.0), mask, 6, cfg, X_true=X)
@@ -413,8 +435,8 @@ def test_lrmc_baseline_completes_low_rank_matrix():
     np.testing.assert_array_equal(rep.X_hat[mask], X[mask])
 
 
-@pytest.mark.parametrize("accel", [False, True], ids=["plain", "momentum"])
-def test_lrmc_baseline_is_svp_on_the_raw_matrix(accel):
+@pytest.mark.parametrize("restart", [1, _MOMENTUM], ids=["plain", "momentum"])
+def test_lrmc_baseline_is_svp_on_the_raw_matrix(restart):
     # one driver pass at the identity lift: the solve of the zero-filled
     # matrix with its observed entries refilled, bitwise, and the solver's
     # own diagnostics; an unobserved column comes back zero
@@ -422,7 +444,7 @@ def test_lrmc_baseline_is_svp_on_the_raw_matrix(accel):
     X = rng.standard_normal((12, 3)) @ rng.standard_normal((3, 50))
     mask = rng.random(X.shape) < 0.5
     mask[:, 7] = False
-    svp = SvpOptions(accel=accel, max_iters=300, rel_tol=1e-9)
+    svp = SvpOptions(accel_restart=restart, max_iters=300, rel_tol=1e-9)
     X_zero = np.where(mask, X, 0.0)
     Z, diag = svp_complete(X_zero, mask, 3, svp)
     Z[mask] = X[mask]
@@ -478,12 +500,13 @@ def _reference_complete(X_obs, mask, rank, cfg, algorithm, max_passes=1,
     opts = (replace(cfg.svp, max_iters=pass_iters, rel_tol=math.ulp(0.0))
             if pass_iters else cfg.svp)
     w, cols = None, 1.0
-    if order == 2 and not ones and cfg.svp.accel:
+    if order == 2 and not ones:
         w = pipeline._row_weights(imap)
         T_obs *= w
     X_cur = np.where(mask_in, X_in, 0.0)
     Z0 = None
     iters = eigh = restarts = 0
+    stops = set()
     for outer in range(1, max_passes + 1):
         if outer > 1:
             Z0, _ = tensorize_matrix(X_cur, np.ones_like(mask_in), imap)
@@ -508,6 +531,7 @@ def _reference_complete(X_obs, mask, rank, cfg, algorithm, max_passes=1,
         iters += diag.iterations_run
         eigh += diag.full_eigh
         restarts += diag.restarts
+        stops.add(diag.stop)
         X_new, ratios = unlift(T_hat, imap, X_in, mask_in)
         X_new[mask_in] = X_in[mask_in]
         change = (np.linalg.norm(X_new - X_cur)
@@ -517,29 +541,34 @@ def _reference_complete(X_obs, mask, rank, cfg, algorithm, max_passes=1,
             break
     X_hat = X_cur[1:] if ones else X_cur
     X_hat[:, ~mask.any(axis=0)] = 0.0
-    converged = (diag.converged if max_passes == 1
-                 else bool(change < pipeline.ILADMC_REL_TOL))
+    if "diverged" in stops:
+        stop = "diverged"
+    elif max_passes == 1:
+        stop = diag.stop
+    else:
+        stop = "converged" if change < pipeline.ILADMC_REL_TOL else "budget"
     return (X_hat, ratios, outer, iters, eigh, restarts,
-            diag.final_residual, converged)
+            diag.final_residual, stop)
 
 
-@pytest.mark.parametrize("p,accel,ones,N,rank", [
-    pytest.param(2, True, False, 60, 2, id="scaled"),
-    pytest.param(2, False, False, 60, 2, id="plain"),
-    pytest.param(3, True, False, 80, 4, id="order-3"),
-    pytest.param(2, True, True, 60, 5, id="augment-ones"),
+@pytest.mark.parametrize("p,restart,ones,N,rank", [
+    pytest.param(2, _MOMENTUM, False, 60, 2, id="scaled"),
+    # a restart after every step: the plain iteration, scaled too
+    pytest.param(2, 1, False, 60, 2, id="plain"),
+    pytest.param(3, _MOMENTUM, False, 80, 4, id="order-3"),
+    pytest.param(2, _MOMENTUM, True, 60, 5, id="augment-ones"),
     # 21 monomials, 15 columns: the solve runs on the transpose
-    pytest.param(2, True, False, 15, 2, id="tall"),
+    pytest.param(2, _MOMENTUM, False, 15, 2, id="tall"),
 ])
 @pytest.mark.parametrize("algo", [ladmc, iladmc])
-def test_workspace_passes_match_fresh_solves(algo, p, accel, ones, N, rank):
+def test_workspace_passes_match_fresh_solves(algo, p, restart, ones, N, rank):
     # one workspace for every pass changes no bit of the result, the
     # residual included, against a fresh solve per pass
     X, mask = _two_lines_instance(N=N, m=5)
     X_obs = np.where(mask, X, 0.0)
     mask[:, 3] = False  # an unobserved column
     cfg = LadmcConfig(p=p, svp=SvpOptions(max_iters=200, rel_tol=1e-9,
-                                          accel=accel),
+                                          accel_restart=restart),
                       iladmc_inner_T=10, augment_ones=ones)
     rep = algo(X_obs, mask, rank, cfg)
     passes = ({} if algo is ladmc else
@@ -549,7 +578,7 @@ def test_workspace_passes_match_fresh_solves(algo, p, accel, ones, N, rank):
     got = (rep.X_hat, rep.per_column_rank1_ratio, rep.outer_iterations,
            rep.solver.iterations_run, rep.solver.full_eigh,
            rep.solver.restarts, rep.solver.final_residual,
-           rep.solver.converged)
+           rep.solver.stop)
     assert got[0].tobytes() == ref[0].tobytes()
     assert got[1].tobytes() == ref[1].tobytes()
     assert got[2:] == ref[2:]
@@ -557,18 +586,18 @@ def test_workspace_passes_match_fresh_solves(algo, p, accel, ones, N, rank):
         assert rep.outer_iterations > 1
 
 
-@pytest.mark.parametrize("accel", [False, True], ids=["plain", "momentum"])
-def test_lrmc_workspace_matches_a_fresh_solve(accel):
+@pytest.mark.parametrize("restart", [1, _MOMENTUM], ids=["plain", "momentum"])
+def test_lrmc_workspace_matches_a_fresh_solve(restart):
     X, mask = _two_lines_instance(N=60, m=5)
     X_obs = np.where(mask, X, 0.0)
     cfg = LadmcConfig(svp=SvpOptions(max_iters=200, rel_tol=1e-9,
-                                     accel=accel))
+                                     accel_restart=restart))
     rep = lrmc_baseline(X_obs, mask, 2, cfg)
     ref = _reference_complete(X_obs, mask, 2, cfg, "lrmc")
     assert rep.X_hat.tobytes() == ref[0].tobytes()
     assert (rep.outer_iterations, rep.solver.iterations_run,
             rep.solver.full_eigh, rep.solver.restarts,
-            rep.solver.final_residual, rep.solver.converged) == ref[2:]
+            rep.solver.final_residual, rep.solver.stop) == ref[2:]
 
 
 @pytest.mark.parametrize("algo,kw,message", [
@@ -601,7 +630,7 @@ def test_iladmc_peak_memory_in_lift_buffers(monkeypatch):
     X = gen_uos(15, 10, 2, N, seed=101)
     mask = gen_mask_uniform(15, N, 11, seed=102)
     monkeypatch.setattr(pipeline, "ILADMC_MAX_OUTER", 3)
-    cfg = _cfg(iters=100, accel=True, iladmc_inner_T=5)
+    cfg = _cfg(iters=100, iladmc_inner_T=5)
     X_obs = np.where(mask, X, 0.0)
     tracemalloc.start()
     try:
